@@ -1,9 +1,8 @@
-"""Small shared helpers: seed derivation, hashing, deterministic JSON."""
+"""Small shared helpers: seed derivation and hashing."""
 
 from __future__ import annotations
 
 import hashlib
-import json
 from pathlib import Path
 
 _MASK64 = (1 << 64) - 1
@@ -32,8 +31,3 @@ def sha256_file(path: str | Path) -> str:
 
 def sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def dump_json(obj, path: str | Path) -> None:
-    """Write JSON with sorted keys and a trailing newline (byte-stable)."""
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")

@@ -48,12 +48,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _strip_comment(line: str) -> str:
+    """Drop a trailing `#` comment; a `#` inside double quotes is kept."""
+    quoted = False
+    for i, ch in enumerate(line):
+        if ch == '"':
+            quoted = not quoted
+        elif ch == "#" and not quoted:
+            return line[:i]
+    return line
+
+
 def _parse_config_file(path: str | Path) -> dict:
     """TOML-style key = value lines; strings, numbers, booleans and
     comma-separated tuples."""
     out: dict = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = _strip_comment(raw).strip()
         if not line:
             continue
         if "=" not in line:
@@ -281,20 +292,39 @@ def cmd_rank(args, config: dict) -> int:
 
 
 def _load_ranked(path: Path, criterion: str) -> screening.RankedLibrary:
-    ids = []
+    """TSV `rank compound_id` with rank 1..N in line order and unique ids."""
+    ids: list[str] = []
+    seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().rstrip("\n").split("\t")
         if header != ["rank", "compound_id"]:
             raise FormatError(f"{path}: header {header} != ['rank', 'compound_id']")
-        for line in f:
-            if line.strip():
-                ids.append(line.rstrip("\n").split("\t")[1])
+        for lineno, line in enumerate(f, 2):
+            if not line.strip():
+                continue
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) != 2:
+                raise FormatError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
+            rank, cid = parts
+            if rank != str(len(ids) + 1):
+                raise FormatError(f"{path}:{lineno}: rank {rank!r} is not the line's position {len(ids) + 1}")
+            if cid in seen:
+                raise DataError(f"{path}:{lineno}: duplicate compound id {cid!r}")
+            seen.add(cid)
+            ids.append(cid)
     return screening.RankedLibrary(criterion=criterion, ids=ids)
 
 
+def _parse_k_grid(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(k) for k in text.split(","))
+    except ValueError:
+        raise UsageError(f"--k-grid expects comma-separated numbers, got {text!r}") from None
+
+
 def cmd_enrich(args, config: dict) -> int:
+    k_grid = _parse_k_grid(args.k_grid)
     run = _Run("enrich", args.out, {**config, "k_grid": args.k_grid}, [args.seed])
-    k_grid = tuple(float(k) for k in args.k_grid.split(","))
     actives = load_actives(run.track_input(args.actives))
 
     rankings: dict[str, screening.RankedLibrary] = {}
@@ -312,14 +342,7 @@ def cmd_enrich(args, config: dict) -> int:
     if not rankings:
         raise UsageError("provide --ranked name=path and/or --scores")
 
-    report = screening.enrichment_report(
-        rankings,
-        actives,
-        k_grid=k_grid,
-        baseline_trials=int(config.get("baseline_trials", 2000)),
-        seed=args.seed,
-        include_topk_fraction=bool(config.get("topk_fraction", False)),
-    )
+    report = screening.enrichment_report(rankings, actives, k_grid=k_grid)
     if args.format in ("json", "both"):
         run.artifact("enrichment.json").write_text(report.to_json(), encoding="utf-8")
     if args.format in ("tsv", "both"):
@@ -393,8 +416,6 @@ def build_parser() -> _Parser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--threads", type=int, default=1, help="worker cap (desk-scale paths are serial)")
-        p.add_argument("--format", choices=("tsv", "json", "both"), default="both")
 
     p = sub.add_parser("gen-synth", help="write a synthetic planted-structure fixture")
     common(p)
@@ -432,6 +453,7 @@ def build_parser() -> _Parser:
     p.add_argument("--ranking", choices=tuple(RANKING_ALIASES), default="two_key")
     p.add_argument("--actives", required=True)
     p.add_argument("--k-grid", default="1,5,20,50,100")
+    p.add_argument("--format", choices=("tsv", "json", "both"), default="both")
 
     p = sub.add_parser("report", help="metric bundle from predictions + ground truth")
     common(p)
@@ -466,8 +488,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = _parse_config_file(args.config) if args.config else {}
-        if args.threads < 1:
-            raise UsageError("--threads must be >= 1")
         return COMMANDS[args.command](args, config)
     except UsageError as exc:
         print(f"ERROR {exc.code}: {exc}", file=sys.stderr)

@@ -248,12 +248,6 @@ def validate_interactions(
 # -- SMILES records ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmilesRecord:
-    drug_id: str
-    smiles: str
-
-
 def load_smiles(path: str | Path) -> dict[str, str]:
     path = Path(path)
     out: dict[str, str] = {}

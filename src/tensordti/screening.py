@@ -1,6 +1,6 @@
 """Virtual-screening analytics: ranking criteria, active-set alignment,
-recall/EF, screening-budget metrics, random baselines, unfamiliarity
-filtering, and the combined enrichment report.
+recall/EF, screening-budget metrics, exact random-ranking baselines,
+unfamiliarity filtering, and the combined enrichment report.
 
 Budget metrics answer "what fraction of the ranked library must be screened
 to recover ...". Target counts use ceil with a small tolerance so that e.g.
@@ -14,9 +14,6 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-from ._util import splitmix64
 from .errors import ConfigError, DataError, FormatError, MissingColumnError, UsageError
 
 CRITERIA = ("docking_score_asc", "affinity_asc", "two_key_label_then_confidence")
@@ -94,10 +91,6 @@ class RankedLibrary:
     @property
     def n(self) -> int:
         return len(self.ids)
-
-    def position(self, compound_id: str) -> int:
-        """1-based rank."""
-        return self.ids.index(compound_id) + 1
 
 
 @dataclass
@@ -209,42 +202,17 @@ def topk_potency_budget(ranked: RankedLibrary, actives: ActiveSet, k_percent: fl
     return 100.0 * positions[-1] / ranked.n
 
 
-def topk_hit_fraction(ranked: RankedLibrary, actives: ActiveSet, k_percent: float) -> float:
-    """Alternative semantics: fraction of actives inside the top k% slice."""
-    if not 0 < k_percent <= 100:
-        raise UsageError(f"k_percent must be in (0, 100], got {k_percent}")
-    cutoff = max(1, ceil_count(k_percent * ranked.n / 100.0))
-    return recall_at_k(ranked, actives, min(cutoff, ranked.n))
-
-
-def random_baseline(n: int, a: int, k_percent: float, trials: int, seed: int) -> tuple[float, float]:
-    """Monte-Carlo k% AR budget under a uniformly random ranking."""
-    if trials < 1:
-        raise UsageError("trials must be >= 1")
-    if not 1 <= a <= n:
-        raise UsageError(f"need 1 <= A <= N, got A={a}, N={n}")
-    target = max(1, ceil_count(k_percent * a / 100.0))
-    rng = np.random.default_rng(seed)
-    budgets = np.empty(trials)
-    for t in range(trials):
-        positions = rng.permutation(n)[:a] + 1
-        budgets[t] = 100.0 * np.partition(positions, target - 1)[target - 1] / n
-    return float(budgets.mean()), float(budgets.std())
-
-
-def random_topk_baseline(n: int, a: int, m: int, trials: int, seed: int) -> tuple[float, float]:
-    """Monte-Carlo budget to cover all of m specific actives under a random
-    ranking (the top-potency subset is a uniform m-subset by symmetry)."""
-    if trials < 1:
-        raise UsageError("trials must be >= 1")
-    if not 1 <= m <= a <= n:
-        raise UsageError(f"need 1 <= m <= A <= N, got m={m}, A={a}, N={n}")
-    rng = np.random.default_rng(seed)
-    budgets = np.empty(trials)
-    for t in range(trials):
-        positions = rng.permutation(n)[:m] + 1
-        budgets[t] = 100.0 * positions.max() / n
-    return float(budgets.mean()), float(budgets.std())
+def random_budget(n: int, a: int, t: int) -> tuple[float, float]:
+    """Exact mean and SD, in percent of N, of the budget a uniformly random
+    ranking needs to recover t of a actives: the t-th smallest of a
+    positions drawn without replacement from 1..N (David & Nagaraja, Order
+    Statistics, 3rd ed., 2003). Covering all of m specific actives, the
+    top-potency baseline, is t = a = m."""
+    if not 1 <= t <= a <= n:
+        raise UsageError(f"need 1 <= t <= A <= N, got t={t}, A={a}, N={n}")
+    mean = 100 * t * (n + 1) / ((a + 1) * n)
+    var = t * (a - t + 1) * (n + 1) * (n - a) / ((a + 1) ** 2 * (a + 2))
+    return mean, 100.0 * math.sqrt(var) / n
 
 
 def filter_unfamiliar(rows: list[ScoreRow], threshold: float) -> tuple[list[ScoreRow], list[dict]]:
@@ -290,7 +258,6 @@ class EnrichmentReport:
     recall: dict[str, dict[float, float]]
     ef: dict[str, dict[float, float]]
     topk_budget: dict[str, dict[float, float]] | None = None
-    topk_fraction: dict[str, dict[float, float]] | None = None
     random_sd: dict[str, dict[float, float]] = field(default_factory=dict)
 
     def to_json(self) -> str:
@@ -308,7 +275,6 @@ class EnrichmentReport:
             "recall": keyed(self.recall),
             "ef": keyed(self.ef),
             "topk_budget": keyed(self.topk_budget),
-            "topk_fraction": keyed(self.topk_fraction),
             "random_sd": keyed(self.random_sd),
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -328,8 +294,6 @@ class EnrichmentReport:
         section("kpct_actives_budget", self.ar_budget)
         if self.topk_budget is not None:
             section("topk_potency_budget", self.topk_budget)
-        if self.topk_fraction is not None:
-            section("topk_hit_fraction", self.topk_fraction)
         section("recall_at_fraction", self.recall)
         section("ef_at_fraction", self.ef)
         return "\n".join(lines) + "\n"
@@ -339,12 +303,9 @@ def enrichment_report(
     rankings: dict[str, RankedLibrary],
     actives: ActiveSet,
     k_grid: tuple[float, ...] = DEFAULT_K_GRID,
-    baseline_trials: int = 2000,
-    seed: int = 0,
-    include_topk_fraction: bool = False,
 ) -> EnrichmentReport:
-    """Budget/recall/EF tables for every method over the k grid, plus a
-    simulated random-ranking column."""
+    """Budget/recall/EF tables for every method over the k grid, plus the
+    exact random-ranking column with its SD in `random_sd`."""
     if not rankings:
         raise UsageError("no rankings supplied")
     sizes = {m: r.n for m, r in rankings.items()}
@@ -362,7 +323,6 @@ def enrichment_report(
     recall: dict[str, dict[float, float]] = {}
     ef: dict[str, dict[float, float]] = {}
     topk: dict[str, dict[float, float]] = {}
-    topk_frac: dict[str, dict[float, float]] = {}
     has_potency = actives.potency is not None
 
     for mname, ranked in rankings.items():
@@ -372,22 +332,14 @@ def enrichment_report(
         ef[mname] = {k: ef_at_k(ranked, actives, cutoffs[k]) for k in k_grid}
         if has_potency:
             topk[mname] = {k: topk_potency_budget(ranked, actives, k) for k in k_grid}
-        if include_topk_fraction:
-            topk_frac[mname] = {k: topk_hit_fraction(ranked, actives, k) for k in k_grid}
 
-    ar["random"] = {}
-    random_sd: dict[str, dict[float, float]] = {"ar_budget": {}}
-    for i, k in enumerate(k_grid):
-        mean, sd = random_baseline(n, a, k, baseline_trials, splitmix64(seed, i))
-        ar["random"][k] = mean
-        random_sd["ar_budget"][k] = sd
+    ar["random"], random_sd = {}, {"ar_budget": {}}
+    for k, t in target_counts.items():
+        ar["random"][k], random_sd["ar_budget"][k] = random_budget(n, a, t)
     if has_potency:
-        topk["random"] = {}
-        random_sd["topk_budget"] = {}
-        for i, k in enumerate(k_grid):
-            mean, sd = random_topk_baseline(n, a, target_counts[k], baseline_trials, splitmix64(seed, 100 + i))
-            topk["random"][k] = mean
-            random_sd["topk_budget"][k] = sd
+        topk["random"], random_sd["topk_budget"] = {}, {}
+        for k, m in target_counts.items():
+            topk["random"][k], random_sd["topk_budget"][k] = random_budget(n, m, m)
 
     return EnrichmentReport(
         n_library=n,
@@ -398,7 +350,6 @@ def enrichment_report(
         recall=recall,
         ef=ef,
         topk_budget=topk if has_potency else None,
-        topk_fraction=topk_frac if include_topk_fraction else None,
         random_sd=random_sd,
     )
 

@@ -240,3 +240,76 @@ def test_entry_point_subprocess(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "interactions.tsv").is_file()
+
+
+# -- enrich input parsing ------------------------------------------------------------
+
+
+def enrich_inputs(tmp_path, ranked_lines, actives=("c1", "c3")):
+    ranked = tmp_path / "ranked.tsv"
+    ranked.write_text("rank\tcompound_id\n" + "".join(line + "\n" for line in ranked_lines))
+    act = tmp_path / "actives.tsv"
+    act.write_text("compound_id\tpotency\n" + "".join(f"{c}\t{i}.5\n" for i, c in enumerate(actives)))
+    return ranked, act
+
+
+def run_enrich(tmp_path, ranked, act, *extra, out="enrich"):
+    return main(["enrich", "--ranked", f"m={ranked}", "--actives", str(act),
+                 "--out", str(tmp_path / out), *extra])
+
+
+GOOD_RANKED = ["1\tc1", "2\tc2", "3\tc3", "4\tc4", "5\tc5"]
+
+
+def test_enrich_ranked_wrong_field_count_is_format_error(tmp_path, capsys):
+    ranked, act = enrich_inputs(tmp_path, ["1\tc1", "c2", "3\tc3"])
+    assert run_enrich(tmp_path, ranked, act) == 1
+    assert "ERROR FORMAT:" in capsys.readouterr().err
+
+
+def test_enrich_ranked_duplicate_id_is_data_error(tmp_path, capsys):
+    ranked, act = enrich_inputs(tmp_path, ["1\tc1", "2\tc2", "3\tc1", "4\tc3"])
+    assert run_enrich(tmp_path, ranked, act) == 1
+    assert "ERROR DATA:" in capsys.readouterr().err
+
+
+def test_enrich_ranked_rank_must_be_line_position(tmp_path, capsys):
+    ranked, act = enrich_inputs(tmp_path, ["1\tc1", "3\tc2", "2\tc3"])
+    assert run_enrich(tmp_path, ranked, act) == 1
+    assert "ERROR FORMAT:" in capsys.readouterr().err
+
+
+def test_enrich_non_numeric_k_grid_is_usage_error(tmp_path, capsys):
+    ranked, act = enrich_inputs(tmp_path, GOOD_RANKED)
+    assert run_enrich(tmp_path, ranked, act, "--k-grid", "1,abc") == 2
+    assert "ERROR USAGE:" in capsys.readouterr().err
+
+
+def test_enrich_outputs_identical_across_seeds(tmp_path):
+    # the random column is exact, so the seed reaches no output; unknown
+    # config keys such as baseline_trials are ignored
+    ranked, act = enrich_inputs(tmp_path, GOOD_RANKED)
+    cfg = write_config(tmp_path / "enrich.cfg", baseline_trials=2000)
+    for seed in ("1", "2"):
+        assert run_enrich(tmp_path, ranked, act, "--seed", seed, "--config", str(cfg), out=f"e{seed}") == 0
+    for name in ("enrichment.json", "enrichment.tsv"):
+        assert (tmp_path / "e1" / name).read_bytes() == (tmp_path / "e2" / name).read_bytes()
+
+
+def test_enrich_format_selects_outputs(tmp_path, capsys):
+    ranked, act = enrich_inputs(tmp_path, GOOD_RANKED)
+    assert run_enrich(tmp_path, ranked, act, "--format", "tsv") == 0
+    assert (tmp_path / "enrich" / "enrichment.tsv").is_file()
+    assert not (tmp_path / "enrich" / "enrichment.json").exists()
+    # only enrich writes tables, so only enrich takes --format
+    assert main(["gen-synth", "--out", str(tmp_path / "g"), "--format", "json"]) == 2
+    assert "ERROR USAGE:" in capsys.readouterr().err
+
+
+def test_config_hash_inside_quotes_is_kept(tmp_path):
+    from tensordti.cli import _parse_config_file
+    from tensordti.tokenizer import DEFAULT_ALPHABET
+
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f'vocab = "{DEFAULT_ALPHABET}"  # the default alphabet\nx = 3  # note\n# whole-line comment\n')
+    assert _parse_config_file(cfg) == {"vocab": DEFAULT_ALPHABET, "x": 3}

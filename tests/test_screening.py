@@ -17,10 +17,9 @@ from tensordti.screening import (
     kpct_actives_budget,
     load_actives,
     load_scores,
-    random_baseline,
+    random_budget,
     rank,
     recall_at_k,
-    topk_hit_fraction,
     topk_potency_budget,
 )
 
@@ -56,6 +55,17 @@ def topk_budget_oracle(ranked_ids, active_ids, potency, k_percent):
 
 def recall_oracle(ranked_ids, active_ids, k):
     return sum(1 for c in ranked_ids[:k] if c in active_ids) / len(active_ids)
+
+
+def mc_budget_oracle(n, a, t, trials, seed):
+    """Monte-Carlo mean and SD, in percent of N, of the budget a uniformly
+    random ranking needs to recover t of a actives."""
+    rng = np.random.default_rng(seed)
+    budgets = np.empty(trials)
+    for i in range(trials):
+        positions = rng.permutation(n)[:a] + 1
+        budgets[i] = 100.0 * np.partition(positions, t - 1)[t - 1] / n
+    return float(budgets.mean()), float(budgets.std())
 
 
 # -- ceil_count ------------------------------------------------------------------
@@ -280,40 +290,65 @@ def test_topk_missing_potency_errors():
 
 
 def test_topk_hit_fraction_alternative_semantics():
+    # the fraction of actives inside the top k% slice is recall at ceil(k% of N)
     ranked = lib([f"c{i}" for i in range(1, 11)])
     act = actives({"c1", "c6"})
-    assert topk_hit_fraction(ranked, act, 50) == pytest.approx(0.5)
-    assert topk_hit_fraction(ranked, act, 100) == pytest.approx(1.0)
+    assert recall_at_k(ranked, act, 5) == pytest.approx(0.5)
+    assert recall_at_k(ranked, act, 10) == pytest.approx(1.0)
 
 
 # -- random baselines ------------------------------------------------------------------------
 
 
 def test_random_baseline_full_recall_band():
-    mean, sd = random_baseline(n=200, a=10, k_percent=100, trials=400, seed=0)
+    mean, sd = random_budget(n=200, a=10, t=10)
     assert 90.0 < mean <= 100.0
     assert sd >= 0.0
 
 
 def test_random_baseline_everything_active():
-    mean, _ = random_baseline(n=10, a=10, k_percent=25, trials=50, seed=1)
+    mean, sd = random_budget(n=10, a=10, t=3)
     # budget is deterministic: ceil(25% of 10) = 3 -> 30%
     assert mean == pytest.approx(30.0, abs=1e-12)
-
-
-def test_random_baseline_deterministic_under_seed():
-    a = random_baseline(n=100, a=9, k_percent=20, trials=100, seed=5)
-    b = random_baseline(n=100, a=9, k_percent=20, trials=100, seed=5)
-    assert a == b
+    assert sd == 0.0
 
 
 def test_random_baseline_matches_order_statistic_expectation():
-    # E[budget] = 100 * target*(N+1)/(A+1) / N
     n, a, k = 500, 50, 20.0
     target = ceil_count(k * a / 100)
-    expected = 100.0 * target * (n + 1) / (a + 1) / n
-    mean, _ = random_baseline(n, a, k, trials=3000, seed=2)
-    assert mean == pytest.approx(expected, abs=0.5)
+    mc_mean, _ = mc_budget_oracle(n, a, target, trials=3000, seed=2)
+    mean, _ = random_budget(n, a, target)
+    assert mean == pytest.approx(mc_mean, abs=0.5)
+
+
+@pytest.mark.parametrize(
+    "n, a, t",
+    [
+        (1000, 20, 1),  # t = 1
+        (1000, 20, 4),  # 20% of A
+        (1000, 20, 20),  # t = a
+        (500, 1, 1),  # a = 1
+        (40, 40, 13),  # a = N
+        (2450, 8, 8),  # top-potency: t = a = m, ceil(1% of 796) = 8
+    ],
+)
+def test_random_budget_matches_monte_carlo_oracle(n, a, t):
+    trials = 20_000
+    mc_mean, mc_sd = mc_budget_oracle(n, a, t, trials, seed=n + a + t)
+    mean, sd = random_budget(n, a, t)
+    assert abs(mean - mc_mean) <= 5 * mc_sd / math.sqrt(trials) + 1e-9
+    assert sd == pytest.approx(mc_sd, rel=0.03, abs=1e-12)
+
+
+def test_random_budget_everything_active_is_exact():
+    for n, t in ((1, 1), (7, 3), (40, 13), (2450, 796)):
+        assert random_budget(n, n, t) == (100 * t / n, 0.0)
+
+
+@pytest.mark.parametrize("n, a, t", [(10, 5, 0), (10, 5, 6), (10, 11, 1), (10, 0, 0)])
+def test_random_budget_rejects_out_of_range(n, a, t):
+    with pytest.raises(UsageError):
+        random_budget(n, a, t)
 
 
 # -- unfamiliarity filter ----------------------------------------------------------------------
@@ -375,7 +410,7 @@ def test_enrichment_report_toy_verified_cell_by_cell():
         "good": lib(ids),
         "bad": lib(ids[::-1]),
     }
-    report = enrichment_report(rankings, act, k_grid=(50.0, 100.0), baseline_trials=200, seed=0)
+    report = enrichment_report(rankings, act, k_grid=(50.0, 100.0))
     for method, ranked in rankings.items():
         for k in (50.0, 100.0):
             assert report.ar_budget[method][k] == pytest.approx(budget_oracle(ranked.ids, act_ids, k))
@@ -385,6 +420,9 @@ def test_enrichment_report_toy_verified_cell_by_cell():
             cutoff = max(1, ceil_count(k * 10 / 100))
             assert report.recall[method][k] == pytest.approx(recall_oracle(ranked.ids, act_ids, cutoff))
             assert report.ef[method][k] == pytest.approx(report.recall[method][k] * 10 / cutoff)
+    for k, t in ((50.0, 1), (100.0, 2)):
+        assert (report.ar_budget["random"][k], report.random_sd["ar_budget"][k]) == random_budget(10, 2, t)
+        assert (report.topk_budget["random"][k], report.random_sd["topk_budget"][k]) == random_budget(10, t, t)
     assert report.k_grid == (50.0, 100.0)
     assert report.n_library == 10 and report.n_actives == 2
     # serializations parse
@@ -402,7 +440,7 @@ def test_enrichment_random_method_within_ci_of_baseline():
     for trial in range(60):
         ranked = lib(rng.permutation(ids).tolist())
         budgets.append(kpct_actives_budget(ranked, act, 50.0))
-    mean_b, _ = random_baseline(120, 30, 50.0, trials=4000, seed=1)
+    mean_b, _ = random_budget(120, 30, ceil_count(50.0 * 30 / 100))
     se = np.std(budgets) / math.sqrt(len(budgets))
     assert abs(np.mean(budgets) - mean_b) < 4 * se + 0.5
 
