@@ -1,9 +1,11 @@
-"""Small shared helpers: seed derivation and hashing."""
+"""Small shared helpers: seed derivation, hashing and TSV number fields."""
 
 from __future__ import annotations
 
 import hashlib
 from pathlib import Path
+
+from .errors import FormatError
 
 _MASK64 = (1 << 64) - 1
 
@@ -31,3 +33,12 @@ def sha256_file(path: str | Path) -> str:
 
 def sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def parse_number(raw: str, cast, where: str, field: str):
+    """cast(raw) for one TSV field; a FormatError naming `where` (path:line)
+    and the field instead of a bare ValueError."""
+    try:
+        return cast(raw)
+    except ValueError:
+        raise FormatError(f"{where}: {field} {raw!r} is not a valid {cast.__name__}") from None

@@ -214,9 +214,7 @@ def cmd_train(args, config: dict) -> int:
     model_config = ModelConfig(**model_fields)
 
     train_fields = _split_fields(config, TrainConfig)
-    train_fields["mode"] = mode
     train_fields.setdefault("lr", 5e-5 if mode == "classification" else 1e-4)
-    train_fields.setdefault("eval_metric", "aupr" if mode == "classification" else "pcc")
     n_seeds = int(config.get("n_seeds", 1))
     train_fields["seeds"] = tuple(splitmix64(args.seed, i) % (2**31) for i in range(n_seeds))
     train_config = TrainConfig(**train_fields)

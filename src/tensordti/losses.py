@@ -113,15 +113,14 @@ class LossBreakdown:
 
 
 def composite_loss(tape: Tape, terms: LossTerms, config) -> tuple[Node, LossBreakdown]:
-    """alpha_cls*L_cls + alpha_con*L_con + alpha_conf*L_conf + alpha_recon*L_recon.
+    """alpha_cls*L_cls + alpha_con*L_con + alpha_conf*L_conf + alpha_recon*L_recon,
+    with the weights and the mode read from a ModelConfig (which has already
+    checked that the weights are >= 0).
 
     In regression mode the classification term is the MSE and the
     contrastive term is zeroed.
     """
-    weights = (config.alpha_cls, config.alpha_con, config.alpha_conf, config.alpha_recon)
-    if any(w < 0 for w in weights):
-        raise ConfigError(f"loss weights must be >= 0, got {weights}")
-    regression = getattr(config, "mode", "classification") == "regression"
+    regression = config.mode == "regression"
 
     head = terms.mse if regression else terms.bce
     pairs = [

@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FormatError, ShapeError
-from .nn import DenseLayer, Node, Param, Tape, dense_forward, init_dense
-from .tokenizer import DEFAULT_ALPHABET, N_SPECIALS, PAD, SmilesTokenizer, TokenSeq
+from .errors import ConfigError, FormatError, ShapeError
+from .nn import DenseLayer, Node, Param, Tape, dense_forward, init_dense, token_nll
+from .tokenizer import DEFAULT_ALPHABET, N_SPECIALS, SmilesTokenizer
 
 CHECKPOINT_MAGIC = b"TDTICKPT"
 CHECKPOINT_VERSION = 1
@@ -212,59 +212,18 @@ def reconstruct(state: ModelState, drug_vec, tape: Tape | None = None) -> Node:
     return dense_forward(state.ae_decoder, z, tape)
 
 
-def reconstruction_logit_matrix(state: ModelState, drug_vec) -> np.ndarray:
-    """Single-drug convenience: logits reshaped to (max_len, vocab_size)."""
-    out = reconstruct(state, np.asarray(drug_vec).reshape(-1, 1))
-    return out.value.reshape(state.config.max_len, state.config.vocab_size)
+def unfamiliarity_many(state: ModelState, drug_matrix, token_ids, pad_mask) -> np.ndarray:
+    """U = log(NLL + unfamiliarity_eps), natural log, for a drug column batch;
+    the NLL is the training reconstruction loss (`token_nll`) per drug.
 
-
-def token_nll(logits: np.ndarray, ids: np.ndarray, mask: np.ndarray) -> float:
-    """Mean -log softmax(logits)[token] over scorable positions.
-
-    logits: (n_positions, vocab); mask: 1.0 where the position counts.
-    """
-    if not np.any(mask > 0):
-        raise DataError("no scorable tokens")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    picked = logp[np.arange(logits.shape[0]), np.asarray(ids, dtype=np.intp)]
-    return float(-(picked * mask).sum() / mask.sum())
-
-
-def unfamiliarity(state: ModelState, drug_vec, tokens: TokenSeq, eps: float | None = None) -> float:
-    """U = log(NLL + eps), natural log; monotone in the reconstruction NLL.
-
-    Under this convention the U < 1.0 reliability boundary corresponds to
+    token_ids/pad_mask: (max_len, batch). Returns (batch,) U scores. Under
+    this convention the U < 1.0 reliability boundary corresponds to
     NLL < e - eps.
     """
-    eps = state.config.unfamiliarity_eps if eps is None else eps
-    if eps <= 0:
-        raise ConfigError("unfamiliarity eps must be > 0")
-    logits = reconstruction_logit_matrix(state, drug_vec)
-    mask = (tokens.ids != PAD).astype(np.float64)
-    nll = token_nll(logits, tokens.ids, mask)
-    return float(np.log(nll + eps))
-
-
-def unfamiliarity_many(state: ModelState, drug_matrix, token_ids, pad_mask, eps: float | None = None) -> np.ndarray:
-    """Vectorized unfamiliarity for a drug column batch.
-
-    token_ids/pad_mask: (max_len, batch). Returns (batch,) U scores.
-    """
-    eps = state.config.unfamiliarity_eps if eps is None else eps
-    n_pos, vocab = state.config.max_len, state.config.vocab_size
-    batch = np.asarray(drug_matrix).shape[1]
-    mask = np.asarray(pad_mask, dtype=np.float64).reshape(n_pos, batch)
-    t_eff = mask.sum(axis=0)
-    if np.any(t_eff == 0):
-        raise DataError("no scorable tokens")
-    cube = reconstruct(state, drug_matrix).value.reshape(n_pos, vocab, batch)
-    shifted = cube - cube.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    ids = np.asarray(token_ids, dtype=np.intp).reshape(n_pos, batch)
-    picked = logp[np.arange(n_pos)[:, None], ids, np.arange(batch)[None, :]]
-    nll = -(picked * mask).sum(axis=0) / t_eff
-    return np.log(nll + eps)
+    c = state.config
+    cube = reconstruct(state, drug_matrix).value.reshape(c.max_len, c.vocab_size, -1)
+    nll, _ = token_nll(cube, token_ids, pad_mask)
+    return np.log(nll + c.unfamiliarity_eps)
 
 
 # -- checkpoint I/O -------------------------------------------------------

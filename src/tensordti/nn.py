@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, UsageError
+from .errors import ConfigError, DataError, ShapeError, UsageError
 
 Matrix = np.ndarray
 
@@ -47,6 +47,25 @@ def stable_sigmoid(x: Matrix) -> Matrix:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def token_nll(cube: Matrix, ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, Matrix]:
+    """Per-sample mean -log softmax(cube)[token] over scorable positions.
+
+    cube: (positions, vocab, batch) logits; ids: (positions, batch) token
+    ids; mask: (positions, batch), 1.0 where the position counts. Returns the
+    (batch,) mean NLLs and the (positions, vocab, batch) log-probabilities.
+    """
+    n_pos, _, batch = cube.shape
+    ids = np.asarray(ids, dtype=np.intp).reshape(n_pos, batch)
+    mask = np.asarray(mask, dtype=np.float64).reshape(n_pos, batch)
+    t_eff = mask.sum(axis=0)
+    if np.any(t_eff == 0):
+        raise DataError("sequence with no scorable (non-PAD) tokens")
+    shifted = cube - cube.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    picked = logp[np.arange(n_pos)[:, None], ids, np.arange(batch)[None, :]]
+    return -(picked * mask).sum(axis=0) / t_eff, logp
 
 
 class Node:
@@ -331,7 +350,7 @@ class Tape:
 
         logits: (n_positions * vocab_size, batch), position-major.
         token_ids: (n_positions, batch) int ids; pad_mask: 1 where scorable.
-        Returns (1, batch) of mean negative log-likelihoods.
+        Returns (1, batch) of mean negative log-likelihoods (`token_nll`).
         """
         batch = logits.value.shape[1]
         if logits.value.shape[0] != n_positions * vocab_size:
@@ -341,25 +360,14 @@ class Tape:
             )
         ids = np.asarray(token_ids, dtype=np.intp).reshape(n_positions, batch)
         mask = np.asarray(pad_mask, dtype=np.float64).reshape(n_positions, batch)
-        t_eff = mask.sum(axis=0)
-        if np.any(t_eff == 0):
-            raise ShapeError("token_xent: sequence with no scorable (non-PAD) tokens")
-
-        cube = logits.value.reshape(n_positions, vocab_size, batch)
-        shifted = cube - cube.max(axis=1, keepdims=True)
-        logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        logp = shifted - logz  # (L, V, B)
-        pos_idx = np.arange(n_positions)[:, None]
-        batch_idx = np.arange(batch)[None, :]
-        nll = -logp[pos_idx, ids, batch_idx]  # (L, B)
-        out = Node(((nll * mask).sum(axis=0) / t_eff).reshape(1, batch))
-
+        nll, logp = token_nll(logits.value.reshape(n_positions, vocab_size, batch), ids, mask)
+        out = Node(nll.reshape(1, batch))
         softmax = np.exp(logp)
 
         def bw(g, sink):
             grad = softmax.copy()
-            grad[pos_idx, ids, batch_idx] -= 1.0
-            grad *= (mask / t_eff[None, :])[:, None, :]
+            grad[np.arange(n_positions)[:, None], ids, np.arange(batch)[None, :]] -= 1.0
+            grad *= (mask / mask.sum(axis=0))[:, None, :]
             grad *= g.reshape(1, 1, batch)
             sink(logits, grad.reshape(n_positions * vocab_size, batch))
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import splitmix64
+from ._util import parse_number, splitmix64
 from .embeddings import InteractionRecord
 from .errors import ConfigError, DataError, FormatError
 
@@ -80,20 +80,19 @@ def load_pocket_scores(path: str | Path) -> dict[tuple[str, str], float]:
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 3:
                 raise FormatError(f"{path}:{lineno}: expected 3 fields")
-            score = float(parts[2])
+            score = parse_number(parts[2], float, f"{path}:{lineno}", "score")
             if not 0.0 <= score <= 1.0:
                 raise FormatError(f"{path}:{lineno}: score {score} outside [0, 1]")
             out[(parts[0], parts[1])] = score
     return out
 
 
-def label_by_kd(records: list[InteractionRecord], threshold: float = 30.0, units: str = "nM") -> list[InteractionRecord]:
+def label_by_kd(records: list[InteractionRecord], threshold: float = 30.0) -> list[InteractionRecord]:
     """label = 1 iff Kd < threshold (strict); the affinity is retained.
 
-    Affinities must be raw dissociation constants in `units` (declared, not
-    converted): the threshold is interpreted in the same units.
+    Affinities must be raw dissociation constants in nM, the unit the
+    threshold is read in; nothing is converted.
     """
-    del units  # declaration only
     out = []
     for r in records:
         if r.affinity is None:

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ._util import parse_number
 from .errors import ConfigError, DataError, FormatError, MissingColumnError, UsageError
 
 CRITERIA = ("docking_score_asc", "affinity_asc", "two_key_label_then_confidence")
@@ -67,7 +68,7 @@ def load_scores(path: str | Path) -> list[ScoreRow]:
                 if col not in pos:
                     return None
                 raw = parts[pos[col]]
-                return cast(raw) if raw else None
+                return parse_number(raw, cast, f"{path}:{lineno}", col) if raw else None
 
             rows.append(
                 ScoreRow(
@@ -374,5 +375,5 @@ def load_actives(path: str | Path) -> ActiveSet:
             if has_potency:
                 if not parts[1]:
                     raise FormatError(f"{path}:{lineno}: empty potency")
-                potency[parts[0]] = float(parts[1])
+                potency[parts[0]] = parse_number(parts[1], float, f"{path}:{lineno}", "potency")
     return ActiveSet(ids=frozenset(ids), potency=potency if potency else None)

@@ -52,6 +52,15 @@ class SmilesTokenizer:
         ids[1 + len(body)] = EOS
         return TokenSeq(ids=ids, length=len(body) + 2, truncated=truncated)
 
+    def tokenize_many(self, smiles: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Column batch: token ids (max_len, n) int64 and their pad mask
+        (max_len, n) float64. Each distinct string is tokenized once."""
+        seqs = {s: self.tokenize(s) for s in dict.fromkeys(smiles)}
+        ids = np.empty((self.max_len, len(smiles)), dtype=np.int64)
+        for j, s in enumerate(smiles):
+            ids[:, j] = seqs[s].ids
+        return ids, (ids != PAD).astype(np.float64)
+
     def detokenize(self, seq: TokenSeq) -> str:
         chars = []
         for tid in seq.ids[: seq.length]:

@@ -4,21 +4,21 @@ checkpointing hooks, and evaluation to prediction records."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import logging
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import losses, model as model_mod
-from ._util import splitmix64
+from ._util import parse_number, splitmix64
 from .embeddings import EmbeddingStore, InteractionRecord, validate_interactions
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, FormatError
 from .metrics import aupr, f1, pcc, rmse
 from .model import ModelConfig, ModelState
 from .nn import AdamState, Tape, adam_step, stable_sigmoid
-from .tokenizer import SmilesTokenizer
 
-EVAL_METRICS = ("aupr", "pcc")
+log = logging.getLogger("tensordti")
 
 
 @dataclass
@@ -29,8 +29,6 @@ class TrainConfig:
     patience: int = 20
     batch_size: int = 256
     seeds: tuple[int, ...] = (0,)
-    eval_metric: str = "aupr"
-    mode: str = "classification"
 
     def __post_init__(self):
         if self.lr < 0:
@@ -41,8 +39,6 @@ class TrainConfig:
             raise ConfigError("batch_size and max_epochs must be >= 1")
         if not self.seeds:
             raise ConfigError("at least one seed required")
-        if self.eval_metric not in EVAL_METRICS:
-            raise ConfigError(f"eval_metric must be one of {EVAL_METRICS}")
 
 
 @dataclass
@@ -81,28 +77,13 @@ class SeedRun:
 @dataclass
 class TrainReport:
     mode: str
-    eval_metric: str
     runs: list[SeedRun] = field(default_factory=list)
     test_mean: dict = field(default_factory=dict)
     test_sd: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        def run_dict(run: SeedRun):
-            return {
-                "seed": run.seed,
-                "best_epoch": run.best_epoch,
-                "best_val_metric": run.best_val_metric,
-                "epochs": [vars(e) for e in run.epochs],
-                "test_metrics": run.test_metrics,
-            }
-
-        payload = {
-            "mode": self.mode,
-            "eval_metric": self.eval_metric,
-            "runs": [run_dict(r) for r in self.runs],
-            "test_mean": self.test_mean,
-            "test_sd": self.test_sd,
-        }
+        """Every field, plus the early-stopping metric the mode implies."""
+        payload = {**asdict(self), "eval_metric": "aupr" if self.mode == "classification" else "pcc"}
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -145,8 +126,6 @@ def save_predictions(records: list[PredictionRecord], path: str | Path) -> None:
 
 
 def load_predictions(path: str | Path) -> list[PredictionRecord]:
-    from .errors import FormatError
-
     path = Path(path)
     out = []
     with open(path, "r", encoding="utf-8") as f:
@@ -160,16 +139,21 @@ def load_predictions(path: str | Path) -> list[PredictionRecord]:
             if len(parts) != len(PREDICTION_COLUMNS):
                 raise FormatError(f"{path}:{lineno}: expected {len(PREDICTION_COLUMNS)} fields")
             d, t, logit, prob, pred, aff, conf, unf = parts
+            where = f"{path}:{lineno}"
+
+            def num(raw, col, cast=float):
+                return parse_number(raw, cast, where, col) if raw else None
+
             out.append(
                 PredictionRecord(
                     drug_id=d,
                     target_id=t,
-                    logit=float(logit),
-                    prob=float(prob) if prob else None,
-                    pred_label=int(pred) if pred else None,
-                    affinity_pred=float(aff) if aff else None,
-                    confidence=float(conf) if conf else None,
-                    unfamiliarity=float(unf) if unf else None,
+                    logit=parse_number(logit, float, where, "logit"),
+                    prob=num(prob, "prob"),
+                    pred_label=num(pred, "pred_label", int),
+                    affinity_pred=num(aff, "affinity_pred"),
+                    confidence=num(conf, "confidence"),
+                    unfamiliarity=num(unf, "unfamiliarity"),
                 )
             )
     return out
@@ -181,7 +165,7 @@ def load_predictions(path: str | Path) -> list[PredictionRecord]:
 class _Arrays:
     """Column-matrix views of one record list, gathered once."""
 
-    def __init__(self, data: DatasetBundle, records: list[InteractionRecord], config: ModelConfig, need_tokens: bool):
+    def __init__(self, data: DatasetBundle, records: list[InteractionRecord], state: ModelState, need_tokens: bool):
         if not records:
             raise DataError("empty record list")
         self.records = records
@@ -190,7 +174,7 @@ class _Arrays:
         self.x_drug = data.drugs.matrix(drug_ids)
         self.x_protein = data.proteins.matrix(target_ids)
         self.x_pocket = None
-        if config.pocket_dim is not None:
+        if state.config.pocket_dim is not None:
             if any(r.pocket_id is None for r in records):
                 raise DataError("model expects pockets but some records have no pocket_id")
             if data.pockets is None:
@@ -205,32 +189,29 @@ class _Arrays:
         if need_tokens:
             if data.smiles is None:
                 raise ConfigError("reconstruction loss is weighted but the dataset has no SMILES")
-            ids = np.zeros((config.max_len, len(records)), dtype=np.int64)
-            mask = np.zeros((config.max_len, len(records)), dtype=np.float64)
-            tokenizer = SmilesTokenizer(config.vocab, config.max_len)
-            cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-            for j, r in enumerate(records):
-                if r.drug_id not in cache:
-                    s = data.smiles.get(r.drug_id)
-                    if s is None:
-                        raise DataError(f"no SMILES for drug {r.drug_id!r}")
-                    seq = tokenizer.tokenize(s)
-                    cache[r.drug_id] = (seq.ids, tokenizer.pad_mask(seq))
-                ids[:, j], mask[:, j] = cache[r.drug_id]
-            self.token_ids = ids
-            self.pad_mask = mask
+            try:
+                smiles = [data.smiles[r.drug_id] for r in records]
+            except KeyError as exc:
+                raise DataError(f"no SMILES for drug {exc.args[0]!r}") from None
+            self.token_ids, self.pad_mask = state.tokenizer.tokenize_many(smiles)
 
     def __len__(self):
         return len(self.records)
 
 
-def _forward_losses(state: ModelState, arr: _Arrays, idx: np.ndarray, tape: Tape, trip_rng: np.random.Generator | None):
-    c = state.config
+def _pair_forward(state: ModelState, arr: _Arrays, idx: np.ndarray, tape: Tape):
+    """Both encoders, the interaction head and the confidence head for the
+    records at idx: (e_d, e_p, logit, confidence) nodes on `tape`."""
     e_d = model_mod.encode_drug(state, arr.x_drug[:, idx], tape)
     pocket = None if arr.x_pocket is None else arr.x_pocket[:, idx]
     e_p = model_mod.encode_protein_with_pocket(state, arr.x_protein[:, idx], pocket, tape)
     logit = model_mod.interaction_logit(state, e_d, e_p, tape)
-    conf = model_mod.confidence(state, e_d, e_p, logit, tape)
+    return e_d, e_p, logit, model_mod.confidence(state, e_d, e_p, logit, tape)
+
+
+def _forward_losses(state: ModelState, arr: _Arrays, idx: np.ndarray, tape: Tape, trip_rng: np.random.Generator | None):
+    c = state.config
+    e_d, e_p, logit, conf = _pair_forward(state, arr, idx, tape)
 
     terms = losses.LossTerms()
     if c.mode == "classification":
@@ -260,8 +241,7 @@ def _forward_losses(state: ModelState, arr: _Arrays, idx: np.ndarray, tape: Tape
             raise DataError("regression mode requires an affinity on every record")
         terms.mse = losses.mse_loss(tape, logit, tape.constant(target.reshape(1, -1)))
         err = np.minimum(1.0, np.abs(target - logit.value.reshape(-1)) / c.error_scale)
-        diff = tape.sub(conf, tape.constant(err.reshape(1, -1)))
-        terms.conf = tape.mean_all(tape.mul(diff, diff))
+        terms.conf = losses.mse_loss(tape, conf, err.reshape(1, -1))
 
     if c.alpha_recon > 0:
         recon_logits = model_mod.reconstruct(state, arr.x_drug[:, idx], tape)
@@ -278,22 +258,17 @@ def _scores(state: ModelState, arr: _Arrays, chunk: int = 2048):
     confs = np.empty(n)
     for lo in range(0, n, chunk):
         idx = np.arange(lo, min(lo + chunk, n))
-        tape = Tape()
-        e_d = model_mod.encode_drug(state, arr.x_drug[:, idx], tape)
-        pocket = None if arr.x_pocket is None else arr.x_pocket[:, idx]
-        e_p = model_mod.encode_protein_with_pocket(state, arr.x_protein[:, idx], pocket, tape)
-        logit = model_mod.interaction_logit(state, e_d, e_p, tape)
-        conf = model_mod.confidence(state, e_d, e_p, logit, tape)
+        _, _, logit, conf = _pair_forward(state, arr, idx, Tape())
         logits[idx] = logit.value.reshape(-1)
         confs[idx] = conf.value.reshape(-1)
-        tape.clear()
     return logits, stable_sigmoid(logits.reshape(1, -1)).reshape(-1), confs
 
 
-def _validation_metric(state: ModelState, arr: _Arrays, metric: str) -> float:
+def _validation_metric(state: ModelState, arr: _Arrays) -> float:
+    """AUPR for classification, PCC for regression; -inf where undefined."""
     logits, probs, _ = _scores(state, arr)
     try:
-        if metric == "aupr":
+        if state.config.mode == "classification":
             return aupr(probs, arr.labels)
         return pcc(logits, arr.affinity)
     except DataError:
@@ -310,10 +285,9 @@ def _train_single(model_config: ModelConfig, data: DatasetBundle, config: TrainC
             raise DataError(f"empty {name} split")
     validate_interactions(data.interactions, data.drugs, data.proteins, data.pockets, model_config.mode)
 
-    train = _Arrays(data, train_recs, model_config, need_tokens)
-    valid = _Arrays(data, valid_recs, model_config, need_tokens=False)
-
     state = model_mod.init_model(model_config, seed=splitmix64(seed, 0))
+    train = _Arrays(data, train_recs, state, need_tokens)
+    valid = _Arrays(data, valid_recs, state, need_tokens=False)
     adam = AdamState(lr=config.lr, weight_decay=config.weight_decay)
     params = state.parameters()
 
@@ -327,8 +301,7 @@ def _train_single(model_config: ModelConfig, data: DatasetBundle, config: TrainC
         shuffle_rng = np.random.default_rng(splitmix64(seed, 1000 + epoch))
         trip_rng = np.random.default_rng(splitmix64(seed, 500_000 + epoch))
         order = shuffle_rng.permutation(n)
-        sums = np.zeros(5)  # bce, con, conf, recon, total
-        mse_sum = 0.0
+        sums = np.zeros(6)  # bce, con, conf, recon, total, mse
         n_batches = 0
         for lo in range(0, n, config.batch_size):
             idx = order[lo : lo + config.batch_size]
@@ -342,23 +315,13 @@ def _train_single(model_config: ModelConfig, data: DatasetBundle, config: TrainC
                 )
             grads = tape.backward(total)
             adam_step(adam, params, grads)
-            sums += (bd.l_bce, bd.l_con, bd.l_conf, bd.l_recon, bd.l_total)
-            mse_sum += bd.l_mse or 0.0
+            sums += (bd.l_bce, bd.l_con, bd.l_conf, bd.l_recon, bd.l_total, bd.l_mse or 0.0)
             n_batches += 1
 
-        val_metric = _validation_metric(state, valid, config.eval_metric)
-        stats.append(
-            EpochStats(
-                epoch=epoch,
-                l_bce=sums[0] / n_batches,
-                l_con=sums[1] / n_batches,
-                l_conf=sums[2] / n_batches,
-                l_recon=sums[3] / n_batches,
-                l_total=sums[4] / n_batches,
-                l_mse=(mse_sum / n_batches) if model_config.mode == "regression" else None,
-                val_metric=val_metric,
-            )
-        )
+        val_metric = _validation_metric(state, valid)
+        means = sums / n_batches
+        l_mse = means[5] if model_config.mode == "regression" else None
+        stats.append(EpochStats(epoch, *means[:5], val_metric=val_metric, l_mse=l_mse))
         if val_metric > best_metric:
             best_metric = val_metric
             best_epoch = epoch
@@ -366,6 +329,8 @@ def _train_single(model_config: ModelConfig, data: DatasetBundle, config: TrainC
         elif epoch - best_epoch >= config.patience:
             break
 
+    if best_epoch == -1:
+        log.warning("seed %d: no finite validation metric in %d epochs; returning the initial weights", seed, len(stats))
     state.restore(best_values)
     test_metrics, _ = evaluate(state, data, test_recs)
     return state, SeedRun(
@@ -380,11 +345,7 @@ def _train_single(model_config: ModelConfig, data: DatasetBundle, config: TrainC
 def train(model_config: ModelConfig, data: DatasetBundle, config: TrainConfig) -> tuple[ModelState, TrainReport]:
     """Train one model per seed; report test metrics as mean +- sd across
     seeds. The returned state is the first seed's best-validation model."""
-    if config.mode != model_config.mode:
-        raise ConfigError(
-            f"train mode {config.mode!r} != model mode {model_config.mode!r}"
-        )
-    report = TrainReport(mode=config.mode, eval_metric=config.eval_metric)
+    report = TrainReport(mode=model_config.mode)
     first_state: ModelState | None = None
     for seed in config.seeds:
         state, run = _train_single(model_config, data, config, seed)
@@ -400,34 +361,26 @@ def train(model_config: ModelConfig, data: DatasetBundle, config: TrainConfig) -
     return first_state, report
 
 
-def evaluate(state: ModelState, data: DatasetBundle, records: list[InteractionRecord], mode: str | None = None):
+def evaluate(state: ModelState, data: DatasetBundle, records: list[InteractionRecord]):
     """Score records with the frozen model.
 
     Returns (metric bundle, PredictionRecords). Unfamiliarity is filled in
     whenever a SMILES string is available for the drug.
     """
-    mode = mode or state.config.mode
-    validate_interactions(records, data.drugs, data.proteins, data.pockets, mode)
-    arr = _Arrays(data, records, state.config, need_tokens=False)
+    classification = state.config.mode == "classification"
+    validate_interactions(records, data.drugs, data.proteins, data.pockets, state.config.mode)
+    arr = _Arrays(data, records, state, need_tokens=False)
     logits, probs, confs = _scores(state, arr)
 
     unf_by_drug: dict[str, float] = {}
     if data.smiles:
-        tokenizer = state.tokenizer
         unique = sorted({r.drug_id for r in records if r.drug_id in data.smiles})
         if unique:
-            mat = data.drugs.matrix(unique)
-            ids = np.zeros((state.config.max_len, len(unique)), dtype=np.int64)
-            mask = np.zeros((state.config.max_len, len(unique)), dtype=np.float64)
-            for j, d in enumerate(unique):
-                seq = tokenizer.tokenize(data.smiles[d])
-                ids[:, j] = seq.ids
-                mask[:, j] = tokenizer.pad_mask(seq)
-            u = model_mod.unfamiliarity_many(state, mat, ids, mask)
+            ids, mask = state.tokenizer.tokenize_many([data.smiles[d] for d in unique])
+            u = model_mod.unfamiliarity_many(state, data.drugs.matrix(unique), ids, mask)
             unf_by_drug = dict(zip(unique, u.tolist()))
 
     preds = []
-    classification = mode == "classification"
     for i, r in enumerate(records):
         preds.append(
             PredictionRecord(

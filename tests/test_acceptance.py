@@ -18,7 +18,7 @@ from tensordti import losses, model as M
 from tensordti.losses import LossTerms
 from tensordti.metrics import aupr, f1, pcc, rmse
 from tensordti.model import ModelConfig
-from tensordti.nn import Tape, grad_check, stable_sigmoid
+from tensordti.nn import Tape, grad_check, stable_sigmoid, token_nll
 from tensordti.pipeline import SplitSpec, split
 from tensordti.screening import (
     ActiveSet,
@@ -317,10 +317,10 @@ def test_criterion_7_unfamiliarity():
     state.ae_decoder.weight.value = np.zeros_like(state.ae_decoder.weight.value)
     state.ae_decoder.bias.value = np.zeros_like(state.ae_decoder.bias.value)
     tokens = state.tokenizer.tokenize("CNO")
-    logits = M.reconstruction_logit_matrix(state, np.ones(6))
+    cube = M.reconstruct(state, np.ones(6)).value.reshape(cfg.max_len, cfg.vocab_size, 1)
     mask = (tokens.ids != 0).astype(float)
-    nll = M.token_nll(logits, tokens.ids, mask)
-    assert abs(nll - math.log(20)) < 1e-9
+    nll, _ = token_nll(cube, tokens.ids.reshape(-1, 1), mask.reshape(-1, 1))
+    assert abs(nll[0] - math.log(20)) < 1e-9
 
     eps = 1e-8
     boundary_nll = math.e - eps

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tensordti import losses
-from tensordti.errors import ConfigError, ShapeError
+from tensordti.errors import ConfigError, DataError, ShapeError
 from tensordti.losses import LossTerms
 from tensordti.model import ModelConfig
 from tensordti.nn import Tape
@@ -186,7 +186,7 @@ def test_reconstruction_pad_suffix_matches_prefix():
 
 
 def test_reconstruction_all_pad_errors():
-    with pytest.raises(ShapeError, match="scorable"):
+    with pytest.raises(DataError, match="scorable"):
         losses.reconstruction_loss(Tape(), np.zeros((8, 1)), np.zeros((2, 1), int), np.zeros((2, 1)), 2, 4)
 
 

@@ -6,6 +6,7 @@ import pytest
 from tensordti import model as M
 from tensordti.errors import ConfigError, DataError, FormatError, ShapeError
 from tensordti.model import ModelConfig, init_model, load_checkpoint, save_checkpoint
+from tensordti.nn import Tape, token_nll
 
 
 def tiny_config(**kw):
@@ -188,8 +189,7 @@ def test_reconstruct_zero_decoder_uniform_after_softmax():
     state = init_model(tiny_config(pocket_dim=None), seed=0)
     state.ae_decoder.weight.value = np.zeros_like(state.ae_decoder.weight.value)
     state.ae_decoder.bias.value = np.zeros_like(state.ae_decoder.bias.value)
-    logits = M.reconstruction_logit_matrix(state, np.ones(6))
-    assert logits.shape == (10, state.config.vocab_size)
+    logits = M.reconstruct(state, np.ones(6)).value.reshape(10, state.config.vocab_size)
     probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
     assert np.allclose(probs, 1.0 / state.config.vocab_size)
 
@@ -197,9 +197,9 @@ def test_reconstruct_zero_decoder_uniform_after_softmax():
 def test_reconstruct_output_shape_and_determinism():
     state = init_model(tiny_config(pocket_dim=None), seed=1)
     x = np.random.default_rng(2).standard_normal(6)
-    a = M.reconstruction_logit_matrix(state, x)
-    b = M.reconstruction_logit_matrix(state, x)
-    assert a.shape == (state.config.max_len, state.config.vocab_size)
+    a = M.reconstruct(state, x).value
+    b = M.reconstruct(state, x).value
+    assert a.shape == (state.config.max_len * state.config.vocab_size, 1)
     assert np.array_equal(a, b)
 
 
@@ -210,8 +210,8 @@ def test_unfamiliarity_uniform_logits_closed_form():
     state = init_model(cfg, seed=0)
     state.ae_decoder.weight.value = np.zeros_like(state.ae_decoder.weight.value)
     state.ae_decoder.bias.value = np.zeros_like(state.ae_decoder.bias.value)
-    tokens = state.tokenizer.tokenize("CNO")
-    u = M.unfamiliarity(state, np.ones(6), tokens)
+    ids, mask = state.tokenizer.tokenize_many(["CNO"])
+    u = M.unfamiliarity_many(state, np.ones((6, 1)), ids, mask)[0]
     nll = math.log(20)
     assert u == pytest.approx(math.log(nll + cfg.unfamiliarity_eps), abs=1e-9)
     assert u == pytest.approx(1.0972, abs=5e-4)
@@ -220,10 +220,9 @@ def test_unfamiliarity_uniform_logits_closed_form():
 def test_unfamiliarity_nll_one_is_near_zero():
     eps = 1e-8
     assert math.log(1.0 + eps) == pytest.approx(0.0, abs=1e-7)
-    # via token_nll directly: logits that put exactly e^-1 ... use identity instead
-    assert M.token_nll(np.log(np.full((1, 4), 0.25)), np.array([2]), np.ones(1)) == pytest.approx(
-        math.log(4), abs=1e-12
-    )
+    # via token_nll directly: uniform logits over 4 tokens give NLL ln 4
+    nll, _ = token_nll(np.log(np.full((1, 4, 1), 0.25)), np.array([[2]]), np.ones((1, 1)))
+    assert nll[0] == pytest.approx(math.log(4), abs=1e-12)
 
 
 def test_unfamiliarity_boundary_exactly_one():
@@ -242,24 +241,34 @@ def test_unfamiliarity_monotone_in_nll():
 
 def test_unfamiliarity_all_pad_errors():
     state = init_model(tiny_config(pocket_dim=None), seed=0)
-    from tensordti.tokenizer import TokenSeq
-
-    bad = TokenSeq(ids=np.zeros(10, dtype=np.int64), length=0)
+    ids = np.zeros((10, 1), dtype=np.int64)
     with pytest.raises(DataError, match="scorable"):
-        M.unfamiliarity(state, np.ones(6), bad)
+        M.unfamiliarity_many(state, np.ones((6, 1)), ids, (ids != 0).astype(float))
 
 
 def test_unfamiliarity_many_matches_single():
+    """Batch invariance: each column scored on its own gives the batch value."""
     state = init_model(tiny_config(pocket_dim=None), seed=3)
     rng = np.random.default_rng(4)
     mat = rng.standard_normal((6, 3))
-    seqs = [state.tokenizer.tokenize(s) for s in ("CN", "NOS", "SSS")]
-    ids = np.stack([s.ids for s in seqs], axis=1)
-    mask = np.stack([state.tokenizer.pad_mask(s) for s in seqs], axis=1)
+    ids, mask = state.tokenizer.tokenize_many(["CN", "NOS", "SSS"])
     many = M.unfamiliarity_many(state, mat, ids, mask)
-    for j, s in enumerate(seqs):
-        single = M.unfamiliarity(state, mat[:, j], s)
-        assert many[j] == pytest.approx(single, abs=1e-12)
+    for j in range(3):
+        col = slice(j, j + 1)
+        single = M.unfamiliarity_many(state, mat[:, col], ids[:, col], mask[:, col])
+        assert many[j] == pytest.approx(single[0], abs=1e-12)
+
+
+def test_training_and_scoring_share_the_nll():
+    """U is log(training reconstruction loss + eps), bit for bit."""
+    state = init_model(tiny_config(pocket_dim=None), seed=3)
+    c = state.config
+    mat = np.random.default_rng(5).standard_normal((6, 4))
+    ids, mask = state.tokenizer.tokenize_many(["CN", "NOS", "SSSCNO", "C"])
+    tape = Tape()
+    xent = tape.token_xent(M.reconstruct(state, mat, tape), ids, mask, c.max_len, c.vocab_size)
+    u = M.unfamiliarity_many(state, mat, ids, mask)
+    assert np.array_equal(np.log(xent.value.reshape(-1) + c.unfamiliarity_eps), u)
 
 
 # -- checkpoints -------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
-from tensordti.errors import DataError, MissingColumnError, UsageError
+from tensordti.errors import DataError, FormatError, MissingColumnError, UsageError
+from tensordti.pipeline import load_pocket_scores
 from tensordti.screening import (
     ActiveSet,
     RankedLibrary,
@@ -22,6 +24,7 @@ from tensordti.screening import (
     recall_at_k,
     topk_potency_budget,
 )
+from tensordti.training import load_predictions
 
 
 def lib(ids):
@@ -487,6 +490,42 @@ def test_load_scores_missing_required_column(tmp_path):
     bad.write_text("compound_id\tscore\nc1\t1.0\n")
     with pytest.raises(MissingColumnError):
         load_scores(bad)
+
+
+NUMERIC_FIELD_CASES = {
+    "predictions.prob": (
+        load_predictions,
+        "drug_id\ttarget_id\tlogit\tprob\tpred_label\taffinity_pred\tconfidence\tunfamiliarity\n"
+        "D0\tT0\t1.5\t0.8\t1\t\t0.1\t0.2\n"
+        "D1\tT0\t1.5\tabc\t1\t\t0.1\t0.2\n",
+        "prob 'abc'",
+    ),
+    "scores.score": (
+        load_scores,
+        "compound_id\tmethod\tscore\nc1\tglide\t-9.1\nc2\tglide\tx\n",
+        "score 'x'",
+    ),
+    "scores.label": (
+        load_scores,
+        "compound_id\tmethod\tscore\tlabel\nc1\tglide\t-9.1\t0\nc2\tglide\t-8.0\tyes\n",
+        "label 'yes'",
+    ),
+    "actives.potency": (load_actives, "compound_id\tpotency\nc1\t7.5\nc2\tabc\n", "potency 'abc'"),
+    "pocket_scores.score": (
+        load_pocket_scores,
+        "pocket_a\tpocket_b\tscore\nP0\tP1\t0.5\nP0\tP2\thigh\n",
+        "score 'high'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NUMERIC_FIELD_CASES))
+def test_tsv_readers_reject_non_numeric_field_with_path_and_line(tmp_path, case):
+    reader, text, field = NUMERIC_FIELD_CASES[case]
+    path = tmp_path / "input.tsv"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=re.escape(f"{path}:3: {field}")):
+        reader(path)
 
 
 def test_invalid_k_rejected():

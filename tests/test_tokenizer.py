@@ -58,3 +58,17 @@ def test_pad_mask_counts_non_pad():
 def test_duplicate_alphabet_rejected():
     with pytest.raises(DataError):
         SmilesTokenizer("CC", max_len=8)
+
+
+def test_tokenize_many_matches_per_string_columns():
+    tok = SmilesTokenizer("CNO", max_len=8)
+    smiles = ["CCO", "N", "CCO", "CNOCNOCNO"]
+    ids, mask = tok.tokenize_many(smiles)
+    assert ids.shape == mask.shape == (8, 4)
+    assert ids.dtype == np.int64 and mask.dtype == np.float64
+    for j, s in enumerate(smiles):
+        seq = tok.tokenize(s)
+        assert np.array_equal(ids[:, j], seq.ids)
+        assert np.array_equal(mask[:, j], tok.pad_mask(seq))
+    empty_ids, empty_mask = tok.tokenize_many([])
+    assert empty_ids.shape == empty_mask.shape == (8, 0)

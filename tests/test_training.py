@@ -1,8 +1,11 @@
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
 from tensordti import model as M
-from tensordti.errors import ConfigError, DataError
+from tensordti.errors import DataError
 from tensordti.model import ModelConfig
 from tensordti.pipeline import SplitSpec, split
 from tensordti.synthetic import SyntheticConfig, gen_synthetic
@@ -92,10 +95,25 @@ def test_early_stopping_returns_best_epoch_parameters():
     assert metrics["aupr"] == pytest.approx(best, abs=1e-12)
 
 
-def test_train_requires_matching_modes():
+def test_warns_when_validation_metric_never_finite(caplog):
+    """A one-class validation split has no AUPR: training says so and
+    returns the initial weights."""
     bundle = make_bundle()
-    with pytest.raises(ConfigError):
-        train(model_cfg(mode="regression"), bundle, train_cfg(mode="classification"))
+    bundle.interactions = [
+        dataclasses.replace(r, label=0) if r.split == "valid" else r for r in bundle.interactions
+    ]
+    cfg = model_cfg()
+    with caplog.at_level(logging.WARNING, logger="tensordti"):
+        state, report = train(cfg, bundle, train_cfg(max_epochs=2, patience=2, seeds=(7,)))
+    assert report.runs[0].best_epoch == -1
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING and r.name == "tensordti"]
+    assert len(warnings) == 1
+    assert "seed 7" in warnings[0].getMessage() and "initial weights" in warnings[0].getMessage()
+    from tensordti._util import splitmix64
+
+    ref = M.init_model(cfg, seed=splitmix64(7, 0))
+    for a, b in zip(state.parameters(), ref.parameters()):
+        assert np.array_equal(a.value, b.value)
 
 
 def test_train_errors_on_empty_split():
@@ -124,7 +142,7 @@ def test_planted_noise_free_reaches_high_aupr():
 def test_regression_planted_linear_targets_high_pcc():
     bundle = make_bundle(task="dta")
     cfg = model_cfg(mode="regression")
-    _, report = train(cfg, bundle, train_cfg(mode="regression", eval_metric="pcc", max_epochs=60, patience=20))
+    _, report = train(cfg, bundle, train_cfg(max_epochs=60, patience=20))
     assert report.test_mean["pcc"] > 0.99
 
 
