@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from pathlib import Path
 
 from .errors import FormatError
@@ -36,9 +37,13 @@ def sha256_bytes(data: bytes) -> str:
 
 
 def parse_number(raw: str, cast, where: str, field: str):
-    """cast(raw) for one TSV field; a FormatError naming `where` (path:line)
-    and the field instead of a bare ValueError."""
+    """cast(raw) for one TSV field. A non-number, nan or inf raises a
+    FormatError naming `where` (path:line) and the field: nan or inf would
+    make every later comparison meaningless."""
     try:
-        return cast(raw)
+        value = cast(raw)
     except ValueError:
         raise FormatError(f"{where}: {field} {raw!r} is not a valid {cast.__name__}") from None
+    if not math.isfinite(value):
+        raise FormatError(f"{where}: {field} {raw!r} is not finite")
+    return value

@@ -15,9 +15,12 @@ import dataclasses
 import json
 import logging
 import os
+import platform
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from . import pipeline, screening, synthetic, training
 from . import model as model_mod
@@ -96,6 +99,21 @@ def _split_fields(config: dict, cls) -> dict:
     return {k: v for k, v in config.items() if k in names}
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def environment() -> dict:
+    """What byte-reproducibility rests on: the interpreter, numpy, the BLAS
+    build and the BLAS thread settings (None where a variable is unset)."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+    }
+
+
 @dataclasses.dataclass
 class RunManifest:
     command: str
@@ -104,6 +122,7 @@ class RunManifest:
     inputs: dict[str, str]
     artifacts: list[str]
     wall_time_s: float
+    environment: dict
 
     def write(self, outdir: Path) -> None:
         payload = dataclasses.asdict(self)
@@ -146,6 +165,7 @@ class _Run:
             inputs=self.inputs,
             artifacts=sorted(self.artifacts),
             wall_time_s=round(time.monotonic() - self.t0, 3),
+            environment=environment(),
         ).write(self.outdir)
 
 

@@ -3,7 +3,9 @@ pocket aggregation, interaction head, confidence head, and the drug
 autoencoder behind the unfamiliarity score.
 
 All functions take column-vector batches (dim, batch). Passing tape=None
-runs pure inference on a throwaway tape.
+runs pure inference on a throwaway tape. `score_pairs` and
+`unfamiliarity_many` are the inference paths: they score per entity and
+work in chunks of at most CHUNK_ELEMENTS float64 values per buffer.
 """
 
 from __future__ import annotations
@@ -16,11 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FormatError, ShapeError
-from .nn import DenseLayer, Node, Param, Tape, dense_forward, init_dense, token_nll
+from .nn import DenseLayer, Node, Param, Tape, dense_forward, init_dense, token_nll, unit_sigmoid
 from .tokenizer import DEFAULT_ALPHABET, N_SPECIALS, SmilesTokenizer
 
 CHECKPOINT_MAGIC = b"TDTICKPT"
 CHECKPOINT_VERSION = 1
+
+# float64 values per working buffer of a scoring chunk (8 MiB)
+CHUNK_ELEMENTS = 1 << 20
 
 MODES = ("classification", "regression")
 CONTRASTIVE_VARIANTS = ("cosine_margin", "triplet_l2")
@@ -212,18 +217,79 @@ def reconstruct(state: ModelState, drug_vec, tape: Tape | None = None) -> Node:
     return dense_forward(state.ae_decoder, z, tape)
 
 
+def score_pairs(state: ModelState, drug_matrix, protein_matrix, pocket_matrix, drug_idx, target_idx):
+    """Interaction logits and confidences, (n,) each, of the pairs
+    (drug_idx[i], target_idx[i]): column indices into per-entity matrices,
+    one column per drug and one per (target, pocket).
+
+    Each entity goes through its tower once. The first layer of both heads is
+    linear in [e_d; e_p], so W [e_d; e_p] + b = W_d e_d + (W_p e_p + b): those
+    partials are computed per entity, and a pair costs a gather, an add, a
+    relu and the hidden -> 1 layer (plus w_logit * logit in the confidence
+    head). Equal to interaction_logit / confidence up to float rounding.
+    """
+    c = state.config
+    drug_idx = np.asarray(drug_idx, dtype=np.intp)
+    target_idx = np.asarray(target_idx, dtype=np.intp)
+    if drug_idx.ndim != 1 or drug_idx.shape != target_idx.shape:
+        raise ShapeError(f"pair indices must be two equal-length vectors, got {drug_idx.shape} and {target_idx.shape}")
+    e_d = encode_drug(state, drug_matrix).value
+    e_p = encode_protein_with_pocket(state, protein_matrix, pocket_matrix).value
+    for idx, n_cols, what in ((drug_idx, e_d.shape[1], "drug"), (target_idx, e_p.shape[1], "target")):
+        if idx.size and (idx.min() < 0 or idx.max() >= n_cols):
+            raise ShapeError(f"{what} index outside 0..{n_cols - 1}")
+
+    # per-entity partials, one row per entity so a pair gathers contiguous rows
+    out = c.output_dim
+    cls_in, cls_out = state.classifier
+    conf_in, conf_out = state.conf_head
+    w, wc = cls_in.weight.value, conf_in.weight.value
+    cls_d, cls_p = e_d.T @ w[:, :out].T, e_p.T @ w[:, out:].T + cls_in.bias.value.T
+    conf_d, conf_p = e_d.T @ wc[:, :out].T, e_p.T @ wc[:, out : 2 * out].T + conf_in.bias.value.T
+    w_logit = wc[:, 2 * out :].T
+
+    n = drug_idx.size
+    logits, confs = np.empty(n), np.empty(n)
+    step = max(1, CHUNK_ELEMENTS // c.hidden_dim)
+    for lo in range(0, n, step):
+        d, t = drug_idx[lo : lo + step], target_idx[lo : lo + step]
+        h = cls_d[d]
+        h += cls_p[t]
+        logit = np.maximum(h, 0.0, out=h) @ cls_out.weight.value.T + cls_out.bias.value
+        h = conf_d[d]
+        h += conf_p[t]
+        h += logit * w_logit
+        conf = np.maximum(h, 0.0, out=h) @ conf_out.weight.value.T + conf_out.bias.value
+        logits[lo : lo + step] = logit[:, 0]
+        confs[lo : lo + step] = unit_sigmoid(conf)[:, 0]
+    return logits, confs
+
+
 def unfamiliarity_many(state: ModelState, drug_matrix, token_ids, pad_mask) -> np.ndarray:
     """U = log(NLL + unfamiliarity_eps), natural log, for a drug column batch;
     the NLL is the training reconstruction loss (`token_nll`) per drug.
 
     token_ids/pad_mask: (max_len, batch). Returns (batch,) U scores. Under
     this convention the U < 1.0 reliability boundary corresponds to
-    NLL < e - eps.
+    NLL < e - eps. Drugs are scored in chunks, and each chunk's logit cube is
+    cut after its longest scorable prefix: the positions dropped are masked
+    and would add exact zeros.
     """
     c = state.config
-    cube = reconstruct(state, drug_matrix).value.reshape(c.max_len, c.vocab_size, -1)
-    nll, _ = token_nll(cube, token_ids, pad_mask)
-    return np.log(nll + c.unfamiliarity_eps)
+    tape = Tape()
+    z = dense_forward(state.ae_encoder, _prep(drug_matrix, tape, c.drug_dim, "drug vector"), tape).value
+    dec_w, dec_b = state.ae_decoder.weight.value, state.ae_decoder.bias.value
+    u = np.empty(z.shape[1])
+    step = max(1, CHUNK_ELEMENTS // (c.max_len * c.vocab_size))
+    for lo in range(0, z.shape[1], step):
+        cols = slice(lo, lo + step)
+        mask = pad_mask[:, cols]
+        length = np.flatnonzero(mask.any(axis=1)).max(initial=0) + 1
+        rows = length * c.vocab_size
+        cube = (dec_w[:rows] @ z[:, cols] + dec_b[:rows]).reshape(length, c.vocab_size, -1)
+        nll, _ = token_nll(cube, token_ids[:length, cols], mask[:length])
+        u[cols] = np.log(nll + c.unfamiliarity_eps)
+    return u
 
 
 # -- checkpoint I/O -------------------------------------------------------

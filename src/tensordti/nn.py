@@ -49,6 +49,12 @@ def stable_sigmoid(x: Matrix) -> Matrix:
     return out
 
 
+def unit_sigmoid(x: Matrix) -> Matrix:
+    """stable_sigmoid clamped to [1e-12, 1 - 1e-12], so saturated heads keep
+    the open (0, 1) contract."""
+    return np.clip(stable_sigmoid(x), 1e-12, 1.0 - 1e-12)
+
+
 def token_nll(cube: Matrix, ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, Matrix]:
     """Per-sample mean -log softmax(cube)[token] over scorable positions.
 
@@ -228,8 +234,7 @@ class Tape:
         return self._record(out, (x,), bw)
 
     def sigmoid(self, x: Node) -> Node:
-        # clamped to the open interval so saturated heads keep the (0,1) contract
-        s = np.clip(stable_sigmoid(x.value), 1e-12, 1.0 - 1e-12)
+        s = unit_sigmoid(x.value)
         out = Node(s)
 
         def bw(g, sink):

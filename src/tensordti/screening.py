@@ -10,12 +10,15 @@ to recover ...". Target counts use ceil with a small tolerance so that e.g.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ._util import parse_number
 from .errors import ConfigError, DataError, FormatError, MissingColumnError, UsageError
+
+log = logging.getLogger("tensordti")
 
 CRITERIA = ("docking_score_asc", "affinity_asc", "two_key_label_then_confidence")
 
@@ -217,7 +220,8 @@ def random_budget(n: int, a: int, t: int) -> tuple[float, float]:
 
 
 def filter_unfamiliar(rows: list[ScoreRow], threshold: float) -> tuple[list[ScoreRow], list[dict]]:
-    """Keep rows with unfamiliarity strictly below the threshold.
+    """Keep rows with unfamiliarity strictly below the threshold; one
+    WARNING when that drops more than 90% of them.
 
     The census mirrors the reliability-filter table: one row per population
     (predicted positives / negatives by label, else 'all') with the total,
@@ -227,6 +231,11 @@ def filter_unfamiliar(rows: list[ScoreRow], threshold: float) -> tuple[list[Scor
         if r.unfamiliarity is None:
             raise MissingColumnError(f"unfamiliarity missing for {r.compound_id!r}")
     kept = [r for r in rows if r.unfamiliarity < threshold]
+    if 10 * (len(rows) - len(kept)) > 9 * len(rows):
+        log.warning(
+            "unfamiliarity threshold %g drops %d of %d rows (more than 90%%)",
+            threshold, len(rows) - len(kept), len(rows),
+        )
 
     def population(r: ScoreRow) -> str:
         if r.label == 1:

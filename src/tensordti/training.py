@@ -162,28 +162,37 @@ def load_predictions(path: str | Path) -> list[PredictionRecord]:
 # -- batch preparation ------------------------------------------------------
 
 
+def _pocket_ids(data: DatasetBundle, records: list[InteractionRecord], state: ModelState) -> list[str] | None:
+    """Each record's pocket id when the model has a pocket branch, else None."""
+    if state.config.pocket_dim is None:
+        return None
+    if any(r.pocket_id is None for r in records):
+        raise DataError("model expects pockets but some records have no pocket_id")
+    if data.pockets is None:
+        raise DataError("model expects pockets but the dataset has no pocket store")
+    return [r.pocket_id for r in records]
+
+
+def _truth(records: list[InteractionRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-record labels (-1 where absent) and affinities (nan where absent)."""
+    labels = np.array([-1 if r.label is None else r.label for r in records], dtype=np.float64)
+    affinity = np.array([np.nan if r.affinity is None else r.affinity for r in records], dtype=np.float64)
+    return labels, affinity
+
+
 class _Arrays:
-    """Column-matrix views of one record list, gathered once."""
+    """Per-pair column matrices of one training record list, gathered once;
+    minibatches slice them."""
 
     def __init__(self, data: DatasetBundle, records: list[InteractionRecord], state: ModelState, need_tokens: bool):
         if not records:
             raise DataError("empty record list")
         self.records = records
-        drug_ids = [r.drug_id for r in records]
-        target_ids = [r.target_id for r in records]
-        self.x_drug = data.drugs.matrix(drug_ids)
-        self.x_protein = data.proteins.matrix(target_ids)
-        self.x_pocket = None
-        if state.config.pocket_dim is not None:
-            if any(r.pocket_id is None for r in records):
-                raise DataError("model expects pockets but some records have no pocket_id")
-            if data.pockets is None:
-                raise DataError("model expects pockets but the dataset has no pocket store")
-            self.x_pocket = data.pockets.matrix([r.pocket_id for r in records])
-        self.labels = np.array([-1 if r.label is None else r.label for r in records], dtype=np.float64)
-        self.affinity = np.array(
-            [np.nan if r.affinity is None else r.affinity for r in records], dtype=np.float64
-        )
+        self.x_drug = data.drugs.matrix([r.drug_id for r in records])
+        self.x_protein = data.proteins.matrix([r.target_id for r in records])
+        pockets = _pocket_ids(data, records, state)
+        self.x_pocket = None if pockets is None else data.pockets.matrix(pockets)
+        self.labels, self.affinity = _truth(records)
         self.token_ids = None
         self.pad_mask = None
         if need_tokens:
@@ -197,6 +206,28 @@ class _Arrays:
 
     def __len__(self):
         return len(self.records)
+
+
+class _Pairs:
+    """One record list for scoring: its unique drugs (sorted) and unique
+    (target, pocket) keys, each gathered from its store once, plus the
+    per-pair column indices into them."""
+
+    def __init__(self, data: DatasetBundle, records: list[InteractionRecord], state: ModelState):
+        if not records:
+            raise DataError("empty record list")
+        self.drugs = sorted({r.drug_id for r in records})
+        column = {d: j for j, d in enumerate(self.drugs)}
+        self.drug_idx = np.array([column[r.drug_id] for r in records], dtype=np.intp)
+        pockets = _pocket_ids(data, records, state) or [None] * len(records)
+        keys: dict[tuple, int] = {}
+        self.target_idx = np.array(
+            [keys.setdefault(k, len(keys)) for k in zip((r.target_id for r in records), pockets)], dtype=np.intp
+        )
+        self.x_drug = data.drugs.matrix(self.drugs)
+        self.x_protein = data.proteins.matrix([t for t, _ in keys])
+        self.x_pocket = None if state.config.pocket_dim is None else data.pockets.matrix([k for _, k in keys])
+        self.labels, self.affinity = _truth(records)
 
 
 def _pair_forward(state: ModelState, arr: _Arrays, idx: np.ndarray, tape: Tape):
@@ -251,26 +282,21 @@ def _forward_losses(state: ModelState, arr: _Arrays, idx: np.ndarray, tape: Tape
     return terms, logit, conf
 
 
-def _scores(state: ModelState, arr: _Arrays, chunk: int = 2048):
-    """Inference pass: logits, probabilities and confidences for all records."""
-    n = len(arr)
-    logits = np.empty(n)
-    confs = np.empty(n)
-    for lo in range(0, n, chunk):
-        idx = np.arange(lo, min(lo + chunk, n))
-        _, _, logit, conf = _pair_forward(state, arr, idx, Tape())
-        logits[idx] = logit.value.reshape(-1)
-        confs[idx] = conf.value.reshape(-1)
+def _scores(state: ModelState, pairs: _Pairs):
+    """Inference pass: logits, probabilities and confidences for all pairs."""
+    logits, confs = model_mod.score_pairs(
+        state, pairs.x_drug, pairs.x_protein, pairs.x_pocket, pairs.drug_idx, pairs.target_idx
+    )
     return logits, stable_sigmoid(logits.reshape(1, -1)).reshape(-1), confs
 
 
-def _validation_metric(state: ModelState, arr: _Arrays) -> float:
+def _validation_metric(state: ModelState, pairs: _Pairs) -> float:
     """AUPR for classification, PCC for regression; -inf where undefined."""
-    logits, probs, _ = _scores(state, arr)
+    logits, probs, _ = _scores(state, pairs)
     try:
         if state.config.mode == "classification":
-            return aupr(probs, arr.labels)
-        return pcc(logits, arr.affinity)
+            return aupr(probs, pairs.labels)
+        return pcc(logits, pairs.affinity)
     except DataError:
         return float("-inf")
 
@@ -287,7 +313,7 @@ def _train_single(model_config: ModelConfig, data: DatasetBundle, config: TrainC
 
     state = model_mod.init_model(model_config, seed=splitmix64(seed, 0))
     train = _Arrays(data, train_recs, state, need_tokens)
-    valid = _Arrays(data, valid_recs, state, need_tokens=False)
+    valid = _Pairs(data, valid_recs, state)
     adam = AdamState(lr=config.lr, weight_decay=config.weight_decay)
     params = state.parameters()
 
@@ -369,16 +395,17 @@ def evaluate(state: ModelState, data: DatasetBundle, records: list[InteractionRe
     """
     classification = state.config.mode == "classification"
     validate_interactions(records, data.drugs, data.proteins, data.pockets, state.config.mode)
-    arr = _Arrays(data, records, state, need_tokens=False)
-    logits, probs, confs = _scores(state, arr)
+    pairs = _Pairs(data, records, state)
+    logits, probs, confs = _scores(state, pairs)
 
     unf_by_drug: dict[str, float] = {}
     if data.smiles:
-        unique = sorted({r.drug_id for r in records if r.drug_id in data.smiles})
-        if unique:
-            ids, mask = state.tokenizer.tokenize_many([data.smiles[d] for d in unique])
-            u = model_mod.unfamiliarity_many(state, data.drugs.matrix(unique), ids, mask)
-            unf_by_drug = dict(zip(unique, u.tolist()))
+        keep = [j for j, d in enumerate(pairs.drugs) if d in data.smiles]
+        if keep:
+            scored = [pairs.drugs[j] for j in keep]
+            ids, mask = state.tokenizer.tokenize_many([data.smiles[d] for d in scored])
+            u = model_mod.unfamiliarity_many(state, pairs.x_drug[:, keep], ids, mask)
+            unf_by_drug = dict(zip(scored, u.tolist()))
 
     preds = []
     for i, r in enumerate(records):
@@ -397,12 +424,12 @@ def evaluate(state: ModelState, data: DatasetBundle, records: list[InteractionRe
 
     metrics: dict = {}
     if classification:
-        metrics["aupr"] = aupr(probs, arr.labels)
-        metrics["f1"] = f1(probs, arr.labels)
+        metrics["aupr"] = aupr(probs, pairs.labels)
+        metrics["f1"] = f1(probs, pairs.labels)
     else:
-        metrics["rmse"] = rmse(logits, arr.affinity)
+        metrics["rmse"] = rmse(logits, pairs.affinity)
         try:
-            metrics["pcc"] = pcc(logits, arr.affinity)
+            metrics["pcc"] = pcc(logits, pairs.affinity)
         except DataError as exc:
             metrics["pcc"] = None
             metrics["pcc_error"] = str(exc)

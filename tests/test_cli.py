@@ -1,6 +1,11 @@
 import hashlib
 import json
+import logging
+import platform
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 from tensordti.cli import main
 
@@ -53,6 +58,20 @@ def test_gen_synth_manifest_written(tmp_path):
     assert manifest["seeds"] == [7]
     assert "wall_time_s" in manifest
     assert manifest["config_hash"]
+
+
+def test_manifest_records_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = gen(tmp_path)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert json.loads((out / "manifest.json").read_text())["environment"] == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas["name"], "version": blas["version"]},
+        "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None},
+    }
 
 
 def test_unknown_flag_usage_error(tmp_path, capsys):
@@ -313,3 +332,55 @@ def test_config_hash_inside_quotes_is_kept(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f'vocab = "{DEFAULT_ALPHABET}"  # the default alphabet\nx = 3  # note\n# whole-line comment\n')
     assert _parse_config_file(cfg) == {"vocab": DEFAULT_ALPHABET, "x": 3}
+
+
+# the table that ranked c1, c2, c4, c3 one way round and c4, c3, c2, c1 the other
+NAN_SCORES = ["c1\tdock\t-9", "c2\tdock\tnan", "c3\tdock\t-5", "c4\tdock\t-7"]
+
+
+@pytest.mark.parametrize("rows, nan_line", [(NAN_SCORES, 3), (NAN_SCORES[::-1], 4)])
+def test_enrich_nan_score_is_format_error_in_either_row_order(tmp_path, capsys, rows, nan_line):
+    scores = tmp_path / "scores.tsv"
+    scores.write_text("compound_id\tmethod\tscore\n" + "".join(row + "\n" for row in rows))
+    _, act = enrich_inputs(tmp_path, GOOD_RANKED)
+    rc = main(["enrich", "--scores", str(scores), "--ranking", "docking", "--actives", str(act),
+               "--out", str(tmp_path / "enrich")])
+    assert rc == 1
+    assert f"ERROR FORMAT: {scores}:{nan_line}: score 'nan' is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "enrich" / "enrichment.json").exists()
+
+
+# -- unfamiliarity filter ------------------------------------------------------------
+
+
+def unf_inputs(tmp_path, n_kept, n=20):
+    """n one-target predictions, n_kept of them below unfamiliarity 1.0, and
+    their ground truth."""
+    preds = tmp_path / "preds.tsv"
+    truth = tmp_path / "truth.tsv"
+    preds.write_text(
+        "drug_id\ttarget_id\tlogit\tprob\tpred_label\taffinity_pred\tconfidence\tunfamiliarity\n"
+        + "".join(f"D{i}\tT0\t0.5\t0.6\t1\t\t0.{i + 10}\t{0.5 if i < n_kept else 2.0}\n" for i in range(n))
+    )
+    truth.write_text(
+        "drug_id\ttarget_id\tpocket_id\tlabel\taffinity\tsplit\n"
+        + "".join(f"D{i}\tT0\t\t{i % 2}\t\ttest\n" for i in range(n))
+    )
+    return str(preds), str(truth)
+
+
+@pytest.mark.parametrize("command", ["rank", "report"])
+@pytest.mark.parametrize("n_kept, warned", [(1, True), (10, False)])
+def test_unf_threshold_warns_when_it_drops_over_90_percent(tmp_path, caplog, command, n_kept, warned):
+    """19 of 20 rows dropped (95%) warns once; 10 of 20 (50%) stays silent."""
+    preds, truth = unf_inputs(tmp_path, n_kept)
+    args = {
+        "rank": ["rank", "--predictions", preds, "--ranking", "two_key"],
+        "report": ["report", "--predictions", preds, "--interactions", truth, "--mode", "dti"],
+    }[command]
+    with caplog.at_level(logging.WARNING, logger="tensordti"):
+        assert main([*args, "--unf-threshold", "1.0", "--out", str(tmp_path / "out")]) == 0
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING and r.name == "tensordti"]
+    assert len(warnings) == int(warned)
+    if warned:
+        assert "drops 19 of 20 rows" in warnings[0].getMessage()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,6 +270,89 @@ def test_training_and_scoring_share_the_nll():
     xent = tape.token_xent(M.reconstruct(state, mat, tape), ids, mask, c.max_len, c.vocab_size)
     u = M.unfamiliarity_many(state, mat, ids, mask)
     assert np.array_equal(np.log(xent.value.reshape(-1) + c.unfamiliarity_eps), u)
+
+
+def test_token_nll_prefix_cut_is_exact():
+    """Cutting a batch's cube after its longest scorable prefix changes no
+    bit: the masked positions add exact zeros to an in-order sum. (numpy sums
+    a lone column pairwise instead, so there a cut can move the last bit.)"""
+    rng = np.random.default_rng(5)
+    for longest in range(1, 41):
+        lengths = [longest] + list(rng.integers(1, longest + 1, size=4))
+        cube = rng.standard_normal((40, 8, len(lengths))) * 3.0
+        ids = np.zeros((40, len(lengths)), dtype=np.int64)
+        for j, n in enumerate(lengths):
+            ids[:n, j] = rng.integers(1, 8, size=n)
+        mask = (ids != 0).astype(np.float64)
+        full, _ = token_nll(cube, ids, mask)
+        sliced, _ = token_nll(cube[:longest], ids[:longest], mask[:longest])
+        assert np.array_equal(sliced, full), lengths
+
+
+# mixed lengths; "CNOSCNOSCNOS" is cut at max_len = 10
+CHUNK_SMILES = ["CN", "NOSCN", "CNOSCNOSCNOS", "C", "SSSCNO", "OO", "NOSNOSN"]
+
+
+def test_unfamiliarity_many_chunked_matches_full_cube(monkeypatch):
+    """Chunks of 3 drugs (3 + 3 + 1), each cut to its longest prefix, against
+    the whole-batch max_len cube. Chunking and the row cut change only the
+    shape of the decoder product, so agreement is to float rounding."""
+    state = init_model(tiny_config(pocket_dim=None), seed=3)
+    c = state.config
+    mat = np.random.default_rng(6).standard_normal((6, len(CHUNK_SMILES)))
+    ids, mask = state.tokenizer.tokenize_many(CHUNK_SMILES)
+    assert mask[:, 2].sum() == c.max_len
+    cube = M.reconstruct(state, mat).value.reshape(c.max_len, c.vocab_size, -1)
+    want = np.log(token_nll(cube, ids, mask)[0] + c.unfamiliarity_eps)
+    monkeypatch.setattr(M, "CHUNK_ELEMENTS", 3 * c.max_len * c.vocab_size)
+    got = M.unfamiliarity_many(state, mat, ids, mask)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_unfamiliarity_many_all_pad_column_in_later_chunk_errors(monkeypatch):
+    state = init_model(tiny_config(pocket_dim=None), seed=0)
+    c = state.config
+    ids, mask = state.tokenizer.tokenize_many(["CN", "NOS", "C", "SS"])
+    ids[:, 3] = 0
+    mask[:, 3] = 0.0
+    monkeypatch.setattr(M, "CHUNK_ELEMENTS", 2 * c.max_len * c.vocab_size)
+    with pytest.raises(DataError, match="scorable"):
+        M.unfamiliarity_many(state, np.ones((6, 4)), ids, mask)
+
+
+def test_score_pairs_rejects_bad_pair_indices():
+    state = init_model(tiny_config(pocket_dim=None), seed=0)
+    x_d, x_p = np.ones((6, 2)), np.ones((5, 3))
+    with pytest.raises(ShapeError, match="drug index"):
+        M.score_pairs(state, x_d, x_p, None, [0, 2], [0, 1])
+    with pytest.raises(ShapeError, match="equal-length"):
+        M.score_pairs(state, x_d, x_p, None, [0, 1], [0])
+
+
+def test_score_pairs_memory_bounded_by_entities_not_pairs(monkeypatch):
+    """Ten times the pairs over the same entities: traced peak memory grows
+    by the per-pair outputs plus at most one chunk buffer, never by a
+    per-pair gather of the inputs (64 + 64 floats a pair here)."""
+    cfg = tiny_config(drug_dim=64, protein_dim=64, pocket_dim=None, hidden_dim=32, output_dim=16)
+    state = init_model(cfg, seed=0)
+    monkeypatch.setattr(M, "CHUNK_ELEMENTS", 256 * cfg.hidden_dim)
+    rng = np.random.default_rng(0)
+    x_d, x_p = rng.standard_normal((64, 50)), rng.standard_normal((64, 5))
+
+    def peak(n_pairs):
+        d = rng.integers(0, 50, n_pairs)
+        t = rng.integers(0, 5, n_pairs)
+        tracemalloc.start()
+        try:
+            M.score_pairs(state, x_d, x_p, None, d, t)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = 2_000, 20_000
+    growth = peak(large) - peak(small)
+    outputs = 2 * 8 * (large - small)  # logits + confidences
+    assert growth <= outputs + 8 * M.CHUNK_ELEMENTS
 
 
 # -- checkpoints -------------------------------------------------------------------

@@ -528,6 +528,37 @@ def test_tsv_readers_reject_non_numeric_field_with_path_and_line(tmp_path, case)
         reader(path)
 
 
+NON_FINITE_FIELD_CASES = {
+    "predictions.logit": (
+        load_predictions,
+        "drug_id\ttarget_id\tlogit\tprob\tpred_label\taffinity_pred\tconfidence\tunfamiliarity\n"
+        "D0\tT0\t1.5\t0.8\t1\t\t0.1\t0.2\n"
+        "D1\tT0\tnan\t0.8\t1\t\t0.1\t0.2\n",
+        "logit 'nan'",
+    ),
+    "scores.score_nan": (load_scores, "compound_id\tmethod\tscore\nc1\tglide\t-9.1\nc2\tglide\tnan\n", "score 'nan'"),
+    "scores.score_inf": (load_scores, "compound_id\tmethod\tscore\nc1\tglide\t-9.1\nc2\tglide\tinf\n", "score 'inf'"),
+    "scores.score_minus_inf": (
+        load_scores, "compound_id\tmethod\tscore\nc1\tglide\t-9.1\nc2\tglide\t-inf\n", "score '-inf'"
+    ),
+    "actives.potency": (load_actives, "compound_id\tpotency\nc1\t7.5\nc2\tnan\n", "potency 'nan'"),
+    "pocket_scores.score": (
+        load_pocket_scores,
+        "pocket_a\tpocket_b\tscore\nP0\tP1\t0.5\nP0\tP2\tnan\n",
+        "score 'nan'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_FIELD_CASES))
+def test_tsv_readers_reject_non_finite_field_with_path_and_line(tmp_path, case):
+    reader, text, field = NON_FINITE_FIELD_CASES[case]
+    path = tmp_path / "input.tsv"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=re.escape(f"{path}:3: {field} is not finite")):
+        reader(path)
+
+
 def test_invalid_k_rejected():
     ranked = lib(["a", "b"])
     act = actives({"a"})

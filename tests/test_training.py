@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from tensordti import model as M
+from tensordti import training as T
 from tensordti.errors import DataError
 from tensordti.model import ModelConfig
+from tensordti.nn import Tape
 from tensordti.pipeline import SplitSpec, split
 from tensordti.synthetic import SyntheticConfig, gen_synthetic
 from tensordti.training import (
@@ -244,3 +246,61 @@ def test_pocket_model_trains_end_to_end():
     assert np.isfinite(report.test_mean["aupr"])
     metrics, preds = evaluate(state, bundle, bundle.subset("test"))
     assert len(preds) == len(bundle.subset("test"))
+
+
+def pocket_bundle(task="dti"):
+    data = gen_synthetic(
+        SyntheticConfig(
+            n_drugs=30, n_targets=8, drug_dim=10, protein_dim=10, pocket_dim=6,
+            n_latent_factors=2, noise=0.05, smiles_len=8, task=task, seed=2,
+        )
+    )
+    return DatasetBundle(
+        drugs=data.drugs, proteins=data.proteins, pockets=data.pockets,
+        interactions=data.interactions, smiles=data.smiles,
+    )
+
+
+FACTORED_CASES = {
+    "classification-pocket": ("dti", dict(pocket_dim=6)),
+    "classification-no-pocket": ("dti", {}),
+    "regression-pocket": ("dta", dict(pocket_dim=6, mode="regression")),
+    "regression-no-pocket": ("dta", dict(mode="regression")),
+    "lambda-pocket-zero": ("dti", dict(pocket_dim=6, lambda_protein=0.5, lambda_pocket=0.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FACTORED_CASES))
+def test_factored_scores_match_tape_path(monkeypatch, case):
+    """Per-entity scoring against the taped pair forward, to 1e-12, over
+    repeated drugs and targets and 8-pair chunks."""
+    task, kw = FACTORED_CASES[case]
+    bundle = pocket_bundle(task)
+    state = M.init_model(model_cfg(**kw), seed=5)
+    rng = np.random.default_rng(1)
+    for p in state.parameters():  # non-zero biases, so their placement counts
+        if p.name.endswith(".bias"):
+            p.value = 0.1 * rng.standard_normal(p.value.shape)
+    records = bundle.interactions + bundle.interactions[:5]
+    assert len({r.drug_id for r in records}) < len(records) and len(records) % 8
+    monkeypatch.setattr(M, "CHUNK_ELEMENTS", 8 * state.config.hidden_dim)
+
+    logits, _, confs = T._scores(state, T._Pairs(bundle, records, state))
+    arr = T._Arrays(bundle, records, state, need_tokens=False)
+    _, _, logit, conf = T._pair_forward(state, arr, np.arange(len(records)), Tape())
+    assert np.max(np.abs(logits - logit.value.reshape(-1))) <= 1e-12
+    assert np.max(np.abs(confs - conf.value.reshape(-1))) <= 1e-12
+
+
+def test_pairs_gather_each_entity_once():
+    bundle = pocket_bundle()
+    state = M.init_model(model_cfg(pocket_dim=6), seed=0)
+    records = bundle.interactions
+    pairs = T._Pairs(bundle, records, state)
+    assert pairs.drugs == sorted({r.drug_id for r in records})
+    assert pairs.x_drug.shape[1] == len(pairs.drugs)
+    assert pairs.x_protein.shape[1] == pairs.x_pocket.shape[1] == len({(r.target_id, r.pocket_id) for r in records})
+    for r, d, t in zip(records, pairs.drug_idx, pairs.target_idx):
+        assert np.array_equal(pairs.x_drug[:, d], bundle.drugs.get(r.drug_id))
+        assert np.array_equal(pairs.x_protein[:, t], bundle.proteins.get(r.target_id))
+        assert np.array_equal(pairs.x_pocket[:, t], bundle.pockets.get(r.pocket_id))
