@@ -51,6 +51,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _strip_comment(line: str) -> str:
     """Drop a trailing `#` comment; a `#` inside double quotes is kept."""
     quoted = False
@@ -462,7 +469,7 @@ def build_parser() -> _Parser:
     p.add_argument("--predictions", required=True)
     p.add_argument("--ranking", choices=tuple(RANKING_ALIASES), default="two_key")
     p.add_argument("--target")
-    p.add_argument("--unf-threshold", type=float, default=None)
+    p.add_argument("--unf-threshold", type=_finite_float, default=None)
 
     p = sub.add_parser("enrich", help="enrichment report over ranked libraries")
     common(p)
@@ -478,7 +485,7 @@ def build_parser() -> _Parser:
     p.add_argument("--predictions", required=True)
     p.add_argument("--interactions", required=True)
     p.add_argument("--mode", choices=("dti", "dta"), default="dti")
-    p.add_argument("--unf-threshold", type=float, default=None)
+    p.add_argument("--unf-threshold", type=_finite_float, default=None)
     return parser
 
 

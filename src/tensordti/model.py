@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import ConfigError, DataError, FormatError, ShapeError
 from .nn import DenseLayer, Node, Param, Tape, dense_forward, init_dense, token_nll, unit_sigmoid
 from .tokenizer import DEFAULT_ALPHABET, N_SPECIALS, SmilesTokenizer
 
@@ -209,12 +209,22 @@ def confidence(state: ModelState, e_d: Node, e_p: Node, logit: Node, tape: Tape 
     return _run(state.conf_head, x, tape)
 
 
-def reconstruct(state: ModelState, drug_vec, tape: Tape | None = None) -> Node:
-    """Token logits from the drug autoencoder, (max_len * vocab_size, batch),
-    position-major."""
+def scorable_prefix(pad_mask: np.ndarray) -> int:
+    """Positions up to the last one that any column of a (max_len, batch)
+    mask scores; at least 1."""
+    return int(np.flatnonzero(pad_mask.any(axis=1)).max(initial=0)) + 1
+
+
+def reconstruct(state: ModelState, drug_vec, tape: Tape | None = None, n_positions: int | None = None) -> Node:
+    """Token logits from the drug autoencoder, (n_positions * vocab_size,
+    batch), position-major. n_positions defaults to max_len; a shorter
+    prefix evaluates only its decoder rows, and the rows past it get zero
+    gradient."""
     tape = tape or Tape()
-    z = dense_forward(state.ae_encoder, _prep(drug_vec, tape, state.config.drug_dim, "drug vector"), tape)
-    return dense_forward(state.ae_decoder, z, tape)
+    c = state.config
+    z = dense_forward(state.ae_encoder, _prep(drug_vec, tape, c.drug_dim, "drug vector"), tape)
+    rows = None if n_positions is None else n_positions * c.vocab_size
+    return dense_forward(state.ae_decoder, z, tape, rows)
 
 
 def score_pairs(state: ModelState, drug_matrix, protein_matrix, pocket_matrix, drug_idx, target_idx):
@@ -284,7 +294,7 @@ def unfamiliarity_many(state: ModelState, drug_matrix, token_ids, pad_mask) -> n
     for lo in range(0, z.shape[1], step):
         cols = slice(lo, lo + step)
         mask = pad_mask[:, cols]
-        length = np.flatnonzero(mask.any(axis=1)).max(initial=0) + 1
+        length = scorable_prefix(mask)
         rows = length * c.vocab_size
         cube = (dec_w[:rows] @ z[:, cols] + dec_b[:rows]).reshape(length, c.vocab_size, -1)
         nll, _ = token_nll(cube, token_ids[:length, cols], mask[:length])
@@ -307,6 +317,8 @@ def save_checkpoint(state: ModelState, path: str | Path) -> None:
     cfg = _config_json(state.config)
     chunks = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION), struct.pack("<I", len(cfg)), cfg]
     for p in state.parameters():
+        if not np.all(np.isfinite(p.value)):
+            raise DataError(f"parameter {p.name!r} has non-finite values; {path} not written")
         rows, cols = p.value.shape
         chunks.append(struct.pack("<II", rows, cols))
         chunks.append(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
@@ -346,6 +358,8 @@ def load_checkpoint(path: str | Path) -> ModelState:
         if off + nbytes > len(data):
             raise FormatError(f"{path}: truncated data for parameter {p.name!r}")
         p.value = np.frombuffer(data[off : off + nbytes], dtype="<f8").reshape(rows, cols).astype(np.float64)
+        if not np.all(np.isfinite(p.value)):
+            raise FormatError(f"{path}: parameter {p.name!r} has non-finite values")
         off += nbytes
     if off != len(data):
         raise FormatError(f"{path}: {len(data) - off} trailing bytes after parameters")

@@ -71,16 +71,29 @@ def token_nll(cube: Matrix, ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarr
     shifted = cube - cube.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     picked = logp[np.arange(n_pos)[:, None], ids, np.arange(batch)[None, :]]
-    return -(picked * mask).sum(axis=0) / t_eff, logp
+    # cumsum adds positions in order for every batch width and memory layout
+    # (sum() goes pairwise where positions are contiguous: a lone column, or
+    # the column-major arrays that gathering minibatch columns gives), so
+    # masked trailing positions add exact zeros and cutting the cube after
+    # the last scorable position changes no bit; in place, so it needs no
+    # second buffer
+    picked *= mask
+    np.cumsum(picked, axis=0, out=picked)
+    return -picked[-1] / t_eff, logp
 
 
 class Node:
-    """A value in one forward pass. Leaves are constants or parameters."""
+    """A value in one forward pass. Leaves are constants or parameters.
 
-    __slots__ = ("value",)
+    `needs_grad` is True for parameters and for op outputs with a parent
+    that needs one; backward computes no contribution for any other node.
+    """
+
+    __slots__ = ("value", "needs_grad")
 
     def __init__(self, value: Matrix):
         self.value = value
+        self.needs_grad = False
 
     @property
     def shape(self):
@@ -99,6 +112,7 @@ class Param(Node):
 
     def __init__(self, value, name: str):
         super().__init__(as_matrix(value, name))
+        self.needs_grad = True
         self.name = name
 
 
@@ -133,7 +147,9 @@ class Tape:
     """Ordered record of forward ops; backward replays it in reverse.
 
     Ops are recorded eagerly in execution order, so the reversed record is a
-    valid topological order regardless of batch content.
+    valid topological order regardless of batch content. An op whose parents
+    need no gradient is not recorded, so a one-parent op's backward always
+    has a parent to feed; ops with several parents skip those that need none.
     """
 
     def __init__(self):
@@ -144,6 +160,9 @@ class Tape:
     # -- recording -----------------------------------------------------
 
     def _record(self, out: Node, parents: tuple[Node, ...], bw: Callable) -> Node:
+        if not any(p.needs_grad for p in parents):
+            return out
+        out.needs_grad = True
         for p in parents:
             if isinstance(p, Param) and id(p) not in self._param_ids:
                 self._param_ids.add(id(p))
@@ -168,8 +187,10 @@ class Tape:
         out = Node(va @ vb)
 
         def bw(g, sink):
-            sink(a, g @ vb.T)
-            sink(b, va.T @ g)
+            if a.needs_grad:
+                sink(a, g @ vb.T)
+            if b.needs_grad:
+                sink(b, va.T @ g)
 
         return self._record(out, (a, b), bw)
 
@@ -179,15 +200,19 @@ class Tape:
             out = Node(va + vb)
 
             def bw(g, sink):
-                sink(a, g)
-                sink(b, g)
+                if a.needs_grad:
+                    sink(a, g)
+                if b.needs_grad:
+                    sink(b, g)
 
         elif vb.shape == (va.shape[0], 1):  # bias broadcast over columns
             out = Node(va + vb)
 
             def bw(g, sink):
-                sink(a, g)
-                sink(b, g.sum(axis=1, keepdims=True))
+                if a.needs_grad:
+                    sink(a, g)
+                if b.needs_grad:
+                    sink(b, g.sum(axis=1, keepdims=True))
 
         else:
             raise ShapeError(f"add: incompatible shapes {va.shape} and {vb.shape}")
@@ -199,8 +224,10 @@ class Tape:
         out = Node(a.value - b.value)
 
         def bw(g, sink):
-            sink(a, g)
-            sink(b, -g)
+            if a.needs_grad:
+                sink(a, g)
+            if b.needs_grad:
+                sink(b, -g)
 
         return self._record(out, (a, b), bw)
 
@@ -211,8 +238,10 @@ class Tape:
         out = Node(va * vb)
 
         def bw(g, sink):
-            sink(a, g * vb)
-            sink(b, g * va)
+            if a.needs_grad:
+                sink(a, g * vb)
+            if b.needs_grad:
+                sink(b, g * va)
 
         return self._record(out, (a, b), bw)
 
@@ -300,9 +329,22 @@ class Tape:
 
         def bw(g, sink):
             for x, lo, hi in zip(xs, offsets[:-1], offsets[1:]):
-                sink(x, g[lo:hi, :])
+                if x.needs_grad:
+                    sink(x, g[lo:hi, :])
 
         return self._record(out, tuple(xs), bw)
+
+    def first_rows(self, x: Node, rows: int) -> Node:
+        """x[:rows]; the rows past the cut get exactly zero gradient."""
+        out = Node(x.value[:rows])
+        shape = x.value.shape
+
+        def bw(g, sink):
+            buf = np.zeros(shape)
+            buf[:rows] = g
+            sink(x, buf)
+
+        return self._record(out, (x,), bw)
 
     def take_cols(self, x: Node, idx: np.ndarray) -> Node:
         idx = np.asarray(idx, dtype=np.intp)
@@ -330,8 +372,10 @@ class Tape:
         out = Node(c)
 
         def bw(g, sink):
-            sink(a, g * (vb / (na * nb) - c * va / (na * na)))
-            sink(b, g * (va / (na * nb) - c * vb / (nb * nb)))
+            if a.needs_grad:
+                sink(a, g * (vb / (na * nb) - c * va / (na * na)))
+            if b.needs_grad:
+                sink(b, g * (va / (na * nb) - c * vb / (nb * nb)))
 
         return self._record(out, (a, b), bw)
 
@@ -367,10 +411,9 @@ class Tape:
         mask = np.asarray(pad_mask, dtype=np.float64).reshape(n_positions, batch)
         nll, logp = token_nll(logits.value.reshape(n_positions, vocab_size, batch), ids, mask)
         out = Node(nll.reshape(1, batch))
-        softmax = np.exp(logp)
 
         def bw(g, sink):
-            grad = softmax.copy()
+            grad = np.exp(logp)
             grad[np.arange(n_positions)[:, None], ids, np.arange(batch)[None, :]] -= 1.0
             grad *= (mask / mask.sum(axis=0))[:, None, :]
             grad *= g.reshape(1, 1, batch)
@@ -417,15 +460,18 @@ class Tape:
         self._param_ids.clear()
 
 
-def dense_forward(layer: DenseLayer, x: Node, tape: Tape) -> Node:
-    """activation(W @ x + b), with x as (in, batch) columns."""
-    w = layer.weight.value
-    if x.value.shape[0] != w.shape[1]:
+def dense_forward(layer: DenseLayer, x: Node, tape: Tape, rows: int | None = None) -> Node:
+    """activation(W @ x + b), with x as (in, batch) columns. With `rows`
+    below the layer's width, only the first `rows` outputs are computed."""
+    w, b = layer.weight, layer.bias
+    if x.value.shape[0] != w.value.shape[1]:
         raise ShapeError(
             f"dense_forward: input shape {x.value.shape} incompatible with "
-            f"weight shape {w.shape}"
+            f"weight shape {w.value.shape}"
         )
-    h = tape.add(tape.matmul(layer.weight, x), layer.bias)
+    if rows is not None and rows < w.value.shape[0]:
+        w, b = tape.first_rows(w, rows), tape.first_rows(b, rows)
+    h = tape.add(tape.matmul(w, x), b)
     if layer.activation == "identity":
         return h
     if layer.activation == "relu":

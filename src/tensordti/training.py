@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import logging
+import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -275,9 +276,13 @@ def _forward_losses(state: ModelState, arr: _Arrays, idx: np.ndarray, tape: Tape
         terms.conf = losses.mse_loss(tape, conf, err.reshape(1, -1))
 
     if c.alpha_recon > 0:
-        recon_logits = model_mod.reconstruct(state, arr.x_drug[:, idx], tape)
+        # positions past the batch's longest scorable prefix are masked, so
+        # their logits are never computed
+        mask = arr.pad_mask[:, idx]
+        n_pos = model_mod.scorable_prefix(mask)
+        recon_logits = model_mod.reconstruct(state, arr.x_drug[:, idx], tape, n_pos)
         terms.recon = losses.reconstruction_loss(
-            tape, recon_logits, arr.token_ids[:, idx], arr.pad_mask[:, idx], c.max_len, c.vocab_size
+            tape, recon_logits, arr.token_ids[:n_pos, idx], mask[:n_pos], n_pos, c.vocab_size
         )
     return terms, logit, conf
 
@@ -324,6 +329,7 @@ def _train_single(model_config: ModelConfig, data: DatasetBundle, config: TrainC
     n = len(train)
 
     for epoch in range(config.max_epochs):
+        t0 = time.perf_counter()
         shuffle_rng = np.random.default_rng(splitmix64(seed, 1000 + epoch))
         trip_rng = np.random.default_rng(splitmix64(seed, 500_000 + epoch))
         order = shuffle_rng.permutation(n)
@@ -348,6 +354,11 @@ def _train_single(model_config: ModelConfig, data: DatasetBundle, config: TrainC
         means = sums / n_batches
         l_mse = means[5] if model_config.mode == "regression" else None
         stats.append(EpochStats(epoch, *means[:5], val_metric=val_metric, l_mse=l_mse))
+        log.info(
+            "seed %d epoch %d: loss %.6g (bce %.6g, con %.6g, conf %.6g, recon %.6g, mse %.6g), val %s %.6g, %.2f s",
+            seed, epoch, means[4], *means[:4], means[5],
+            "aupr" if model_config.mode == "classification" else "pcc", val_metric, time.perf_counter() - t0,
+        )
         if val_metric > best_metric:
             best_metric = val_metric
             best_epoch = epoch

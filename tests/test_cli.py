@@ -261,6 +261,33 @@ def test_entry_point_subprocess(tmp_path):
     assert (out / "interactions.tsv").is_file()
 
 
+def test_train_checkpoint_bytes_reproducible_at_one_blas_thread(tmp_path):
+    """Two identical 2-epoch `train` runs in fresh interpreters, both at one
+    OpenBLAS thread, write byte-identical checkpoints."""
+    import os
+    import subprocess
+    import sys
+
+    data = gen(tmp_path, "data", seed=4)
+    splits = tmp_path / "splits"
+    assert main(["split", "--data", str(data), "--seed", "4", "--out", str(splits)]) == 0
+    cfg = write_config(tmp_path / "t.cfg", hidden_dim=16, output_dim=8, latent_dim=8, max_len=10,
+                       vocab="CNOPSFclnos=", lr=3e-3, max_epochs=2, patience=2, batch_size=64)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    digests = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        proc = subprocess.run(
+            [sys.executable, "-m", "tensordti.cli", "train", "--mode", "dti", "--data", str(data),
+             "--interactions", str(splits / "interactions.tsv"), "--config", str(cfg),
+             "--seed", "4", "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(hashlib.sha256((out / "model.tdti").read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
+
+
 # -- enrich input parsing ------------------------------------------------------------
 
 
@@ -384,3 +411,19 @@ def test_unf_threshold_warns_when_it_drops_over_90_percent(tmp_path, caplog, com
     assert len(warnings) == int(warned)
     if warned:
         assert "drops 19 of 20 rows" in warnings[0].getMessage()
+
+
+@pytest.mark.parametrize("command", ["rank", "report"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_unf_threshold_is_usage_error(tmp_path, capsys, command, value):
+    """A nan threshold would drop every row and exit 0; inf would keep or
+    drop everything. Both are refused before any file is read."""
+    preds, truth = unf_inputs(tmp_path, 10)
+    args = {
+        "rank": ["rank", "--predictions", preds],
+        "report": ["report", "--predictions", preds, "--interactions", truth],
+    }[command]
+    assert main([*args, f"--unf-threshold={value}", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "ERROR USAGE" in err and "finite" in err
+    assert not (tmp_path / "out").exists()

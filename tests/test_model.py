@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -274,19 +275,46 @@ def test_training_and_scoring_share_the_nll():
 
 def test_token_nll_prefix_cut_is_exact():
     """Cutting a batch's cube after its longest scorable prefix changes no
-    bit: the masked positions add exact zeros to an in-order sum. (numpy sums
-    a lone column pairwise instead, so there a cut can move the last bit.)"""
+    bit, for batch widths 1-5 (a lone column included) and for column-major
+    ids and mask (what gathering minibatch columns gives): the masked
+    positions add exact zeros to an in-order sum."""
     rng = np.random.default_rng(5)
-    for longest in range(1, 41):
-        lengths = [longest] + list(rng.integers(1, longest + 1, size=4))
-        cube = rng.standard_normal((40, 8, len(lengths))) * 3.0
-        ids = np.zeros((40, len(lengths)), dtype=np.int64)
+    for width, longest in itertools.product(range(1, 6), range(1, 41)):
+        lengths = [longest] + list(rng.integers(1, longest + 1, size=width - 1))
+        cube = rng.standard_normal((40, 8, width)) * 3.0
+        ids = np.zeros((40, width), dtype=np.int64)
         for j, n in enumerate(lengths):
             ids[:n, j] = rng.integers(1, 8, size=n)
         mask = (ids != 0).astype(np.float64)
         full, _ = token_nll(cube, ids, mask)
         sliced, _ = token_nll(cube[:longest], ids[:longest], mask[:longest])
         assert np.array_equal(sliced, full), lengths
+        f_ids, f_mask = np.asfortranarray(ids[:longest]), np.asfortranarray(mask[:longest])
+        assert np.array_equal(token_nll(cube[:longest], f_ids, f_mask)[0], full), lengths
+
+
+def test_cut_reconstruction_loss_passes_grad_check():
+    """The autoencoder's loss over a 4-position prefix of max_len 10 against
+    central finite differences, decoder rows past the prefix included (their
+    gradient is zero both ways)."""
+    from tensordti.losses import reconstruction_loss
+    from tensordti.nn import grad_check
+
+    state = init_model(tiny_config(pocket_dim=None), seed=2)
+    c = state.config
+    x = np.random.default_rng(3).standard_normal((6, 3))
+    ids, mask = state.tokenizer.tokenize_many(["CN", "N", "OS"])
+    assert M.scorable_prefix(mask) == 4
+
+    def forward():
+        tape = Tape()
+        logits = M.reconstruct(state, x, tape, 4)
+        assert logits.value.shape == (4 * c.vocab_size, 3)
+        return tape, reconstruction_loss(tape, logits, ids[:4], mask[:4], 4, c.vocab_size)
+
+    ae = [state.ae_encoder.weight, state.ae_encoder.bias, state.ae_decoder.weight, state.ae_decoder.bias]
+    report = grad_check(forward, ae, 1e-4, samples=200, seed=0)
+    assert report.passed, report
 
 
 # mixed lengths; "CNOSCNOSCNOS" is cut at max_len = 10
@@ -401,6 +429,33 @@ def test_checkpoint_truncated(tmp_path):
     p.write_bytes(p.read_bytes()[:-16])
     with pytest.raises(FormatError, match="truncated|trailing"):
         load_checkpoint(p)
+
+
+def test_checkpoint_non_finite_parameter_refused(tmp_path):
+    """A nan parameter is never written, and one in a file fails the load
+    with the parameter's name instead of turning into nan scores."""
+    import struct
+
+    state = init_model(tiny_config(), seed=0)
+    p = tmp_path / "n.tdti"
+    save_checkpoint(state, p)
+    raw = bytearray(p.read_bytes())
+    (cfg_len,) = struct.unpack_from("<I", raw, 12)
+    off = 16 + cfg_len
+    for param in state.parameters():
+        if param.name == "classifier.1.bias":
+            struct.pack_into("<d", raw, off + 8, float("nan"))
+            break
+        off += 8 + 8 * param.value.size
+    p.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="classifier.1.bias"):
+        load_checkpoint(p)
+
+    state.classifier[1].bias.value[0, 0] = float("inf")
+    q = tmp_path / "inf.tdti"
+    with pytest.raises(DataError, match="classifier.1.bias"):
+        save_checkpoint(state, q)
+    assert not q.exists()
 
 
 def test_concurrent_inference_on_frozen_state():

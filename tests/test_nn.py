@@ -120,6 +120,49 @@ def test_backward_loss_grad_shape_checked():
         tape.backward(out, loss_grad=np.ones((2, 2)))
 
 
+def test_needs_grad_follows_parameters():
+    """Parameters need a gradient, constants and detached values do not, and
+    an op output needs one when any parent does."""
+    tape = Tape()
+    w = Param([[1.0, 2.0]], "w")
+    x = tape.constant([[1.0], [1.0]])
+    h = tape.matmul(w, x)
+    assert w.needs_grad and h.needs_grad
+    assert not x.needs_grad and not tape.detach(h).needs_grad
+    assert not tape.relu(tape.matmul(tape.constant([[1.0, 2.0]]), x)).needs_grad
+    assert tape.add(tape.detach(h), h).needs_grad
+
+
+class SinkSpy(Tape):
+    """Records every node that a backward closure hands a contribution to."""
+
+    def __init__(self):
+        super().__init__()
+        self.sunk = []
+
+    def _record(self, out, parents, bw):
+        def spied(g, sink):
+            def spy(node, contrib):
+                self.sunk.append(node)
+                sink(node, contrib)
+
+            bw(g, spy)
+
+        return super()._record(out, parents, spied)
+
+
+def test_backward_computes_no_contribution_for_constant_inputs():
+    tape = SinkSpy()
+    lyr = layer([[1.0, -1.0], [0.5, 2.0]], [0.1, -0.1], "relu")
+    x = tape.constant([[1.0, 2.0], [3.0, -4.0]])
+    h = dense_forward(lyr, x, tape)
+    out = tape.sum_all(tape.mul(tape.concat_rows(h, tape.detach(h)), tape.constant(np.ones((4, 2)))))
+    grads = tape.backward(out)
+    assert tape.sunk and all(node.needs_grad for node in tape.sunk)
+    assert x not in tape.sunk
+    assert np.array_equal(grads[lyr.weight], [[2.0, -4.0], [1.0, 3.0]])  # relu keeps one unit a column
+
+
 def test_adam_first_step_bias_correction_cancels():
     w = Param([[0.0]], "w")
     state = AdamState(lr=1e-3)

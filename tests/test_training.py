@@ -4,6 +4,7 @@ import logging
 import numpy as np
 import pytest
 
+from tensordti import losses
 from tensordti import model as M
 from tensordti import training as T
 from tensordti.errors import DataError
@@ -116,6 +117,18 @@ def test_warns_when_validation_metric_never_finite(caplog):
     ref = M.init_model(cfg, seed=splitmix64(7, 0))
     for a, b in zip(state.parameters(), ref.parameters()):
         assert np.array_equal(a.value, b.value)
+
+
+def test_logs_one_info_line_per_epoch(caplog):
+    bundle = make_bundle()
+    with caplog.at_level(logging.INFO, logger="tensordti"):
+        _, report = train(model_cfg(), bundle, train_cfg(max_epochs=3, patience=3, seeds=(4,)))
+    lines = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO and r.name == "tensordti"]
+    assert len(lines) == 3
+    for epoch, (line, stats) in enumerate(zip(lines, report.runs[0].epochs)):
+        assert line.startswith(f"seed 4 epoch {epoch}: loss {stats.l_total:.6g} (bce {stats.l_bce:.6g}")
+        assert f"recon {stats.l_recon:.6g}" in line
+        assert f"val aupr {stats.val_metric:.6g}" in line and line.endswith(" s")
 
 
 def test_train_errors_on_empty_split():
@@ -304,3 +317,64 @@ def test_pairs_gather_each_entity_once():
         assert np.array_equal(pairs.x_drug[:, d], bundle.drugs.get(r.drug_id))
         assert np.array_equal(pairs.x_protein[:, t], bundle.proteins.get(r.target_id))
         assert np.array_equal(pairs.x_pocket[:, t], bundle.pockets.get(r.pocket_id))
+
+
+def _train_step(state, arr, idx, tape=None):
+    """Loss value and parameter gradients of one training step."""
+    tape = tape or Tape()
+    terms, _, _ = T._forward_losses(state, arr, idx, tape, None)
+    total, _ = losses.composite_loss(tape, terms, state.config)
+    return total.item(), tape.backward(total)
+
+
+def _cut_case(case):
+    """(state, training arrays, minibatch, the minibatch's scorable prefix)."""
+    bundle = pocket_bundle() if case == "classification-pocket" else make_bundle()
+    state = M.init_model(model_cfg(pocket_dim=6 if case == "classification-pocket" else None), seed=3)
+    records = bundle.interactions[:40]
+    if case == "truncated-at-max-len":
+        bundle.smiles = {**bundle.smiles, records[7].drug_id: "CNOS" * 5}
+    arr = T._Arrays(bundle, records, state, need_tokens=True)
+    idx = np.arange(len(records))[::-1]
+    if case == "one-sample":
+        idx = idx[:1]
+    if case == "prefix-1":  # only the first position is scored
+        arr.pad_mask[1:] = 0.0
+        arr.token_ids[1:] = 0
+    want = {"prefix-1": 1, "truncated-at-max-len": state.config.max_len}.get(case, 10)
+    return state, arr, idx, want
+
+
+@pytest.mark.parametrize(
+    "case", ["classification", "classification-pocket", "one-sample", "prefix-1", "truncated-at-max-len"]
+)
+def test_cut_reconstruction_step_matches_full_length(monkeypatch, case):
+    """A step whose reconstruction loss covers only the batch's longest
+    scorable prefix against the same step over all max_len positions: equal
+    loss and gradients to float rounding, and exactly zero gradient on the
+    decoder rows past the prefix."""
+    state, arr, idx, want = _cut_case(case)
+    n_pos = M.scorable_prefix(arr.pad_mask[:, idx])
+    assert n_pos == want
+    loss, grads = _train_step(state, arr, idx)
+    monkeypatch.setattr(M, "scorable_prefix", lambda mask: mask.shape[0])
+    full_loss, full_grads = _train_step(state, arr, idx)
+    assert loss == pytest.approx(full_loss, rel=1e-12, abs=0)
+    for p in state.parameters():
+        np.testing.assert_allclose(grads[p], full_grads[p], rtol=0, atol=1e-12, err_msg=p.name)
+    rows = n_pos * state.config.vocab_size
+    assert not np.any(grads[state.ae_decoder.weight][rows:])
+    assert not np.any(grads[state.ae_decoder.bias][rows:])
+
+
+def test_training_step_backward_skips_inputs_and_detached_values():
+    """No backward closure of a training step hands a contribution to a node
+    that needs no gradient: the raw drug/protein/pocket inputs and the
+    detached confidence-head input get none."""
+    from test_nn import SinkSpy
+
+    state, arr, idx, _ = _cut_case("classification-pocket")
+    tape = SinkSpy()
+    _, grads = _train_step(state, arr, idx, tape)
+    assert tape.sunk and all(node.needs_grad for node in tape.sunk)
+    assert all(np.any(grads[p]) for p in (state.conf_head[0].weight, state.encoder_pocket[0].weight))
