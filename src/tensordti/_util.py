@@ -1,14 +1,19 @@
-"""Small shared helpers: seed derivation, hashing and TSV number fields."""
+"""Small shared helpers: seed derivation, hashing, and the TSV table format
+every table reader and writer goes through."""
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from pathlib import Path
 
-from .errors import FormatError
+from .errors import DataError, FormatError
 
 _MASK64 = (1 << 64) - 1
+
+# rows per block that write_tsv formats, checks and writes at once
+TSV_BLOCK_ROWS = 4096
 
 
 def splitmix64(seed: int, index: int = 0) -> int:
@@ -47,3 +52,48 @@ def parse_number(raw: str, cast, where: str, field: str):
     if not math.isfinite(value):
         raise FormatError(f"{where}: {field} {raw!r} is not finite")
     return value
+
+
+def read_tsv(path: str | Path):
+    """Stream a UTF-8 TSV table: yield its header (a list of column names)
+    first, then (where, fields) for every row that is not blank, `where`
+    being "path:line". A repeated column name, a row whose field count
+    differs from the header, or bytes that are not UTF-8 raise a
+    FormatError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            header = f.readline().rstrip("\n").split("\t")
+            if len(set(header)) != len(header):
+                raise FormatError(f"{path}: repeated column name in header {header}")
+            yield header
+            prefix = f"{path}:"
+            for lineno, line in enumerate(f, 2):
+                if not line.strip():
+                    continue
+                fields = line.rstrip("\n").split("\t")
+                if len(fields) != len(header):
+                    raise FormatError(f"{prefix}{lineno}: expected {len(header)} fields, got {len(fields)}")
+                yield f"{prefix}{lineno}", fields
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def write_tsv(path: str | Path, header, rows) -> None:
+    """Write the header line, then one line per row of strings, formatting
+    and checking TSV_BLOCK_ROWS rows at a time. A field holding a tab, CR or
+    LF could not be read back, so it raises a DataError, as does a row whose
+    width differs from the header's."""
+    width = len(header)
+    lines = itertools.chain([header], rows)
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        while block := list(itertools.islice(lines, TSV_BLOCK_ROWS)):
+            text = "\n".join(map("\t".join, block)) + "\n"
+            if (
+                set(map(len, block)) != {width}
+                or text.count("\t") != len(block) * (width - 1)
+                or text.count("\n") != len(block)
+                or "\r" in text
+            ):
+                bad = next(r for r in block if len(r) != width or any(c in "".join(r) for c in "\t\r\n"))
+                raise DataError(f"{path}: row {list(bad)} is not {width} fields free of tab, CR and LF")
+            f.write(text)

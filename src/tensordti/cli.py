@@ -24,7 +24,7 @@ import numpy as np
 
 from . import pipeline, screening, synthetic, training
 from . import model as model_mod
-from ._util import sha256_bytes, sha256_file, splitmix64
+from ._util import read_tsv, sha256_bytes, sha256_file, splitmix64, write_tsv
 from .embeddings import (
     load_embeddings,
     load_interactions,
@@ -307,36 +307,27 @@ def cmd_rank(args, config: dict) -> int:
         if not rows:
             raise DataError("no compounds below the unfamiliarity threshold")
     ranked = screening.rank(rows, criterion)
-    out = run.artifact("ranked.tsv")
-    with open(out, "w", encoding="utf-8") as f:
-        f.write("rank\tcompound_id\n")
-        for i, cid in enumerate(ranked.ids, 1):
-            f.write(f"{i}\t{cid}\n")
+    positions = ((str(i), cid) for i, cid in enumerate(ranked.ids, 1))
+    write_tsv(run.artifact("ranked.tsv"), ("rank", "compound_id"), positions)
     run.finish()
     return 0
 
 
 def _load_ranked(path: Path, criterion: str) -> screening.RankedLibrary:
     """TSV `rank compound_id` with rank 1..N in line order and unique ids."""
+    rows = read_tsv(path)
+    header = next(rows)
+    if header != ["rank", "compound_id"]:
+        raise FormatError(f"{path}: header {header} != ['rank', 'compound_id']")
     ids: list[str] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().rstrip("\n").split("\t")
-        if header != ["rank", "compound_id"]:
-            raise FormatError(f"{path}: header {header} != ['rank', 'compound_id']")
-        for lineno, line in enumerate(f, 2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
-            rank, cid = parts
-            if rank != str(len(ids) + 1):
-                raise FormatError(f"{path}:{lineno}: rank {rank!r} is not the line's position {len(ids) + 1}")
-            if cid in seen:
-                raise DataError(f"{path}:{lineno}: duplicate compound id {cid!r}")
-            seen.add(cid)
-            ids.append(cid)
+    for where, (rank, cid) in rows:
+        if rank != str(len(ids) + 1):
+            raise FormatError(f"{where}: rank {rank!r} is not the line's position {len(ids) + 1}")
+        if cid in seen:
+            raise DataError(f"{where}: duplicate compound id {cid!r}")
+        seen.add(cid)
+        ids.append(cid)
     return screening.RankedLibrary(criterion=criterion, ids=ids)
 
 

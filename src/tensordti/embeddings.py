@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, FormatError, ShapeError
+from ._util import parse_number, read_tsv, write_tsv
+from .errors import DataError, FormatError
 
 EMBEDDING_MAGIC = b"TDTIEMB1"
 MODALITIES = ("drug", "protein", "pocket", "peptide", "rna")
@@ -82,24 +83,34 @@ def load_embeddings(path: str | Path, modality: str) -> EmbeddingStore:
 
 def _load_jsonl(path: Path, modality: str) -> EmbeddingStore:
     store = EmbeddingStore(modality)
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, 1):
+            where = f"{path}:{lineno}"
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{where}: not UTF-8 text: {exc}") from None
             if not line:
                 continue
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: bad JSON: {exc}") from exc
+                raise FormatError(f"{where}: bad JSON: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise FormatError(f"{where}: expected a JSON object")
             for key in ("id", "kind", "vec"):
                 if key not in rec:
-                    raise FormatError(f"{path}:{lineno}: missing field {key!r}")
+                    raise FormatError(f"{where}: missing field {key!r}")
+            if not isinstance(rec["id"], str):
+                raise FormatError(f"{where}: id {rec['id']!r} is not a string")
             if rec["kind"] != modality:
-                raise FormatError(
-                    f"{path}:{lineno}: record {rec['id']!r} has kind {rec['kind']!r}, "
-                    f"expected {modality!r}"
-                )
-            store.add(rec["id"], rec["vec"])
+                raise FormatError(f"{where}: record {rec['id']!r} has kind {rec['kind']!r}, expected {modality!r}")
+            try:
+                store.add(rec["id"], rec["vec"])
+            except FormatError as exc:
+                raise FormatError(f"{where}: {exc}") from None
+            except (ValueError, TypeError):
+                raise FormatError(f"{where}: vec of {rec['id']!r} is not a list of numbers") from None
     return store
 
 
@@ -107,6 +118,8 @@ def _load_binary(path: Path, modality: str) -> EmbeddingStore:
     data = path.read_bytes()
     if data[:8] != EMBEDDING_MAGIC:
         raise FormatError(f"{path}: bad magic")
+    if len(data) < 12:
+        raise FormatError(f"{path}: truncated header")
     (width,) = struct.unpack_from("<I", data, 8)
     store = EmbeddingStore(modality)
     off = 12
@@ -117,11 +130,17 @@ def _load_binary(path: Path, modality: str) -> EmbeddingStore:
         off += 2
         if off + id_len + 4 * width > len(data):
             raise FormatError(f"{path}: truncated record body")
-        rec_id = data[off : off + id_len].decode("utf-8")
+        try:
+            rec_id = data[off : off + id_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: record id at byte {off} is not UTF-8: {exc}") from None
         off += id_len
         vec = np.frombuffer(data[off : off + 4 * width], dtype="<f4").astype(np.float64)
         off += 4 * width
-        store.add(rec_id, vec)
+        try:
+            store.add(rec_id, vec)
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from None
     return store
 
 
@@ -169,54 +188,35 @@ class InteractionRecord:
 
 
 def load_interactions(path: str | Path) -> list[InteractionRecord]:
-    path = Path(path)
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().rstrip("\n").split("\t")
-        if tuple(header) != INTERACTION_COLUMNS:
-            raise FormatError(
-                f"{path}: header {header} != expected {list(INTERACTION_COLUMNS)}"
-            )
-        records = []
-        for lineno, line in enumerate(f, 2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != len(INTERACTION_COLUMNS):
-                raise FormatError(f"{path}:{lineno}: expected {len(INTERACTION_COLUMNS)} fields")
-            drug_id, target_id, pocket_id, label, affinity, split = parts
-            try:
-                records.append(
-                    InteractionRecord(
-                        drug_id=drug_id,
-                        target_id=target_id,
-                        pocket_id=pocket_id or None,
-                        label=int(label) if label else None,
-                        affinity=float(affinity) if affinity else None,
-                        split=split or "unassigned",
-                    )
+    rows = read_tsv(path)
+    header = next(rows)
+    if tuple(header) != INTERACTION_COLUMNS:
+        raise FormatError(f"{path}: header {header} != expected {list(INTERACTION_COLUMNS)}")
+    records = []
+    for where, (drug_id, target_id, pocket_id, label, affinity, split) in rows:
+        try:
+            records.append(
+                InteractionRecord(
+                    drug_id=drug_id,
+                    target_id=target_id,
+                    pocket_id=pocket_id or None,
+                    label=parse_number(label, int, where, "label") if label else None,
+                    affinity=parse_number(affinity, float, where, "affinity") if affinity else None,
+                    split=split or "unassigned",
                 )
-            except (ValueError, DataError) as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
+            )
+        except DataError as exc:
+            raise FormatError(f"{where}: {exc}") from exc
     return records
 
 
 def save_interactions(records: list[InteractionRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\t".join(INTERACTION_COLUMNS) + "\n")
-        for r in records:
-            f.write(
-                "\t".join(
-                    [
-                        r.drug_id,
-                        r.target_id,
-                        r.pocket_id or "",
-                        "" if r.label is None else str(r.label),
-                        "" if r.affinity is None else repr(r.affinity),
-                        r.split,
-                    ]
-                )
-                + "\n"
-            )
+    def fields(r: InteractionRecord) -> tuple[str, ...]:
+        label = "" if r.label is None else str(r.label)
+        affinity = "" if r.affinity is None else repr(r.affinity)
+        return r.drug_id, r.target_id, r.pocket_id or "", label, affinity, r.split
+
+    write_tsv(path, INTERACTION_COLUMNS, map(fields, records))
 
 
 def validate_interactions(
@@ -249,61 +249,17 @@ def validate_interactions(
 
 
 def load_smiles(path: str | Path) -> dict[str, str]:
-    path = Path(path)
+    rows = read_tsv(path)
+    header = next(rows)
+    if header != ["drug_id", "smiles"]:
+        raise FormatError(f"{path}: header {header} != ['drug_id', 'smiles']")
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().rstrip("\n").split("\t")
-        if header != ["drug_id", "smiles"]:
-            raise FormatError(f"{path}: header {header} != ['drug_id', 'smiles']")
-        for lineno, line in enumerate(f, 2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{lineno}: expected 2 fields")
-            out[parts[0]] = parts[1]
+    for where, (drug_id, smiles) in rows:
+        if drug_id in out:
+            raise FormatError(f"{where}: repeated drug_id {drug_id!r}")
+        out[drug_id] = smiles
     return out
 
 
 def save_smiles(smiles: dict[str, str], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("drug_id\tsmiles\n")
-        for drug_id, s in smiles.items():
-            f.write(f"{drug_id}\t{s}\n")
-
-
-# -- projection export ------------------------------------------------------
-
-
-def export_projections(state, store: EmbeddingStore, path: str | Path) -> None:
-    """TSV of id + encoder-branch output for every record in the store.
-
-    Drugs go through the drug branch; protein/peptide/rna through the
-    protein branch; pockets through the pocket branch.
-    """
-    from . import model as model_mod
-
-    c = state.config
-    if store.modality == "drug":
-        width = c.drug_dim
-        encoder = state.encoder_drug
-    elif store.modality == "pocket":
-        if state.encoder_pocket is None:
-            raise ShapeError("model has no pocket branch to project pockets through")
-        width = c.pocket_dim
-        encoder = state.encoder_pocket
-    else:
-        width = c.protein_dim
-        encoder = state.encoder_protein
-    if store.width != width:
-        raise ShapeError(
-            f"store width {store.width} != encoder input width {width} "
-            f"for modality {store.modality!r}"
-        )
-    ids = store.ids()
-    projected = model_mod.run_encoder(encoder, store.matrix(ids)) if ids else np.zeros((c.output_dim, 0))
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("id\t" + "\t".join(f"z{i}" for i in range(c.output_dim)) + "\n")
-        for col, rec_id in enumerate(ids):
-            vals = "\t".join(repr(float(v)) for v in projected[:, col])
-            f.write(f"{rec_id}\t{vals}\n")
+    write_tsv(path, ("drug_id", "smiles"), smiles.items())

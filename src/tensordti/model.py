@@ -332,18 +332,18 @@ def load_checkpoint(path: str | Path) -> ModelState:
     data = Path(path).read_bytes()
     if data[:8] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: bad checkpoint magic {data[:8]!r}")
-    (version,) = struct.unpack_from("<I", data, 8)
+    if len(data) < 16:
+        raise FormatError(f"{path}: truncated checkpoint header")
+    version, cfg_len = struct.unpack_from("<II", data, 8)
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    (cfg_len,) = struct.unpack_from("<I", data, 12)
     off = 16
     try:
         raw = json.loads(data[off : off + cfg_len].decode("utf-8"))
-        config = ModelConfig(**raw)
-    except (ValueError, TypeError) as exc:
+        state = init_model(ModelConfig(**raw), seed=0)
+    except (ValueError, TypeError, ConfigError, DataError) as exc:
         raise FormatError(f"{path}: unreadable config block: {exc}") from exc
     off += cfg_len
-    state = init_model(config, seed=0)
     for p in state.parameters():
         if off + 8 > len(data):
             raise FormatError(f"{path}: truncated before parameter {p.name!r}")

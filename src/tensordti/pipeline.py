@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import parse_number, splitmix64
+from ._util import parse_number, read_tsv, splitmix64
 from .embeddings import InteractionRecord
 from .errors import ConfigError, DataError, FormatError
 
@@ -68,22 +68,16 @@ class EntityPool:
 
 def load_pocket_scores(path: str | Path) -> dict[tuple[str, str], float]:
     """TSV `pocket_a pocket_b score` with dissimilarity scores in [0, 1]."""
-    path = Path(path)
+    rows = read_tsv(path)
+    header = next(rows)
+    if header != ["pocket_a", "pocket_b", "score"]:
+        raise FormatError(f"{path}: header {header} != ['pocket_a', 'pocket_b', 'score']")
     out: dict[tuple[str, str], float] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().rstrip("\n").split("\t")
-        if header != ["pocket_a", "pocket_b", "score"]:
-            raise FormatError(f"{path}: header {header} != ['pocket_a', 'pocket_b', 'score']")
-        for lineno, line in enumerate(f, 2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise FormatError(f"{path}:{lineno}: expected 3 fields")
-            score = parse_number(parts[2], float, f"{path}:{lineno}", "score")
-            if not 0.0 <= score <= 1.0:
-                raise FormatError(f"{path}:{lineno}: score {score} outside [0, 1]")
-            out[(parts[0], parts[1])] = score
+    for where, (a, b, raw) in rows:
+        score = parse_number(raw, float, where, "score")
+        if not 0.0 <= score <= 1.0:
+            raise FormatError(f"{where}: score {score} outside [0, 1]")
+        out[(a, b)] = score
     return out
 
 

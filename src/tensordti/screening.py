@@ -1,6 +1,6 @@
-"""Virtual-screening analytics: ranking criteria, active-set alignment,
-recall/EF, screening-budget metrics, exact random-ranking baselines,
-unfamiliarity filtering, and the combined enrichment report.
+"""Virtual-screening analytics: ranking criteria, recall/EF,
+screening-budget metrics, exact random-ranking baselines, unfamiliarity
+filtering, and the combined enrichment report.
 
 Budget metrics answer "what fraction of the ranked library must be screened
 to recover ...". Target counts use ceil with a small tolerance so that e.g.
@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ._util import parse_number
+from ._util import parse_number, read_tsv
 from .errors import ConfigError, DataError, FormatError, MissingColumnError, UsageError
 
 log = logging.getLogger("tensordti")
@@ -48,43 +48,34 @@ SCORE_COLUMNS = ("compound_id", "method", "score", "label", "confidence", "unfam
 
 
 def load_scores(path: str | Path) -> list[ScoreRow]:
-    path = Path(path)
-    rows = []
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().rstrip("\n").split("\t")
-        required = ("compound_id", "method", "score")
-        for col in required:
-            if col not in header:
-                raise MissingColumnError(f"{path}: missing column {col!r}")
-        unknown = [c for c in header if c not in SCORE_COLUMNS]
-        if unknown:
-            raise FormatError(f"{path}: unknown columns {unknown}")
-        pos = {c: header.index(c) for c in header}
-        for lineno, line in enumerate(f, 2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != len(header):
-                raise FormatError(f"{path}:{lineno}: expected {len(header)} fields")
+    rows = read_tsv(path)
+    header = next(rows)
+    for col in ("compound_id", "method", "score"):
+        if col not in header:
+            raise MissingColumnError(f"{path}: missing column {col!r}")
+    unknown = [c for c in header if c not in SCORE_COLUMNS]
+    if unknown:
+        raise FormatError(f"{path}: unknown columns {unknown}")
+    pos = {c: i for i, c in enumerate(header)}
+    out = []
+    for where, fields in rows:
 
-            def get(col, cast):
-                if col not in pos:
-                    return None
-                raw = parts[pos[col]]
-                return parse_number(raw, cast, f"{path}:{lineno}", col) if raw else None
+        def get(col, cast):
+            raw = fields[pos[col]] if col in pos else ""
+            return parse_number(raw, cast, where, col) if raw else None
 
-            rows.append(
-                ScoreRow(
-                    compound_id=parts[pos["compound_id"]],
-                    method=parts[pos["method"]],
-                    score=get("score", float),
-                    label=get("label", int),
-                    confidence=get("confidence", float),
-                    unfamiliarity=get("unfamiliarity", float),
-                    potency=get("potency", float),
-                )
+        out.append(
+            ScoreRow(
+                compound_id=fields[pos["compound_id"]],
+                method=fields[pos["method"]],
+                score=get("score", float),
+                label=get("label", int),
+                confidence=get("confidence", float),
+                unfamiliarity=get("unfamiliarity", float),
+                potency=get("potency", float),
             )
-    return rows
+        )
+    return out
 
 
 @dataclass
@@ -141,21 +132,6 @@ def rank(rows: list[ScoreRow], criterion: str) -> RankedLibrary:
                 raise MissingColumnError(f"{criterion} needs a score for {r.compound_id!r}")
         ordered = sorted(rows, key=lambda r: (r.score, r.compound_id))
     return RankedLibrary(criterion=criterion, ids=[r.compound_id for r in ordered])
-
-
-def align_actives(active_sets: list[ActiveSet]) -> ActiveSet:
-    """Intersection of per-method active sets, so recall is comparable."""
-    if not active_sets:
-        raise UsageError("need at least one active set")
-    common = frozenset.intersection(*(s.ids for s in active_sets))
-    if not common:
-        raise DataError("aligned active set is empty; methods share no validated binders")
-    potency = None
-    for s in active_sets:
-        if s.potency is not None:
-            potency = {cid: s.potency[cid] for cid in common}
-            break
-    return ActiveSet(ids=common, potency=potency)
 
 
 def _active_positions(ranked: RankedLibrary, actives: ActiveSet) -> list[int]:
@@ -366,23 +342,16 @@ def enrichment_report(
 
 def load_actives(path: str | Path) -> ActiveSet:
     """TSV `compound_id [potency]`."""
-    path = Path(path)
+    rows = read_tsv(path)
+    header = next(rows)
+    if header not in (["compound_id"], ["compound_id", "potency"]):
+        raise FormatError(f"{path}: header {header} != ['compound_id'[, 'potency']]")
     ids = []
     potency: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().rstrip("\n").split("\t")
-        if header not in (["compound_id"], ["compound_id", "potency"]):
-            raise FormatError(f"{path}: header {header} != ['compound_id'[, 'potency']]")
-        has_potency = len(header) == 2
-        for lineno, line in enumerate(f, 2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != len(header):
-                raise FormatError(f"{path}:{lineno}: expected {len(header)} fields")
-            ids.append(parts[0])
-            if has_potency:
-                if not parts[1]:
-                    raise FormatError(f"{path}:{lineno}: empty potency")
-                potency[parts[0]] = parse_number(parts[1], float, f"{path}:{lineno}", "potency")
+    for where, fields in rows:
+        ids.append(fields[0])
+        if len(fields) == 2:
+            if not fields[1]:
+                raise FormatError(f"{where}: empty potency")
+            potency[fields[0]] = parse_number(fields[1], float, where, "potency")
     return ActiveSet(ids=frozenset(ids), potency=potency if potency else None)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import losses, model as model_mod
-from ._util import parse_number, splitmix64
+from ._util import parse_number, read_tsv, splitmix64, write_tsv
 from .embeddings import EmbeddingStore, InteractionRecord, validate_interactions
 from .errors import ConfigError, DataError, FormatError
 from .metrics import aupr, f1, pcc, rmse
@@ -113,50 +113,36 @@ PREDICTION_COLUMNS = (
 
 
 def save_predictions(records: list[PredictionRecord], path: str | Path) -> None:
-    def fmt(v):
-        if v is None:
-            return ""
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
+    def fields(r: PredictionRecord) -> list[str]:
+        values = (getattr(r, c) for c in PREDICTION_COLUMNS)
+        return ["" if v is None else repr(v) if isinstance(v, float) else str(v) for v in values]
 
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\t".join(PREDICTION_COLUMNS) + "\n")
-        for r in records:
-            f.write("\t".join(fmt(getattr(r, c)) for c in PREDICTION_COLUMNS) + "\n")
+    write_tsv(path, PREDICTION_COLUMNS, map(fields, records))
 
 
 def load_predictions(path: str | Path) -> list[PredictionRecord]:
-    path = Path(path)
+    rows = read_tsv(path)
+    header = next(rows)
+    if tuple(header) != PREDICTION_COLUMNS:
+        raise FormatError(f"{path}: header {header} != {list(PREDICTION_COLUMNS)}")
     out = []
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().rstrip("\n").split("\t")
-        if tuple(header) != PREDICTION_COLUMNS:
-            raise FormatError(f"{path}: header {header} != {list(PREDICTION_COLUMNS)}")
-        for lineno, line in enumerate(f, 2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != len(PREDICTION_COLUMNS):
-                raise FormatError(f"{path}:{lineno}: expected {len(PREDICTION_COLUMNS)} fields")
-            d, t, logit, prob, pred, aff, conf, unf = parts
-            where = f"{path}:{lineno}"
+    for where, (d, t, logit, prob, pred, aff, conf, unf) in rows:
 
-            def num(raw, col, cast=float):
-                return parse_number(raw, cast, where, col) if raw else None
+        def num(raw, col, cast=float):
+            return parse_number(raw, cast, where, col) if raw else None
 
-            out.append(
-                PredictionRecord(
-                    drug_id=d,
-                    target_id=t,
-                    logit=parse_number(logit, float, where, "logit"),
-                    prob=num(prob, "prob"),
-                    pred_label=num(pred, "pred_label", int),
-                    affinity_pred=num(aff, "affinity_pred"),
-                    confidence=num(conf, "confidence"),
-                    unfamiliarity=num(unf, "unfamiliarity"),
-                )
+        out.append(
+            PredictionRecord(
+                drug_id=d,
+                target_id=t,
+                logit=parse_number(logit, float, where, "logit"),
+                prob=num(prob, "prob"),
+                pred_label=num(pred, "pred_label", int),
+                affinity_pred=num(aff, "affinity_pred"),
+                confidence=num(conf, "confidence"),
+                unfamiliarity=num(unf, "unfamiliarity"),
             )
+        )
     return out
 
 

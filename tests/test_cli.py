@@ -427,3 +427,20 @@ def test_non_finite_unf_threshold_is_usage_error(tmp_path, capsys, command, valu
     err = capsys.readouterr().err
     assert "ERROR USAGE" in err and "finite" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_predict_on_binary_interactions_is_one_format_error_line(tmp_path, capsys):
+    from tensordti.model import ModelConfig, init_model, save_checkpoint
+
+    data = gen(tmp_path)
+    model = tmp_path / "m.tdti"
+    config = ModelConfig(drug_dim=8, protein_dim=8, hidden_dim=4, output_dim=4, latent_dim=2)
+    save_checkpoint(init_model(config), model)
+    binary = tmp_path / "interactions.bin"
+    binary.write_bytes(bytes(range(256)))
+    rc = main(["predict", "--data", str(data), "--interactions", str(binary), "--model", str(model),
+               "--out", str(tmp_path / "preds")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"ERROR FORMAT: {binary}: not UTF-8")
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -1,13 +1,13 @@
 import json
+import re
+import struct
 
 import numpy as np
 import pytest
 
-from tensordti import model as M
 from tensordti.embeddings import (
     EmbeddingStore,
     InteractionRecord,
-    export_projections,
     load_embeddings,
     load_interactions,
     load_smiles,
@@ -17,7 +17,7 @@ from tensordti.embeddings import (
     save_smiles,
     validate_interactions,
 )
-from tensordti.errors import DataError, FormatError, ShapeError
+from tensordti.errors import DataError, FormatError
 
 
 def make_store(modality="drug", n=3, width=4, seed=0):
@@ -92,6 +92,32 @@ def test_kind_mismatch_rejected(tmp_path):
         load_embeddings(path, "drug")
 
 
+EMBEDDING_FAULTS = {
+    "binary_short_header": (b"TDTIEMB1\x04", ": truncated header"),
+    "binary_id_not_utf8": (
+        b"TDTIEMB1" + struct.pack("<IH", 1, 2) + b"\xff\xfe" + struct.pack("<f", 1.0),
+        ": record id at byte 14 is not UTF-8",
+    ),
+    "jsonl_vec_not_numbers": (
+        b'{"id": "a", "kind": "drug", "vec": [1, 2]}\n{"id": "b", "kind": "drug", "vec": "abc"}\n',
+        ":2: vec of 'b' is not a list of numbers",
+    ),
+    "jsonl_not_utf8": (
+        b'{"id": "a", "kind": "drug", "vec": [1, 2]}\n{"id": "\xff", "kind": "drug", "vec": [1, 2]}\n',
+        ":2: not UTF-8",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMBEDDING_FAULTS))
+def test_embedding_readers_raise_format_error_naming_the_file(tmp_path, case):
+    data, message = EMBEDDING_FAULTS[case]
+    path = tmp_path / "e.emb"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match=re.escape(f"{path}{message}")):
+        load_embeddings(path, "drug")
+
+
 def test_duplicate_id_rejected():
     store = EmbeddingStore("drug")
     store.add("a", [1.0, 2.0])
@@ -139,6 +165,13 @@ def test_validate_interactions_mode_requirements():
         validate_interactions(records, drugs, proteins, mode="regression")
 
 
+def test_smiles_repeated_drug_id_is_format_error(tmp_path):
+    path = tmp_path / "s.tsv"
+    path.write_text("drug_id\tsmiles\nD0\tCCO\nD1\tCCN\nD0\tCCC\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}:4: repeated drug_id 'D0'")):
+        load_smiles(path)
+
+
 def test_smiles_round_trip(tmp_path):
     data = {"D0": "CCO", "D1": "c1ccccc1"}
     path = tmp_path / "s.tsv"
@@ -146,43 +179,3 @@ def test_smiles_round_trip(tmp_path):
     assert load_smiles(path) == data
 
 
-def test_export_projections_identity_encoder(tmp_path):
-    cfg = M.ModelConfig(drug_dim=3, protein_dim=3, hidden_dim=3, output_dim=3,
-                        latent_dim=2, max_len=8, vocab="CN")
-    state = M.init_model(cfg, seed=0)
-    for layer in state.encoder_drug:
-        layer.weight.value = np.eye(3)
-        layer.bias.value = np.zeros((3, 1))
-    store = EmbeddingStore("drug")
-    store.add("D0", [0.5, 1.0, 2.0])  # nonnegative: relu transparent
-    path = tmp_path / "proj.tsv"
-    export_projections(state, store, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "id\tz0\tz1\tz2"
-    fields = lines[1].split("\t")
-    assert fields[0] == "D0"
-    assert [float(x) for x in fields[1:]] == [0.5, 1.0, 2.0]
-
-
-def test_export_projections_width_is_output_dim(tmp_path):
-    cfg = M.ModelConfig(drug_dim=4, protein_dim=6, hidden_dim=8, output_dim=5,
-                        latent_dim=2, max_len=8, vocab="CN")
-    state = M.init_model(cfg, seed=1)
-    store = make_store("protein", n=4, width=6)
-    path = tmp_path / "proj.tsv"
-    export_projections(state, store, path)
-    lines = path.read_text().strip().split("\n")
-    assert len(lines[0].split("\t")) == 1 + 5  # id + output_dim
-    assert len(lines) == 5
-    for line in lines[1:]:  # round-trip parse
-        parts = line.split("\t")
-        [float(x) for x in parts[1:]]
-
-
-def test_export_projections_width_mismatch(tmp_path):
-    cfg = M.ModelConfig(drug_dim=4, protein_dim=6, hidden_dim=8, output_dim=5,
-                        latent_dim=2, max_len=8, vocab="CN")
-    state = M.init_model(cfg, seed=1)
-    store = make_store("drug", n=2, width=9)
-    with pytest.raises(ShapeError):
-        export_projections(state, store, tmp_path / "p.tsv")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -428,6 +429,30 @@ def test_checkpoint_truncated(tmp_path):
     save_checkpoint(state, p)
     p.write_bytes(p.read_bytes()[:-16])
     with pytest.raises(FormatError, match="truncated|trailing"):
+        load_checkpoint(p)
+
+
+def test_checkpoint_shorter_than_its_header(tmp_path):
+    p = tmp_path / "short.tdti"
+    p.write_bytes(M.CHECKPOINT_MAGIC + b"\x01\x00")
+    with pytest.raises(FormatError, match="truncated checkpoint header"):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize("field", [{"max_len": 2}, {"vocab": "CNC"}])
+def test_checkpoint_config_the_tokenizer_refuses_is_format_error(tmp_path, field):
+    """A config block whose tokenizer cannot be built is a malformed file,
+    like every other unreadable config block."""
+    import json
+    import struct
+
+    p = tmp_path / "c.tdti"
+    save_checkpoint(init_model(tiny_config(), seed=0), p)
+    raw = p.read_bytes()
+    (cfg_len,) = struct.unpack_from("<I", raw, 12)
+    cfg = json.dumps({**json.loads(raw[16 : 16 + cfg_len]), **field}).encode()
+    p.write_bytes(raw[:12] + struct.pack("<I", len(cfg)) + cfg + raw[16 + cfg_len :])
+    with pytest.raises(FormatError, match=re.escape(f"{p}: unreadable config block")):
         load_checkpoint(p)
 
 

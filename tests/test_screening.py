@@ -5,13 +5,13 @@ import re
 import numpy as np
 import pytest
 
+from tensordti.embeddings import load_interactions
 from tensordti.errors import DataError, FormatError, MissingColumnError, UsageError
 from tensordti.pipeline import load_pocket_scores
 from tensordti.screening import (
     ActiveSet,
     RankedLibrary,
     ScoreRow,
-    align_actives,
     ceil_count,
     ef_at_k,
     enrichment_report,
@@ -134,24 +134,6 @@ def test_rank_argrank_invariance():
     act = actives(base.ids[2:9:3])
     for k in (1.0, 20.0, 50.0, 100.0):
         assert kpct_actives_budget(rank(transformed, "docking_score_asc"), act, k) == kpct_actives_budget(base, act, k)
-
-
-# -- active set alignment -------------------------------------------------------------
-
-
-def test_align_identical_sets_unchanged():
-    a = actives({"a", "b", "c"})
-    assert align_actives([a, actives({"a", "b", "c"})]).ids == a.ids
-
-
-def test_align_intersection():
-    out = align_actives([actives({"a", "b", "c"}), actives({"b", "c", "d"})])
-    assert out.ids == frozenset({"b", "c"})
-
-
-def test_align_disjoint_errors():
-    with pytest.raises(DataError):
-        align_actives([actives({"a"}), actives({"b"})])
 
 
 # -- recall / EF ------------------------------------------------------------------------
@@ -492,6 +474,15 @@ def test_load_scores_missing_required_column(tmp_path):
         load_scores(bad)
 
 
+INTERACTIONS_HEAD = "drug_id\ttarget_id\tpocket_id\tlabel\taffinity\tsplit\nD0\tT0\t\t1\t6.5\t\n"
+
+def test_load_scores_refuses_a_repeated_column(tmp_path):
+    path = tmp_path / "scores.tsv"
+    path.write_text("compound_id\tmethod\tscore\tscore\nc1\tglide\t-9.1\t-3\n")
+    with pytest.raises(FormatError, match="repeated column"):
+        load_scores(path)
+
+
 NUMERIC_FIELD_CASES = {
     "predictions.prob": (
         load_predictions,
@@ -516,6 +507,9 @@ NUMERIC_FIELD_CASES = {
         "pocket_a\tpocket_b\tscore\nP0\tP1\t0.5\nP0\tP2\thigh\n",
         "score 'high'",
     ),
+    "interactions.label": (load_interactions, INTERACTIONS_HEAD + "D1\tT0\t\tyes\t\t\n", "label 'yes'"),
+    "interactions.affinity": (load_interactions, INTERACTIONS_HEAD + "D1\tT0\t\t\t7.x\t\n", "affinity '7.x'"),
+    "interactions.label_nan": (load_interactions, INTERACTIONS_HEAD + "D1\tT0\t\tnan\t\t\n", "label 'nan'"),
 }
 
 
@@ -546,6 +540,11 @@ NON_FINITE_FIELD_CASES = {
         load_pocket_scores,
         "pocket_a\tpocket_b\tscore\nP0\tP1\t0.5\nP0\tP2\tnan\n",
         "score 'nan'",
+    ),
+    "interactions.affinity_nan": (load_interactions, INTERACTIONS_HEAD + "D1\tT0\t\t\tnan\t\n", "affinity 'nan'"),
+    "interactions.affinity_inf": (load_interactions, INTERACTIONS_HEAD + "D1\tT0\t\t\tinf\t\n", "affinity 'inf'"),
+    "interactions.affinity_minus_inf": (
+        load_interactions, INTERACTIONS_HEAD + "D1\tT0\t\t\t-inf\t\n", "affinity '-inf'"
     ),
 }
 

@@ -1,0 +1,126 @@
+"""The shared TSV table layer (`_util.read_tsv` / `write_tsv`) and the seven
+table readers built on it."""
+
+import re
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tensordti._util import read_tsv, write_tsv
+from tensordti.cli import _load_ranked
+from tensordti.embeddings import INTERACTION_COLUMNS, load_interactions, load_smiles
+from tensordti.errors import DataError, FormatError
+from tensordti.pipeline import load_pocket_scores
+from tensordti.screening import load_actives, load_scores
+from tensordti.training import PREDICTION_COLUMNS, load_predictions
+
+# reader, header, two good rows
+READERS = {
+    "interactions": (
+        load_interactions,
+        list(INTERACTION_COLUMNS),
+        [["D0", "T0", "", "1", "", "train"], ["D1", "T0", "P0", "0", "6.5", "test"]],
+    ),
+    "smiles": (load_smiles, ["drug_id", "smiles"], [["D0", "CCO"], ["D1", "c1ccccc1"]]),
+    "predictions": (
+        load_predictions,
+        list(PREDICTION_COLUMNS),
+        [["D0", "T0", "1.5", "0.8", "1", "", "0.1", "0.2"], ["D1", "T0", "-2", "0.1", "0", "", "0.3", ""]],
+    ),
+    "pocket_scores": (load_pocket_scores, ["pocket_a", "pocket_b", "score"], [["P0", "P1", "0.5"], ["P0", "P2", "1"]]),
+    "ranked": (lambda path: _load_ranked(path, "external"), ["rank", "compound_id"], [["1", "c1"], ["2", "c2"]]),
+    "scores": (load_scores, ["compound_id", "method", "score"], [["c1", "glide", "-9.1"], ["c2", "glide", "-8"]]),
+    "actives": (load_actives, ["compound_id", "potency"], [["c1", "7.5"], ["c2", "6"]]),
+}
+
+
+def tsv_text(header, rows, between=""):
+    return "\t".join(header) + "\n" + between.join("\t".join(r) + "\n" for r in rows)
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_every_reader_shares_the_tsv_rules(tmp_path, name):
+    reader, header, rows = READERS[name]
+    path = tmp_path / "table.tsv"
+
+    path.write_text(tsv_text(header, rows))
+    parsed = reader(path)
+    path.write_text(tsv_text(header, rows, between="\n  \n\t\n") + "\n")
+    assert reader(path) == parsed
+
+    path.write_bytes(tsv_text(header, rows).encode() + b"\xff\xfe\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: not UTF-8")):
+        reader(path)
+
+    path.write_text(tsv_text(header, [rows[0], rows[1][:-1]]))
+    short = f"{path}:3: expected {len(header)} fields, got {len(header) - 1}"
+    with pytest.raises(FormatError, match=re.escape(short)):
+        reader(path)
+
+    path.write_text(tsv_text(header + [header[0]], [r + [r[0]] for r in rows]))
+    with pytest.raises(FormatError, match=re.escape(f"{path}: repeated column name")):
+        reader(path)
+
+
+def test_write_tsv_refuses_fields_it_could_not_read_back(tmp_path):
+    path = tmp_path / "t.tsv"
+    for bad in ("a\tb", "a\nb", "a\rb"):
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            write_tsv(path, ("x", "y"), [("1", "2"), ("3", bad)])
+    with pytest.raises(DataError, match="not 2 fields"):
+        write_tsv(path, ("x", "y"), [("1", "2"), ("3",)])
+
+
+def test_write_tsv_streams_blocks_in_row_order(tmp_path):
+    path = tmp_path / "t.tsv"
+    rows = [(str(i), f"c{i}") for i in range(10_000)]
+    write_tsv(path, ("rank", "compound_id"), iter(rows))
+    got = read_tsv(path)
+    assert next(got) == ["rank", "compound_id"]
+    assert [tuple(fields) for _, fields in got] == rows
+
+
+FIELD = st.text(st.characters(codec="utf-8", exclude_characters="\t\r\n"), max_size=6)
+
+
+@st.composite
+def tables(draw):
+    header = draw(st.lists(FIELD, min_size=1, max_size=4, unique=True))
+    row = st.lists(FIELD, min_size=len(header), max_size=len(header))
+    rows = draw(st.lists(row.filter(lambda r: "\t".join(r).strip()), max_size=8))
+    return header, rows
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(tables())
+def test_write_then_read_round_trips(table):
+    header, rows = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.tsv"
+        write_tsv(path, header, rows)
+        got = read_tsv(path)
+        assert next(got) == header
+        assert [fields for _, fields in got] == rows
+
+
+# raw bytes, and runs of TSV-significant bytes with the halves of a two-byte UTF-8 character
+ARBITRARY = st.binary(max_size=64) | st.lists(st.sampled_from([b"a", b"\t", b"\n", b"\r", b" ", b"\xc3", b"\xa9"])).map(
+    b"".join
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(ARBITRARY)
+def test_read_tsv_on_arbitrary_bytes_parses_or_raises_format_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.tsv"
+        path.write_bytes(data)
+        try:
+            header, *rows = read_tsv(path)
+        except FormatError:
+            return
+        assert len(set(header)) == len(header)
+        assert all(len(fields) == len(header) for _, fields in rows)
