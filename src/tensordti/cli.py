@@ -72,8 +72,12 @@ def _strip_comment(line: str) -> str:
 def _parse_config_file(path: str | Path) -> dict:
     """TOML-style key = value lines; strings, numbers, booleans and
     comma-separated tuples."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
     out: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = _strip_comment(raw).strip()
         if not line:
             continue

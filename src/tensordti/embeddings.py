@@ -159,6 +159,8 @@ def save_embeddings_binary(store: EmbeddingStore, path: str | Path) -> None:
     chunks = [EMBEDDING_MAGIC, struct.pack("<I", store.width)]
     for rec_id in store.ids():
         raw = rec_id.encode("utf-8")
+        if len(raw) > 0xFFFF:
+            raise DataError(f"id of {len(raw)} UTF-8 bytes exceeds the binary format's 65535")
         chunks.append(struct.pack("<H", len(raw)))
         chunks.append(raw)
         chunks.append(store.get(rec_id).astype("<f4").tobytes())

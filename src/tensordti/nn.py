@@ -450,7 +450,7 @@ class Tape:
                 continue
             bw(g, sink)
 
-        out = {p: grads.get(id(p), np.zeros_like(p.value)) for p in self._params}
+        out = {p: grads[id(p)] if id(p) in grads else np.zeros_like(p.value) for p in self._params}
         self.clear()
         return out
 
@@ -498,10 +498,12 @@ class AdamState:
 
 def adam_step(state: AdamState, params: list[Param], grads: dict[Param, Matrix]) -> None:
     """Bias-corrected Adam update, in place. Weight decay is decoupled:
-    applied directly to the parameter, outside the moment machinery."""
+    applied directly to the parameter, outside the moment machinery. A
+    parameter missing from `grads` (the loss never reached it) gets a zero
+    gradient, so its moments decay and weight decay still applies."""
+    grads = {p: grads[p] if p in grads else np.zeros_like(p.value) for p in params}
     for p in params:
-        g = grads[p]
-        if not np.all(np.isfinite(g)):
+        if not np.all(np.isfinite(grads[p])):
             raise UsageError(f"non-finite gradient for parameter {p.name!r}; step aborted")
     state.t += 1
     b1, b2, t = state.beta1, state.beta2, state.t

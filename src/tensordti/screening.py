@@ -346,10 +346,12 @@ def load_actives(path: str | Path) -> ActiveSet:
     header = next(rows)
     if header not in (["compound_id"], ["compound_id", "potency"]):
         raise FormatError(f"{path}: header {header} != ['compound_id'[, 'potency']]")
-    ids = []
+    ids: set[str] = set()
     potency: dict[str, float] = {}
     for where, fields in rows:
-        ids.append(fields[0])
+        if fields[0] in ids:
+            raise FormatError(f"{where}: repeated compound_id {fields[0]!r}")
+        ids.add(fields[0])
         if len(fields) == 2:
             if not fields[1]:
                 raise FormatError(f"{where}: empty potency")

@@ -149,91 +149,65 @@ def load_predictions(path: str | Path) -> list[PredictionRecord]:
 # -- batch preparation ------------------------------------------------------
 
 
-def _pocket_ids(data: DatasetBundle, records: list[InteractionRecord], state: ModelState) -> list[str] | None:
-    """Each record's pocket id when the model has a pocket branch, else None."""
-    if state.config.pocket_dim is None:
-        return None
-    if any(r.pocket_id is None for r in records):
-        raise DataError("model expects pockets but some records have no pocket_id")
-    if data.pockets is None:
-        raise DataError("model expects pockets but the dataset has no pocket store")
-    return [r.pocket_id for r in records]
-
-
-def _truth(records: list[InteractionRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-record labels (-1 where absent) and affinities (nan where absent)."""
-    labels = np.array([-1 if r.label is None else r.label for r in records], dtype=np.float64)
-    affinity = np.array([np.nan if r.affinity is None else r.affinity for r in records], dtype=np.float64)
-    return labels, affinity
-
-
-class _Arrays:
-    """Per-pair column matrices of one training record list, gathered once;
-    minibatches slice them."""
-
-    def __init__(self, data: DatasetBundle, records: list[InteractionRecord], state: ModelState, need_tokens: bool):
-        if not records:
-            raise DataError("empty record list")
-        self.records = records
-        self.x_drug = data.drugs.matrix([r.drug_id for r in records])
-        self.x_protein = data.proteins.matrix([r.target_id for r in records])
-        pockets = _pocket_ids(data, records, state)
-        self.x_pocket = None if pockets is None else data.pockets.matrix(pockets)
-        self.labels, self.affinity = _truth(records)
-        self.token_ids = None
-        self.pad_mask = None
-        if need_tokens:
-            if data.smiles is None:
-                raise ConfigError("reconstruction loss is weighted but the dataset has no SMILES")
-            try:
-                smiles = [data.smiles[r.drug_id] for r in records]
-            except KeyError as exc:
-                raise DataError(f"no SMILES for drug {exc.args[0]!r}") from None
-            self.token_ids, self.pad_mask = state.tokenizer.tokenize_many(smiles)
-
-    def __len__(self):
-        return len(self.records)
-
-
 class _Pairs:
-    """One record list for scoring: its unique drugs (sorted) and unique
+    """One record list as model inputs: its unique drugs (sorted) and unique
     (target, pocket) keys, each gathered from its store once, plus the
-    per-pair column indices into them."""
+    per-pair column indices into them. Scoring reads whole columns; training
+    gathers each minibatch's columns through the indices."""
 
     def __init__(self, data: DatasetBundle, records: list[InteractionRecord], state: ModelState):
         if not records:
             raise DataError("empty record list")
+        has_pocket = state.config.pocket_dim is not None
+        if has_pocket and any(r.pocket_id is None for r in records):
+            raise DataError("model expects pockets but some records have no pocket_id")
+        if has_pocket and data.pockets is None:
+            raise DataError("model expects pockets but the dataset has no pocket store")
         self.drugs = sorted({r.drug_id for r in records})
         column = {d: j for j, d in enumerate(self.drugs)}
         self.drug_idx = np.array([column[r.drug_id] for r in records], dtype=np.intp)
-        pockets = _pocket_ids(data, records, state) or [None] * len(records)
         keys: dict[tuple, int] = {}
         self.target_idx = np.array(
-            [keys.setdefault(k, len(keys)) for k in zip((r.target_id for r in records), pockets)], dtype=np.intp
+            [keys.setdefault((r.target_id, r.pocket_id if has_pocket else None), len(keys)) for r in records],
+            dtype=np.intp,
         )
         self.x_drug = data.drugs.matrix(self.drugs)
         self.x_protein = data.proteins.matrix([t for t, _ in keys])
-        self.x_pocket = None if state.config.pocket_dim is None else data.pockets.matrix([k for _, k in keys])
-        self.labels, self.affinity = _truth(records)
+        self.x_pocket = data.pockets.matrix([k for _, k in keys]) if has_pocket else None
+        # labels -1 and affinities nan where absent
+        self.labels = np.array([-1 if r.label is None else r.label for r in records], dtype=np.float64)
+        self.affinity = np.array([np.nan if r.affinity is None else r.affinity for r in records], dtype=np.float64)
+        self.token_ids = self.pad_mask = None
+
+    def tokenize(self, data: DatasetBundle, state: ModelState) -> None:
+        """Token ids and pad mask of each unique drug's SMILES, one column
+        per drug as in x_drug; the reconstruction loss gathers them."""
+        if data.smiles is None:
+            raise ConfigError("reconstruction loss is weighted but the dataset has no SMILES")
+        missing = next((d for d in self.drugs if d not in data.smiles), None)
+        if missing is not None:
+            raise DataError(f"no SMILES for drug {missing!r}")
+        self.token_ids, self.pad_mask = state.tokenizer.tokenize_many([data.smiles[d] for d in self.drugs])
 
 
-def _pair_forward(state: ModelState, arr: _Arrays, idx: np.ndarray, tape: Tape):
+def _pair_forward(state: ModelState, pairs: _Pairs, idx: np.ndarray, tape: Tape):
     """Both encoders, the interaction head and the confidence head for the
-    records at idx: (e_d, e_p, logit, confidence) nodes on `tape`."""
-    e_d = model_mod.encode_drug(state, arr.x_drug[:, idx], tape)
-    pocket = None if arr.x_pocket is None else arr.x_pocket[:, idx]
-    e_p = model_mod.encode_protein_with_pocket(state, arr.x_protein[:, idx], pocket, tape)
+    pairs at idx: (e_d, e_p, logit, confidence) nodes on `tape`."""
+    e_d = model_mod.encode_drug(state, pairs.x_drug[:, pairs.drug_idx[idx]], tape)
+    targets = pairs.target_idx[idx]
+    pocket = None if pairs.x_pocket is None else pairs.x_pocket[:, targets]
+    e_p = model_mod.encode_protein_with_pocket(state, pairs.x_protein[:, targets], pocket, tape)
     logit = model_mod.interaction_logit(state, e_d, e_p, tape)
     return e_d, e_p, logit, model_mod.confidence(state, e_d, e_p, logit, tape)
 
 
-def _forward_losses(state: ModelState, arr: _Arrays, idx: np.ndarray, tape: Tape, trip_rng: np.random.Generator | None):
+def _forward_losses(state: ModelState, pairs: _Pairs, idx: np.ndarray, tape: Tape, trip_rng: np.random.Generator | None):
     c = state.config
-    e_d, e_p, logit, conf = _pair_forward(state, arr, idx, tape)
+    e_d, e_p, logit, conf = _pair_forward(state, pairs, idx, tape)
 
     terms = losses.LossTerms()
     if c.mode == "classification":
-        y = arr.labels[idx]
+        y = pairs.labels[idx]
         probs = stable_sigmoid(logit.value).reshape(-1)
         terms.bce = losses.bce_with_logits(tape, logit, y)
         terms.conf = losses.confidence_loss(tape, conf, y, probs)
@@ -254,7 +228,7 @@ def _forward_losses(state: ModelState, arr: _Arrays, idx: np.ndarray, tape: Tape
                         c.triplet_margin,
                     )
     else:
-        target = arr.affinity[idx]
+        target = pairs.affinity[idx]
         if np.any(np.isnan(target)):
             raise DataError("regression mode requires an affinity on every record")
         terms.mse = losses.mse_loss(tape, logit, tape.constant(target.reshape(1, -1)))
@@ -264,11 +238,12 @@ def _forward_losses(state: ModelState, arr: _Arrays, idx: np.ndarray, tape: Tape
     if c.alpha_recon > 0:
         # positions past the batch's longest scorable prefix are masked, so
         # their logits are never computed
-        mask = arr.pad_mask[:, idx]
+        drugs = pairs.drug_idx[idx]
+        mask = pairs.pad_mask[:, drugs]
         n_pos = model_mod.scorable_prefix(mask)
-        recon_logits = model_mod.reconstruct(state, arr.x_drug[:, idx], tape, n_pos)
+        recon_logits = model_mod.reconstruct(state, pairs.x_drug[:, drugs], tape, n_pos)
         terms.recon = losses.reconstruction_loss(
-            tape, recon_logits, arr.token_ids[:n_pos, idx], mask[:n_pos], n_pos, c.vocab_size
+            tape, recon_logits, pairs.token_ids[:n_pos, drugs], mask[:n_pos], n_pos, c.vocab_size
         )
     return terms, logit, conf
 
@@ -293,7 +268,6 @@ def _validation_metric(state: ModelState, pairs: _Pairs) -> float:
 
 
 def _train_single(model_config: ModelConfig, data: DatasetBundle, config: TrainConfig, seed: int):
-    need_tokens = model_config.alpha_recon > 0
     train_recs = data.subset("train")
     valid_recs = data.subset("valid")
     test_recs = data.subset("test")
@@ -303,7 +277,9 @@ def _train_single(model_config: ModelConfig, data: DatasetBundle, config: TrainC
     validate_interactions(data.interactions, data.drugs, data.proteins, data.pockets, model_config.mode)
 
     state = model_mod.init_model(model_config, seed=splitmix64(seed, 0))
-    train = _Arrays(data, train_recs, state, need_tokens)
+    train = _Pairs(data, train_recs, state)
+    if model_config.alpha_recon > 0:
+        train.tokenize(data, state)
     valid = _Pairs(data, valid_recs, state)
     adam = AdamState(lr=config.lr, weight_decay=config.weight_decay)
     params = state.parameters()
@@ -312,7 +288,7 @@ def _train_single(model_config: ModelConfig, data: DatasetBundle, config: TrainC
     best_epoch = -1
     best_values = state.snapshot()
     stats: list[EpochStats] = []
-    n = len(train)
+    n = len(train_recs)
 
     for epoch in range(config.max_epochs):
         t0 = time.perf_counter()

@@ -444,3 +444,37 @@ def test_predict_on_binary_interactions_is_one_format_error_line(tmp_path, capsy
     assert rc == 1
     assert err.startswith(f"ERROR FORMAT: {binary}: not UTF-8")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_config_file_not_utf8_is_one_format_error_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xff\xfen_drugs = 4\n")
+    rc = main(["gen-synth", "--out", str(tmp_path / "data"), "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"ERROR FORMAT: {cfg}: not UTF-8")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_train_and_predict_without_smiles(tmp_path):
+    """Without smiles.tsv the reconstruction loss is off, so the autoencoder
+    gets no gradient; training still steps every parameter and predict
+    leaves unfamiliarity empty."""
+    data = gen(tmp_path, "data", seed=4)
+    (data / "smiles.tsv").unlink()
+    splits = tmp_path / "splits"
+    assert main(["split", "--data", str(data), "--strategy", "random", "--seed", "4", "--out", str(splits)]) == 0
+    inter = str(splits / "interactions.tsv")
+    cfg = write_config(tmp_path / "t.cfg", hidden_dim=8, output_dim=4, latent_dim=4, max_len=8,
+                       lr=3e-3, max_epochs=2, patience=2, batch_size=64)
+    model_dir = tmp_path / "model"
+    assert main(["train", "--mode", "dti", "--data", str(data), "--interactions", inter,
+                 "--config", str(cfg), "--seed", "4", "--out", str(model_dir)]) == 0
+    assert json.loads((model_dir / "model.tdti.json").read_text())["alpha_recon"] == 0.0
+    preds = tmp_path / "preds"
+    assert main(["predict", "--data", str(data), "--interactions", inter,
+                 "--model", str(model_dir / "model.tdti"), "--out", str(preds)]) == 0
+    from tensordti.training import load_predictions
+
+    rows = load_predictions(preds / "predictions.tsv")
+    assert rows and all(r.unfamiliarity is None and r.prob is not None for r in rows)

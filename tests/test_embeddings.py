@@ -65,6 +65,16 @@ def test_binary_round_trips_bit_exactly_with_jsonl(tmp_path):
     assert binary.read_bytes() == binary2.read_bytes()
 
 
+def test_binary_refuses_an_id_longer_than_its_length_field(tmp_path):
+    store = EmbeddingStore("drug")
+    store.add("short", np.ones(3))
+    store.add("é" * 35_000, np.ones(3))  # 70,000 UTF-8 bytes
+    path = tmp_path / "e.bin"
+    with pytest.raises(DataError, match="70000 UTF-8 bytes"):
+        save_embeddings_binary(store, path)
+    assert not path.exists()
+
+
 def test_nan_record_rejected(tmp_path):
     path = tmp_path / "nan.jsonl"
     path.write_text(json.dumps({"id": "a", "kind": "drug", "vec": [1.0, None]}) + "\n")

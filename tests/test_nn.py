@@ -197,6 +197,22 @@ def test_adam_decoupled_weight_decay():
     assert w.value[0, 0] == pytest.approx(2.0 - 0.5 * 0.1 * 2.0, abs=1e-12)
 
 
+def test_adam_missing_gradient_is_a_zero_gradient():
+    """A parameter the loss never reached has no entry in the gradients; it
+    steps exactly as with a zero gradient, moments and weight decay alike."""
+    rng = np.random.default_rng(0)
+    init = rng.standard_normal((3, 2))
+    g = rng.standard_normal((3, 2))
+    (a, b), (c, d) = [(Param(init, "a"), Param(init, "b")) for _ in range(2)]
+    missing, zero = AdamState(lr=0.1, weight_decay=0.5), AdamState(lr=0.1, weight_decay=0.5)
+    for step in range(3):
+        reached = step == 1  # b gets a gradient only on the second step
+        adam_step(missing, [a, b], {a: g, **({b: g} if reached else {})})
+        adam_step(zero, [c, d], {c: g, d: g if reached else np.zeros_like(g)})
+    assert np.array_equal(a.value, c.value) and np.array_equal(b.value, d.value)
+    assert not np.array_equal(b.value, init)
+
+
 def test_adam_rejects_nan_gradient_naming_parameter():
     w = Param([[1.0]], "culprit")
     state = AdamState(lr=0.1)

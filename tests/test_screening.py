@@ -467,6 +467,13 @@ def test_load_scores_and_actives(tmp_path):
     assert act.potency == {"c2": 7.5}
 
 
+def test_load_actives_refuses_a_repeated_compound_id(tmp_path):
+    path = tmp_path / "actives.tsv"
+    path.write_text("compound_id\tpotency\nc1\t7.5\nc1\t2.0\nc2\t3\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}:3: repeated compound_id 'c1'")):
+        load_actives(path)
+
+
 def test_load_scores_missing_required_column(tmp_path):
     bad = tmp_path / "bad.tsv"
     bad.write_text("compound_id\tscore\nc1\t1.0\n")

@@ -1,5 +1,7 @@
 import dataclasses
 import logging
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from tensordti import losses
 from tensordti import model as M
 from tensordti import training as T
-from tensordti.errors import DataError
+from tensordti.errors import ConfigError, DataError
 from tensordti.model import ModelConfig
 from tensordti.nn import Tape
 from tensordti.pipeline import SplitSpec, split
@@ -298,9 +300,9 @@ def test_factored_scores_match_tape_path(monkeypatch, case):
     assert len({r.drug_id for r in records}) < len(records) and len(records) % 8
     monkeypatch.setattr(M, "CHUNK_ELEMENTS", 8 * state.config.hidden_dim)
 
-    logits, _, confs = T._scores(state, T._Pairs(bundle, records, state))
-    arr = T._Arrays(bundle, records, state, need_tokens=False)
-    _, _, logit, conf = T._pair_forward(state, arr, np.arange(len(records)), Tape())
+    pairs = T._Pairs(bundle, records, state)
+    logits, _, confs = T._scores(state, pairs)
+    _, _, logit, conf = T._pair_forward(state, pairs, np.arange(len(records)), Tape())
     assert np.max(np.abs(logits - logit.value.reshape(-1))) <= 1e-12
     assert np.max(np.abs(confs - conf.value.reshape(-1))) <= 1e-12
 
@@ -317,6 +319,55 @@ def test_pairs_gather_each_entity_once():
         assert np.array_equal(pairs.x_drug[:, d], bundle.drugs.get(r.drug_id))
         assert np.array_equal(pairs.x_protein[:, t], bundle.proteins.get(r.target_id))
         assert np.array_equal(pairs.x_pocket[:, t], bundle.pockets.get(r.pocket_id))
+    pairs.tokenize(bundle, state)
+    assert pairs.token_ids.shape == pairs.pad_mask.shape == (state.config.max_len, len(pairs.drugs))
+    for r, d in zip(records, pairs.drug_idx):
+        seq = state.tokenizer.tokenize(bundle.smiles[r.drug_id])
+        assert np.array_equal(pairs.token_ids[:, d], seq.ids)
+        assert np.array_equal(pairs.pad_mask[:, d], state.tokenizer.pad_mask(seq))
+
+
+def test_training_table_tokens_need_every_drugs_smiles():
+    bundle = pocket_bundle()
+    state = M.init_model(model_cfg(pocket_dim=6), seed=0)
+    pairs = T._Pairs(bundle, bundle.interactions, state)
+    with pytest.raises(ConfigError, match="no SMILES"):
+        pairs.tokenize(dataclasses.replace(bundle, smiles=None), state)
+    drug = pairs.drugs[3]
+    smiles = {d: s for d, s in bundle.smiles.items() if d != drug}
+    with pytest.raises(DataError, match=f"no SMILES for drug '{drug}'"):
+        pairs.tokenize(dataclasses.replace(bundle, smiles=smiles), state)
+
+
+def test_training_table_memory_bounded_by_entities_not_records():
+    """Ten times the records over the same 50 drugs x 5 targets: building the
+    training table, tokens included, grows the traced peak by at most 64 B a
+    record (index and truth arrays plus list temporaries), never by a
+    per-record gather of inputs or tokens (26 + 2 * 12 values a record here)."""
+    data = gen_synthetic(
+        SyntheticConfig(
+            n_drugs=50, n_targets=5, drug_dim=10, protein_dim=10, pocket_dim=6,
+            n_latent_factors=2, smiles_len=8, seed=3,
+        )
+    )
+    bundle = DatasetBundle(
+        drugs=data.drugs, proteins=data.proteins, pockets=data.pockets,
+        interactions=data.interactions, smiles=data.smiles,
+    )
+    state = M.init_model(model_cfg(pocket_dim=6), seed=0)
+    rng = np.random.default_rng(0)
+
+    def peak(n_records):
+        records = [bundle.interactions[i] for i in rng.integers(0, len(bundle.interactions), n_records)]
+        tracemalloc.start()
+        try:
+            T._Pairs(bundle, records, state).tokenize(bundle, state)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = 2_000, 20_000
+    assert peak(large) - peak(small) <= 64 * (large - small)
 
 
 def _train_step(state, arr, idx, tape=None):
@@ -327,14 +378,72 @@ def _train_step(state, arr, idx, tape=None):
     return total.item(), tape.backward(total)
 
 
+ORACLE_CASES = {
+    "classification-pocket": ("dti", dict(pocket_dim=6)),
+    "regression": ("dta", dict(mode="regression")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_training_step_through_pairs_matches_per_pair_matrices(case):
+    """One step on a shuffled minibatch gathered through the per-entity table
+    against the same step over per-pair matrices (identity indices): the
+    same values in the same order, so the loss and every gradient are equal
+    bit for bit."""
+    task, kw = ORACLE_CASES[case]
+    bundle = pocket_bundle(task)
+    state = M.init_model(model_cfg(**kw), seed=4)
+    records = bundle.interactions + bundle.interactions[:9]
+    pairs = T._Pairs(bundle, records, state)
+    pairs.tokenize(bundle, state)
+    n = len(records)
+    assert pairs.x_drug.shape[1] < n and pairs.x_protein.shape[1] < n
+    per_pair = SimpleNamespace(
+        x_drug=bundle.drugs.matrix([r.drug_id for r in records]),
+        x_protein=bundle.proteins.matrix([r.target_id for r in records]),
+        x_pocket=None if pairs.x_pocket is None else bundle.pockets.matrix([r.pocket_id for r in records]),
+        drug_idx=np.arange(n), target_idx=np.arange(n),
+        labels=pairs.labels, affinity=pairs.affinity,
+    )
+    per_pair.token_ids, per_pair.pad_mask = state.tokenizer.tokenize_many([bundle.smiles[r.drug_id] for r in records])
+    idx = np.random.default_rng(2).permutation(n)[:64]
+    loss, grads = _train_step(state, pairs, idx)
+    want_loss, want_grads = _train_step(state, per_pair, idx)
+    assert loss == want_loss
+    assert grads.keys() == want_grads.keys()
+    for p, g in want_grads.items():
+        assert np.array_equal(grads[p], g), p.name
+
+
+def test_train_with_lambda_pocket_zero_only_decays_the_pocket_branch():
+    """lambda_pocket = 0 keeps the pocket encoder off the tape: Adam gives it
+    a zero gradient, so only weight decay moves it."""
+    from tensordti._util import splitmix64
+
+    bundle = pocket_bundle()
+    bundle.interactions = split(bundle.interactions, SplitSpec(seed=1))
+    cfg = model_cfg(pocket_dim=6, lambda_protein=0.5, lambda_pocket=0.0)
+    init = M.init_model(cfg, seed=splitmix64(0, 0))
+    state, report = train(cfg, bundle, train_cfg(max_epochs=3, patience=3))
+    assert np.isfinite(report.test_mean["aupr"])
+    for before, after in zip(init.encoder_pocket, state.encoder_pocket):
+        w0, w = before.weight.value, after.weight.value
+        assert not np.array_equal(w, w0)
+        np.testing.assert_allclose(w, w0, rtol=1e-6, atol=0)
+
+
 def _cut_case(case):
-    """(state, training arrays, minibatch, the minibatch's scorable prefix)."""
+    """(state, training table, minibatch, the minibatch's scorable prefix).
+    One record per drug, in the table's sorted drug order, so the token
+    columns line up with the records."""
     bundle = pocket_bundle() if case == "classification-pocket" else make_bundle()
     state = M.init_model(model_cfg(pocket_dim=6 if case == "classification-pocket" else None), seed=3)
-    records = bundle.interactions[:40]
+    records = sorted({r.drug_id: r for r in bundle.interactions}.values(), key=lambda r: r.drug_id)[:40]
     if case == "truncated-at-max-len":
         bundle.smiles = {**bundle.smiles, records[7].drug_id: "CNOS" * 5}
-    arr = T._Arrays(bundle, records, state, need_tokens=True)
+    arr = T._Pairs(bundle, records, state)
+    arr.tokenize(bundle, state)
+    assert np.array_equal(arr.drug_idx, np.arange(len(records)))
     idx = np.arange(len(records))[::-1]
     if case == "one-sample":
         idx = idx[:1]
