@@ -18,6 +18,8 @@ import os
 import platform
 import sys
 import time
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,8 @@ from .embeddings import (
     load_smiles,
     save_interactions,
 )
-from .errors import DataError, FormatError, MissingColumnError, TdtiError, UsageError
+from .errors import ConfigError, DataError, FormatError, MissingColumnError, TdtiError, UsageError
+from .metrics import confusion_confidence, metric_bundle
 from .model import ModelConfig
 from .pipeline import SplitSpec
 from .screening import ScoreRow, load_actives, load_scores
@@ -105,9 +108,36 @@ def _parse_value(value: str):
         return value
 
 
+def _fits(value, hint) -> bool:
+    """Whether a parsed config value has the declared type; an int fits a float."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, tuple):
+            return False
+        if args[1:] == (Ellipsis,):
+            args = args[:1] * len(value)
+        return len(value) == len(args) and all(map(_fits, value, args))
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, h) for h in args)
+    if isinstance(value, bool) and hint is not bool:
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _check_type(key: str, value, hint) -> None:
+    if not _fits(value, hint):
+        name = hint.__name__ if isinstance(hint, type) else str(hint)
+        raise ConfigError(f"config key {key!r} expects {name}, got {value!r}")
+
+
 def _split_fields(config: dict, cls) -> dict:
-    names = {f.name for f in dataclasses.fields(cls)}
-    return {k: v for k, v in config.items() if k in names}
+    """The config entries that name a field of `cls`, each checked against
+    the field's declared type."""
+    hints = typing.get_type_hints(cls)
+    fields = {k: v for k, v in config.items() if k in hints}
+    for key, value in fields.items():
+        _check_type(key, value, hints[key])
+    return fields
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -246,7 +276,8 @@ def cmd_train(args, config: dict) -> int:
 
     train_fields = _split_fields(config, TrainConfig)
     train_fields.setdefault("lr", 5e-5 if mode == "classification" else 1e-4)
-    n_seeds = int(config.get("n_seeds", 1))
+    n_seeds = config.get("n_seeds", 1)
+    _check_type("n_seeds", n_seeds, int)
     train_fields["seeds"] = tuple(splitmix64(args.seed, i) % (2**31) for i in range(n_seeds))
     train_config = TrainConfig(**train_fields)
 
@@ -348,17 +379,25 @@ def cmd_enrich(args, config: dict) -> int:
     actives = load_actives(run.track_input(args.actives))
 
     rankings: dict[str, screening.RankedLibrary] = {}
-    if args.ranked:
-        for spec in args.ranked:
-            if "=" not in spec:
-                raise UsageError(f"--ranked expects name=path, got {spec!r}")
-            name, path = spec.split("=", 1)
-            rankings[name] = _load_ranked(run.track_input(path), "external")
+
+    def claim(name: str) -> str:
+        """The report keys its columns by method name, so each must be new."""
+        if name == "random":
+            raise UsageError("method name 'random' is reserved for the random-baseline column")
+        if name in rankings:
+            raise UsageError(f"method name {name!r} is given more than once")
+        return name
+
+    for spec in args.ranked or ():
+        if "=" not in spec:
+            raise UsageError(f"--ranked expects name=path, got {spec!r}")
+        name, path = spec.split("=", 1)
+        rankings[claim(name)] = _load_ranked(run.track_input(path), "external")
     if args.scores:
         rows = load_scores(run.track_input(args.scores))
         criterion = RANKING_ALIASES[args.ranking]
         for method in sorted({r.method for r in rows}):
-            rankings[method] = screening.rank([r for r in rows if r.method == method], criterion)
+            rankings[claim(method)] = screening.rank([r for r in rows if r.method == method], criterion)
     if not rankings:
         raise UsageError("provide --ranked name=path and/or --scores")
 
@@ -372,10 +411,12 @@ def cmd_enrich(args, config: dict) -> int:
 
 
 def cmd_report(args, config: dict) -> int:
-    from .metrics import aupr, confusion_confidence, f1, pcc, rmse
-
     run = _Run("report", args.out, dict(config), [args.seed])
     preds = training.load_predictions(run.track_input(args.predictions))
+    column = "prob" if args.mode == "dti" else "affinity_pred"
+    predicted = [getattr(p, column) for p in preds]
+    if any(v is None for v in predicted):
+        raise MissingColumnError(f"{args.predictions}: {column} required for {args.mode} report")
     truth = {
         (r.drug_id, r.target_id): r
         for r in load_interactions(run.track_input(args.interactions))
@@ -384,28 +425,14 @@ def cmd_report(args, config: dict) -> int:
     if missing:
         raise DataError(f"{len(missing)} predictions lack ground truth, e.g. {missing[:3]}")
 
-    payload: dict = {"n": len(preds)}
-    if args.mode == "dti":
-        y = [truth[(p.drug_id, p.target_id)].label for p in preds]
-        if any(v is None for v in y):
-            raise MissingColumnError("ground-truth labels required for dti report")
-        probs = [p.prob for p in preds]
-        confs = [p.confidence for p in preds]
-        payload["aupr"] = aupr(probs, y)
-        payload["f1"] = f1(probs, y)
-        if all(c is not None for c in confs):
-            payload["confusion_confidence"] = confusion_confidence(y, probs, confs).as_dict()
-    else:
-        t = [truth[(p.drug_id, p.target_id)].affinity for p in preds]
-        if any(v is None for v in t):
-            raise MissingColumnError("ground-truth affinities required for dta report")
-        predicted = [p.affinity_pred for p in preds]
-        payload["rmse"] = rmse(predicted, t)
-        try:
-            payload["pcc"] = pcc(predicted, t)
-        except DataError as exc:
-            payload["pcc"] = None
-            payload["pcc_error"] = str(exc)
+    field = "label" if args.mode == "dti" else "affinity"
+    actual = [getattr(truth[(p.drug_id, p.target_id)], field) for p in preds]
+    if any(v is None for v in actual):
+        raise MissingColumnError(f"{args.interactions}: ground-truth {field} required for {args.mode} report")
+    payload: dict = {"n": len(preds), **metric_bundle(args.mode == "dti", predicted, actual)}
+    confs = [p.confidence for p in preds]
+    if args.mode == "dti" and all(c is not None for c in confs):
+        payload["confusion_confidence"] = confusion_confidence(actual, predicted, confs).as_dict()
     if args.unf_threshold is not None:
         rows = [
             ScoreRow(

@@ -40,6 +40,6 @@ class MissingColumnError(FormatError):
 
 
 class DataError(TdtiError):
-    """Semantically invalid data (empty classes, infeasible sampling, ...)."""
+    """Semantically invalid data (empty classes, empty partitions, ...)."""
 
     code = "DATA"

@@ -1,5 +1,5 @@
-"""Evaluation metrics: AUPR (average precision), F1, PCC, RMSE, and
-per-confusion-category confidence summaries."""
+"""Evaluation metrics: AUPR (average precision), F1, PCC, RMSE, the
+per-mode bundle of them, and per-confusion-category confidence summaries."""
 
 from __future__ import annotations
 
@@ -62,6 +62,8 @@ def _pair(x, y):
         raise DataError(f"length mismatch: {a.size} vs {b.size}")
     if a.size < 2:
         raise DataError("need at least 2 points")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise DataError("values contain non-finite entries")
     return a, b
 
 
@@ -79,6 +81,21 @@ def pcc(x, y) -> float:
 def rmse(x, y) -> float:
     a, b = _pair(x, y)
     return float(np.sqrt(np.mean((a - b) ** 2)))
+
+
+def metric_bundle(classification: bool, predicted, truth) -> dict:
+    """A mode's reported metrics: AUPR and F1 of probabilities against 0/1
+    labels, or RMSE and PCC of predicted against true affinities (an
+    undefined PCC is None, with the reason in `pcc_error`)."""
+    if classification:
+        return {"aupr": aupr(predicted, truth), "f1": f1(predicted, truth)}
+    out = {"rmse": rmse(predicted, truth)}
+    try:
+        out["pcc"] = pcc(predicted, truth)
+    except DataError as exc:
+        out["pcc"] = None
+        out["pcc_error"] = str(exc)
+    return out
 
 
 @dataclass

@@ -15,7 +15,7 @@ from . import losses, model as model_mod
 from ._util import parse_number, read_tsv, splitmix64, write_tsv
 from .embeddings import EmbeddingStore, InteractionRecord, validate_interactions
 from .errors import ConfigError, DataError, FormatError
-from .metrics import aupr, f1, pcc, rmse
+from .metrics import aupr, metric_bundle, pcc
 from .model import ModelConfig, ModelState
 from .nn import AdamState, Tape, adam_step, stable_sigmoid
 
@@ -395,15 +395,6 @@ def evaluate(state: ModelState, data: DatasetBundle, records: list[InteractionRe
             )
         )
 
-    metrics: dict = {}
     if classification:
-        metrics["aupr"] = aupr(probs, pairs.labels)
-        metrics["f1"] = f1(probs, pairs.labels)
-    else:
-        metrics["rmse"] = rmse(logits, pairs.affinity)
-        try:
-            metrics["pcc"] = pcc(logits, pairs.affinity)
-        except DataError as exc:
-            metrics["pcc"] = None
-            metrics["pcc_error"] = str(exc)
-    return metrics, preds
+        return metric_bundle(True, probs, pairs.labels), preds
+    return metric_bundle(False, logits, pairs.affinity), preds

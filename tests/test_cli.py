@@ -1,13 +1,22 @@
+import dataclasses
 import hashlib
 import json
 import logging
 import platform
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tensordti.cli import main
+from tensordti.cli import _parse_config_file, _split_fields, main
+from tensordti.errors import TdtiError
+from tensordti.model import ModelConfig
+from tensordti.pipeline import SplitSpec
+from tensordti.synthetic import SyntheticConfig
+from tensordti.training import TrainConfig
 
 
 def digest_dir(path: Path, skip=("manifest.json",)) -> str:
@@ -377,6 +386,29 @@ def test_enrich_nan_score_is_format_error_in_either_row_order(tmp_path, capsys, 
     assert not (tmp_path / "enrich" / "enrichment.json").exists()
 
 
+@pytest.mark.parametrize(
+    "ranked_names, score_method",
+    [(["m", "m"], None), (["random"], None), (["glide"], "glide"), ([], "random")],
+)
+def test_enrich_method_name_clash_is_usage_error(tmp_path, capsys, ranked_names, score_method):
+    """The report keys its columns by method name: a repeated name kept only
+    the last ranking, and a ranking named `random` read the baseline's
+    budgets (62.5 rather than 25.0 here) beside its own recall."""
+    ranked, act = enrich_inputs(tmp_path, ["1\tc1", "2\tc2", "3\tc3", "4\tc4"], actives=("c1",))
+    args = ["enrich", "--actives", str(act), "--out", str(tmp_path / "enrich")]
+    for name in ranked_names:
+        args += ["--ranked", f"{name}={ranked}"]
+    if score_method:
+        scores = tmp_path / "scores.tsv"
+        rows = "".join(f"c{i}\t{score_method}\t-{i}\n" for i in range(1, 5))
+        scores.write_text("compound_id\tmethod\tscore\n" + rows)
+        args += ["--scores", str(scores), "--ranking", "docking"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR USAGE: method name") and err.count("\n") == 1
+    assert not (tmp_path / "enrich" / "enrichment.json").exists()
+
+
 # -- unfamiliarity filter ------------------------------------------------------------
 
 
@@ -478,3 +510,77 @@ def test_train_and_predict_without_smiles(tmp_path):
 
     rows = load_predictions(preds / "predictions.tsv")
     assert rows and all(r.unfamiliarity is None and r.prob is not None for r in rows)
+
+
+# -- report and config errors ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode, column", [("dta", "affinity_pred"), ("dti", "prob")])
+def test_report_without_the_modes_prediction_column_is_missing_column(tmp_path, capsys, mode, column):
+    """dti predictions leave affinity_pred empty: a dta report over them wrote
+    `"pcc": NaN, "rmse": NaN` and exited 0."""
+    preds = tmp_path / "preds.tsv"
+    truth = tmp_path / "truth.tsv"
+    # rows of the other mode: dti rows leave affinity_pred empty, dta rows prob
+    row = {"dta": "D{i}\tT0\t0.{i}\t0.{i}\t0\t\t0.1\t\n", "dti": "D{i}\tT0\t6.{i}\t\t\t6.{i}\t0.1\t\n"}[mode]
+    preds.write_text(
+        "drug_id\ttarget_id\tlogit\tprob\tpred_label\taffinity_pred\tconfidence\tunfamiliarity\n"
+        + "".join(row.format(i=i) for i in range(4))
+    )
+    truth.write_text(
+        "drug_id\ttarget_id\tpocket_id\tlabel\taffinity\tsplit\n"
+        + "".join(f"D{i}\tT0\t\t{i % 2}\t{5 + i}\ttest\n" for i in range(4))
+    )
+    rc = main(["report", "--predictions", str(preds), "--interactions", str(truth), "--mode", mode,
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"ERROR MISSING_COLUMN: {preds}: {column} required") and err.count("\n") == 1
+    assert not (tmp_path / "out" / "metrics.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [("split", "fractions = 0.5"), ("train", 'hidden_dim = "abc"'), ("train", "n_seeds = x")],
+)
+def test_config_value_of_the_wrong_type_is_config_error(tmp_path, capsys, command, line):
+    data = gen(tmp_path)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    rc = main([command, "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    key = line.split(" = ")[0]
+    assert err.startswith(f"ERROR CONFIG: config key {key!r} expects") and err.count("\n") == 1
+
+
+CONFIG_CLASSES = (SyntheticConfig, SplitSpec, ModelConfig, TrainConfig)
+CONFIG_KEYS = sorted({f.name for cls in CONFIG_CLASSES for f in dataclasses.fields(cls)})
+CONFIG_VALUES = st.one_of(
+    st.integers(-3, 10**6).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["true", "false", '"dti"', '"random"', "abc", "0.7, 0.1, 0.2", "0.5, 0.5", "1, 2", "1, x", '""']),
+    st.text(max_size=12),
+)
+CONFIG_TEXT = st.one_of(
+    st.lists(st.tuples(st.sampled_from(CONFIG_KEYS), CONFIG_VALUES).map(" = ".join), max_size=6).map("\n".join),
+    st.text(max_size=60),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CONFIG_TEXT)
+def test_any_config_text_builds_every_config_or_is_a_typed_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.cfg"
+        path.write_text(text, encoding="utf-8")
+        try:
+            config = _parse_config_file(path)
+        except TdtiError:
+            return
+    for cls in CONFIG_CLASSES:
+        try:
+            fields = _split_fields(config, cls)
+            cls(**({"drug_dim": 4, "protein_dim": 4, **fields} if cls is ModelConfig else fields))
+        except TdtiError:
+            pass

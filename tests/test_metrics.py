@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tensordti.errors import DataError
-from tensordti.metrics import aupr, confusion_confidence, f1, pcc, rmse
+from tensordti.metrics import aupr, confusion_confidence, f1, metric_bundle, pcc, rmse
 
 
 # -- brute-force oracles (kept independent of the implementations under test) --
@@ -187,6 +187,27 @@ def test_rmse_translation_covariance():
     x = rng.standard_normal(25)
     y = rng.standard_normal(25)
     assert rmse(x + 4.2, y + 4.2) == pytest.approx(rmse(x, y), abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("metric", [pcc, rmse])
+def test_pcc_rmse_reject_non_finite_values(metric, bad):
+    """A missing prediction read as nan must not come out as a nan metric."""
+    with pytest.raises(DataError, match="non-finite"):
+        metric([1.0, bad, 3.0], [1.0, 2.0, 3.0])
+    with pytest.raises(DataError, match="non-finite"):
+        metric([1.0, 2.0, 3.0], [1.0, bad, 3.0])
+
+
+def test_metric_bundle_per_mode():
+    assert metric_bundle(True, [0.9, 0.2, 0.7, 0.4], [1, 0, 1, 0]) == {"aupr": 1.0, "f1": 1.0}
+    x, y = [1.0, 2.0, 4.0], [1.0, 2.0, 3.0]
+    assert metric_bundle(False, x, y) == {"rmse": rmse(x, y), "pcc": pcc(x, y)}
+    assert metric_bundle(False, [2.0, 2.0], [1.0, 3.0]) == {
+        "rmse": 1.0,
+        "pcc": None,
+        "pcc_error": "pcc undefined: zero variance in an argument",
+    }
 
 
 # -- confusion / confidence summary ------------------------------------------------------

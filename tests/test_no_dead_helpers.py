@@ -1,0 +1,66 @@
+"""Every function, method and class in `src/tensordti` has a caller in
+`src/`, apart from the few that only the tests use as oracles."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import tensordti
+
+SRC = Path(tensordti.__file__).parent
+
+# kept for the tests alone: each is the reference a tested path is checked against
+TEST_ORACLES = {
+    "nn.grad_check",
+    "nn.Tape.sum_all",
+    "tokenizer.SmilesTokenizer.detokenize",
+    "model.run_encoder",
+    "embeddings.save_embeddings_binary",
+}
+
+
+def definitions(node, prefix):
+    """(qualified name, node) of every def and class under `node`; methods
+    and nested defs are qualified by what encloses them."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield f"{prefix}.{child.name}", child
+            yield from definitions(child, f"{prefix}.{child.name}")
+        else:
+            yield from definitions(child, prefix)
+
+
+def overrides(qualname):
+    """Whether `module.Class.method` overrides an inherited method, which its
+    base class calls."""
+    module, *path = qualname.split(".")
+    if len(path) != 2:
+        return False
+    cls = getattr(importlib.import_module(f"tensordti.{module}"), path[0], None)
+    return isinstance(cls, type) and any(hasattr(base, path[1]) for base in cls.__mro__[1:])
+
+
+def test_every_definition_is_referenced_in_src_outside_itself():
+    """A reference is a name or an attribute spelled like the definition
+    (an import is not one), anywhere in `src/` but inside the definition's
+    own lines. An override counts as called by its base class."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in SRC.glob("*.py")}
+    references: dict[str, list[tuple[str, int]]] = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                references.setdefault(name, []).append((module, node.lineno))
+
+    defined, dead = set(), set()
+    for module, tree in trees.items():
+        for qualname, node in definitions(tree, module):
+            defined.add(qualname)
+            if node.name.startswith("__") and node.name.endswith("__") or overrides(qualname):
+                continue
+            inside = range(node.lineno, node.end_lineno + 1)
+            if not any(m != module or line not in inside for m, line in references.get(node.name, ())):
+                dead.add(qualname)
+
+    assert TEST_ORACLES <= defined, f"oracles no longer defined: {sorted(TEST_ORACLES - defined)}"
+    assert sorted(dead - TEST_ORACLES) == []

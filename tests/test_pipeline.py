@@ -5,17 +5,7 @@ import pytest
 
 from tensordti.embeddings import InteractionRecord
 from tensordti.errors import ConfigError, DataError
-from tensordti.pipeline import (
-    EntityPool,
-    NegSampleSpec,
-    SplitSpec,
-    balance_train,
-    label_by_kd,
-    load_pocket_scores,
-    negatives_for_splits,
-    sample_negatives,
-    split,
-)
+from tensordti.pipeline import SplitSpec, balance_train, split
 
 
 def rec(d, t, label=None, affinity=None, split="unassigned", pocket=None):
@@ -28,118 +18,6 @@ def grid(n_drugs, n_targets, label_fn=lambda i, j: (i + j) % 2, split_tag="unass
         for i in range(n_drugs)
         for j in range(n_targets)
     ]
-
-
-# -- label_by_kd --------------------------------------------------------------
-
-
-def test_label_by_kd_strict_inequality():
-    records = [rec("D0", "T0", affinity=29.0), rec("D1", "T0", affinity=30.0), rec("D2", "T0", affinity=31.0)]
-    labeled = label_by_kd(records, threshold=30.0)
-    assert [r.label for r in labeled] == [1, 0, 0]
-    assert [r.affinity for r in labeled] == [29.0, 30.0, 31.0]  # retained
-
-
-def test_label_by_kd_missing_affinity_errors():
-    with pytest.raises(DataError, match="D0"):
-        label_by_kd([rec("D0", "T0")])
-
-
-# -- sample_negatives ----------------------------------------------------------
-
-
-def pool_for(records, pockets=None, dissim=None):
-    return EntityPool(
-        drug_ids=sorted({r.drug_id for r in records}),
-        target_ids=sorted({r.target_id for r in records}),
-        pocket_by_target=pockets,
-        dissimilarity=dissim,
-    )
-
-
-def test_sample_negatives_count_and_no_collisions():
-    positives = [rec(f"D{i}", f"T{i % 4}", label=1, split="train") for i in range(10)]
-    pool = pool_for(positives)
-    negs = sample_negatives(positives, NegSampleSpec(ratio=1.0), pool, seed=0)
-    assert len(negs) == 10
-    pos_pairs = {(r.drug_id, r.target_id) for r in positives}
-    neg_pairs = {(r.drug_id, r.target_id) for r in negs}
-    assert not pos_pairs & neg_pairs
-    assert len(neg_pairs) == 10  # no duplicates
-    assert all(r.label == 0 and r.split == "train" for r in negs)
-
-
-def test_sample_negatives_deterministic_under_seed():
-    positives = [rec(f"D{i}", f"T{i % 5}", label=1, split="train") for i in range(20)]
-    pool = pool_for(positives)
-    a = sample_negatives(positives, NegSampleSpec(ratio=2.0), pool, seed=7)
-    b = sample_negatives(positives, NegSampleSpec(ratio=2.0), pool, seed=7)
-    assert a == b
-    c = sample_negatives(positives, NegSampleSpec(ratio=2.0), pool, seed=8)
-    assert a != c
-
-
-def test_sample_negatives_ratio_rounding():
-    positives = [rec(f"D{i}", f"T{i % 4}", label=1, split="train") for i in range(15)]
-    pool = pool_for(positives)
-    negs = sample_negatives(positives, NegSampleSpec(ratio=0.4), pool, seed=1)
-    assert len(negs) == 6  # round(0.4 * 15)
-
-
-def test_sample_negatives_infeasible_pool_errors():
-    # every pair is a positive: nothing to sample
-    positives = [rec(f"D{i}", f"T{j}", label=1, split="train") for i in range(2) for j in range(2)]
-    pool = pool_for(positives)
-    with pytest.raises(DataError, match="attempts"):
-        sample_negatives(positives, NegSampleSpec(ratio=1.0), pool, seed=0)
-
-
-def test_pocket_dissimilar_identical_pockets_error():
-    positives = [rec(f"D{i}", f"T{i}", label=1, split="train", pocket="K0") for i in range(4)]
-    pool = pool_for(positives, pockets={f"T{i}": "K0" for i in range(4)}, dissim={})
-    with pytest.raises(DataError):
-        sample_negatives(positives, NegSampleSpec(strategy="pocket_dissimilar", ratio=1.0, threshold=1.0), pool, seed=0)
-
-
-def test_pocket_dissimilar_respects_threshold():
-    positives = [rec(f"D{i}", f"T{i}", label=1, split="train", pocket=f"K{i}") for i in range(4)]
-    pockets = {f"T{i}": f"K{i}" for i in range(8)}
-    # K0..K3 mutually similar; K4..K7 dissimilar from everything
-    dissim = {}
-    for i in range(8):
-        for j in range(i + 1, 8):
-            dissim[(f"K{i}", f"K{j}")] = 1.0 if (i >= 4 or j >= 4) else 0.1
-    pool = EntityPool(
-        drug_ids=[f"D{i}" for i in range(4)],
-        target_ids=[f"T{i}" for i in range(8)],
-        pocket_by_target=pockets,
-        dissimilarity=dissim,
-    )
-    spec = NegSampleSpec(strategy="pocket_dissimilar", ratio=2.0, threshold=0.7)
-    negs = sample_negatives(positives, spec, pool, seed=3)
-    assert len(negs) == 8
-    by_target = {r.target_id for r in negs}
-    assert by_target <= {f"T{i}" for i in range(4, 8)}
-
-
-def test_pocket_dissimilar_requires_tables():
-    positives = [rec("D0", "T0", label=1, split="train", pocket="K0")]
-    with pytest.raises(ConfigError):
-        sample_negatives(positives, NegSampleSpec(strategy="pocket_dissimilar"), pool_for(positives), seed=0)
-
-
-def test_negatives_for_splits_stay_within_split():
-    positives = (
-        [rec(f"D{i}", f"T{i % 3}", label=1, split="train") for i in range(6)]
-        + [rec(f"D{i + 10}", f"T{(i % 2) + 3}", label=1, split="test") for i in range(4)]
-    )
-    negs = negatives_for_splits(positives, NegSampleSpec(ratio=1.0), master_seed=5)
-    train_entities = {r.drug_id for r in positives if r.split == "train"}
-    for r in negs:
-        if r.split == "train":
-            assert r.drug_id in train_entities
-        else:
-            assert r.drug_id not in train_entities
 
 
 # -- split ----------------------------------------------------------------------
@@ -212,6 +90,8 @@ def test_fraction_validation():
         SplitSpec(fractions=(0.5, 0.5, 0.5))
     with pytest.raises(ConfigError):
         SplitSpec(fractions=(0.7, 0.3, 0.0))
+    with pytest.raises(ConfigError):  # nan passed both checks, then split crashed in floor()
+        SplitSpec(fractions=(float("nan"),) * 3)
 
 
 def test_unseen_target_defeats_memorization():
@@ -285,28 +165,6 @@ def test_bindingdb_style_test_imbalance_retained():
 def test_balance_deterministic():
     records = [rec(f"D{i}", "T0", label=int(i < 30), split="train") for i in range(100)]
     assert balance_train(records, seed=3) == balance_train(records, seed=3)
-
-
-# -- pocket score table -------------------------------------------------------------
-
-
-def test_load_pocket_scores(tmp_path):
-    path = tmp_path / "scores.tsv"
-    path.write_text("pocket_a\tpocket_b\tscore\nK0\tK1\t0.85\nK1\tK2\t0.1\n")
-    table = load_pocket_scores(path)
-    pool = EntityPool(drug_ids=["D"], target_ids=["T"], dissimilarity=table)
-    assert pool.dissim("K0", "K1") == 0.85
-    assert pool.dissim("K1", "K0") == 0.85  # symmetric lookup
-    assert pool.dissim("K0", "K9") == 0.0  # missing -> similar (never dissimilar)
-
-
-def test_pocket_scores_out_of_range(tmp_path):
-    path = tmp_path / "bad.tsv"
-    path.write_text("pocket_a\tpocket_b\tscore\nK0\tK1\t1.5\n")
-    from tensordti.errors import FormatError
-
-    with pytest.raises(FormatError):
-        load_pocket_scores(path)
 
 
 def test_records_immutable_semantics():

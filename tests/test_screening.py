@@ -7,7 +7,6 @@ import pytest
 
 from tensordti.embeddings import load_interactions
 from tensordti.errors import DataError, FormatError, MissingColumnError, UsageError
-from tensordti.pipeline import load_pocket_scores
 from tensordti.screening import (
     ActiveSet,
     RankedLibrary,
@@ -509,11 +508,6 @@ NUMERIC_FIELD_CASES = {
         "label 'yes'",
     ),
     "actives.potency": (load_actives, "compound_id\tpotency\nc1\t7.5\nc2\tabc\n", "potency 'abc'"),
-    "pocket_scores.score": (
-        load_pocket_scores,
-        "pocket_a\tpocket_b\tscore\nP0\tP1\t0.5\nP0\tP2\thigh\n",
-        "score 'high'",
-    ),
     "interactions.label": (load_interactions, INTERACTIONS_HEAD + "D1\tT0\t\tyes\t\t\n", "label 'yes'"),
     "interactions.affinity": (load_interactions, INTERACTIONS_HEAD + "D1\tT0\t\t\t7.x\t\n", "affinity '7.x'"),
     "interactions.label_nan": (load_interactions, INTERACTIONS_HEAD + "D1\tT0\t\tnan\t\t\n", "label 'nan'"),
@@ -543,11 +537,6 @@ NON_FINITE_FIELD_CASES = {
         load_scores, "compound_id\tmethod\tscore\nc1\tglide\t-9.1\nc2\tglide\t-inf\n", "score '-inf'"
     ),
     "actives.potency": (load_actives, "compound_id\tpotency\nc1\t7.5\nc2\tnan\n", "potency 'nan'"),
-    "pocket_scores.score": (
-        load_pocket_scores,
-        "pocket_a\tpocket_b\tscore\nP0\tP1\t0.5\nP0\tP2\tnan\n",
-        "score 'nan'",
-    ),
     "interactions.affinity_nan": (load_interactions, INTERACTIONS_HEAD + "D1\tT0\t\t\tnan\t\n", "affinity 'nan'"),
     "interactions.affinity_inf": (load_interactions, INTERACTIONS_HEAD + "D1\tT0\t\t\tinf\t\n", "affinity 'inf'"),
     "interactions.affinity_minus_inf": (

@@ -1,4 +1,4 @@
-"""The shared TSV table layer (`_util.read_tsv` / `write_tsv`) and the seven
+"""The shared TSV table layer (`_util.read_tsv` / `write_tsv`) and the six
 table readers built on it."""
 
 import re
@@ -13,7 +13,6 @@ from tensordti._util import read_tsv, write_tsv
 from tensordti.cli import _load_ranked
 from tensordti.embeddings import INTERACTION_COLUMNS, load_interactions, load_smiles
 from tensordti.errors import DataError, FormatError
-from tensordti.pipeline import load_pocket_scores
 from tensordti.screening import load_actives, load_scores
 from tensordti.training import PREDICTION_COLUMNS, load_predictions
 
@@ -30,7 +29,6 @@ READERS = {
         list(PREDICTION_COLUMNS),
         [["D0", "T0", "1.5", "0.8", "1", "", "0.1", "0.2"], ["D1", "T0", "-2", "0.1", "0", "", "0.3", ""]],
     ),
-    "pocket_scores": (load_pocket_scores, ["pocket_a", "pocket_b", "score"], [["P0", "P1", "0.5"], ["P0", "P2", "1"]]),
     "ranked": (lambda path: _load_ranked(path, "external"), ["rank", "compound_id"], [["1", "c1"], ["2", "c2"]]),
     "scores": (load_scores, ["compound_id", "method", "score"], [["c1", "glide", "-9.1"], ["c2", "glide", "-8"]]),
     "actives": (load_actives, ["compound_id", "potency"], [["c1", "7.5"], ["c2", "6"]]),
