@@ -8,7 +8,7 @@ import itertools
 import math
 from pathlib import Path
 
-from .errors import DataError, FormatError
+from .errors import ConfigError, DataError, FormatError
 
 _MASK64 = (1 << 64) - 1
 
@@ -52,6 +52,16 @@ def parse_number(raw: str, cast, where: str, field: str):
     if not math.isfinite(value):
         raise FormatError(f"{where}: {field} {raw!r} is not finite")
     return value
+
+
+def check_floats(config, **rules: str) -> None:
+    """Raise a ConfigError naming the first field of `config` in `rules`
+    whose value is nan, infinite or breaks its rule: "" (none), ">= 0" or
+    "> 0". A plain `x < 0` check lets nan through: every compare is false."""
+    for name, rule in rules.items():
+        value = getattr(config, name)
+        if not -math.inf < value < math.inf or (rule == ">= 0" and value < 0) or (rule == "> 0" and value <= 0):
+            raise ConfigError(f"{name} must be a finite number {rule}".rstrip() + f", got {value!r}")
 
 
 def read_tsv(path: str | Path):

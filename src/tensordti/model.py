@@ -17,8 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
+from ._util import check_floats
 from .errors import ConfigError, DataError, FormatError, ShapeError
-from .nn import DenseLayer, Node, Param, Tape, dense_forward, init_dense, token_nll, unit_sigmoid
+from .nn import DenseLayer, Node, Param, Tape, dense_forward, first_non_finite, init_dense, pack, token_nll, unit_sigmoid
 from .tokenizer import DEFAULT_ALPHABET, N_SPECIALS, SmilesTokenizer
 
 CHECKPOINT_MAGIC = b"TDTICKPT"
@@ -64,12 +65,10 @@ class ModelConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.contrastive not in CONTRASTIVE_VARIANTS:
             raise ConfigError(f"contrastive must be one of {CONTRASTIVE_VARIANTS}")
-        if min(self.alpha_cls, self.alpha_con, self.alpha_conf, self.alpha_recon) < 0:
-            raise ConfigError("loss weights must be >= 0")
-        if self.margin <= 0 or self.triplet_margin <= 0:
-            raise ConfigError("margins must be > 0")
-        if self.unfamiliarity_eps <= 0:
-            raise ConfigError("unfamiliarity eps must be > 0")
+        check_floats(
+            self, lambda_protein="", lambda_pocket="", alpha_cls=">= 0", alpha_con=">= 0", alpha_conf=">= 0",
+            alpha_recon=">= 0", margin="> 0", triplet_margin="> 0", unfamiliarity_eps="> 0", error_scale="> 0",
+        )
 
     @property
     def vocab_size(self) -> int:
@@ -94,9 +93,11 @@ class ModelState:
     ae_encoder: DenseLayer
     ae_decoder: DenseLayer
     tokenizer: SmilesTokenizer = field(init=False)
+    flat: np.ndarray = field(init=False, repr=False)  # every parameter's values; each Param.value is a view
 
     def __post_init__(self):
         self.tokenizer = SmilesTokenizer(self.config.vocab, self.config.max_len)
+        self.flat = pack(self.parameters())
 
     def parameters(self) -> list[Param]:
         layers: list[DenseLayer] = []
@@ -110,14 +111,13 @@ class ModelState:
             params.append(layer.bias)
         return params
 
-    def snapshot(self) -> list[np.ndarray]:
-        return [p.value.copy() for p in self.parameters()]
+    def snapshot(self) -> np.ndarray:
+        return self.flat.copy()
 
-    def restore(self, values: list[np.ndarray]) -> None:
-        for p, v in zip(self.parameters(), values):
-            if p.value.shape != v.shape:
-                raise ShapeError(f"snapshot shape {v.shape} != {p.name} shape {p.value.shape}")
-            p.value = v.copy()
+    def restore(self, values: np.ndarray) -> None:
+        if values.shape != self.flat.shape:
+            raise ShapeError(f"snapshot shape {values.shape} != parameter buffer shape {self.flat.shape}")
+        self.flat[...] = values
 
 
 def init_model(config: ModelConfig, seed: int = 0) -> ModelState:
@@ -316,12 +316,13 @@ def save_checkpoint(state: ModelState, path: str | Path) -> None:
     path = Path(path)
     cfg = _config_json(state.config)
     chunks = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION), struct.pack("<I", len(cfg)), cfg]
-    for p in state.parameters():
-        if not np.all(np.isfinite(p.value)):
-            raise DataError(f"parameter {p.name!r} has non-finite values; {path} not written")
-        rows, cols = p.value.shape
-        chunks.append(struct.pack("<II", rows, cols))
-        chunks.append(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
+    params = state.parameters()
+    bad = first_non_finite(params, state.flat)
+    if bad is not None:
+        raise DataError(f"parameter {bad.name!r} has non-finite values; {path} not written")
+    for p in params:
+        chunks.append(struct.pack("<II", *p.value.shape))
+        chunks.append(state.flat[p.lo : p.lo + p.value.size].astype("<f8").tobytes())
     path.write_bytes(b"".join(chunks))
     Path(str(path) + ".json").write_text(
         json.dumps(asdict(state.config), sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -344,23 +345,18 @@ def load_checkpoint(path: str | Path) -> ModelState:
     except (ValueError, TypeError, ConfigError, DataError) as exc:
         raise FormatError(f"{path}: unreadable config block: {exc}") from exc
     off += cfg_len
-    for p in state.parameters():
-        if off + 8 > len(data):
-            raise FormatError(f"{path}: truncated before parameter {p.name!r}")
-        rows, cols = struct.unpack_from("<II", data, off)
-        off += 8
-        if (rows, cols) != p.value.shape:
-            raise FormatError(
-                f"{path}: parameter {p.name!r} declared ({rows}, {cols}), "
-                f"config implies {p.value.shape}"
-            )
-        nbytes = rows * cols * 8
-        if off + nbytes > len(data):
-            raise FormatError(f"{path}: truncated data for parameter {p.name!r}")
-        p.value = np.frombuffer(data[off : off + nbytes], dtype="<f8").reshape(rows, cols).astype(np.float64)
-        if not np.all(np.isfinite(p.value)):
-            raise FormatError(f"{path}: parameter {p.name!r} has non-finite values")
-        off += nbytes
-    if off != len(data):
-        raise FormatError(f"{path}: {len(data) - off} trailing bytes after parameters")
+    params = state.parameters()
+    end = off + sum(8 + 8 * p.value.size for p in params)
+    if len(data) != end:
+        what = "truncated" if len(data) < end else "trailing bytes"
+        raise FormatError(f"{path}: {what}: {len(data)} bytes where its config implies {end}")
+    for p in params:
+        declared = struct.unpack_from("<II", data, off)
+        if declared != p.value.shape:
+            raise FormatError(f"{path}: parameter {p.name!r} declared {declared}, config implies {p.value.shape}")
+        state.flat[p.lo : p.lo + p.value.size] = np.frombuffer(data, dtype="<f8", count=p.value.size, offset=off + 8)
+        off += 8 + 8 * p.value.size
+    bad = first_non_finite(params, state.flat)
+    if bad is not None:
+        raise FormatError(f"{path}: parameter {bad.name!r} has non-finite values")
     return state

@@ -22,6 +22,8 @@ Matrix = np.ndarray
 
 ACTIVATIONS = ("identity", "relu", "sigmoid", "tanh")
 
+ADAM_BLOCK = 1 << 15  # float64 values per block of the in-place Adam update (256 KiB)
+
 
 def as_matrix(x, name: str = "tensor") -> Matrix:
     """Coerce to a 2-D float64 array; reject non-finite entries.
@@ -106,14 +108,38 @@ class Node:
 
 
 class Param(Node):
-    """A learnable leaf; identity is stable across forward passes."""
+    """A learnable leaf; identity is stable across forward passes. `value`
+    is a view of `flat[lo:]`, the buffer `pack` put it in (until then, the
+    array given): write into it, since Adam and checkpoints use `flat`."""
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "flat", "lo")
 
     def __init__(self, value, name: str):
         super().__init__(as_matrix(value, name))
         self.needs_grad = True
         self.name = name
+        self.flat, self.lo = self.value.reshape(-1), 0
+
+
+def pack(params: list[Param]) -> np.ndarray:
+    """Copy `params`, in order, into one new float64 buffer and make each
+    value a view of its slot; returns the buffer."""
+    flat = np.empty(sum(p.value.size for p in params))
+    lo = 0
+    for p in params:
+        hi = lo + p.value.size
+        flat[lo:hi] = p.value.reshape(-1)
+        p.value, p.flat, p.lo = flat[lo:hi].reshape(p.value.shape), flat, lo
+        lo = hi
+    return flat
+
+
+def first_non_finite(params: list[Param], flat: np.ndarray) -> Param | None:
+    """The first of `params`, which tile `flat` (or a buffer laid out like
+    it) in order, whose slot holds a nan or inf; None when all are finite."""
+    finite = np.isfinite(flat)
+    bad = int(np.argmin(finite))  # the first False, if any
+    return None if finite[bad] else next(p for p in params if bad < p.lo + p.value.size)
 
 
 @dataclass
@@ -154,8 +180,7 @@ class Tape:
 
     def __init__(self):
         self._entries: list[tuple[Node, Callable]] = []
-        self._params: list[Param] = []
-        self._param_ids: set[int] = set()
+        self._params: dict[int, Param] = {}  # by id, in recording order
 
     # -- recording -----------------------------------------------------
 
@@ -164,9 +189,8 @@ class Tape:
             return out
         out.needs_grad = True
         for p in parents:
-            if isinstance(p, Param) and id(p) not in self._param_ids:
-                self._param_ids.add(id(p))
-                self._params.append(p)
+            if isinstance(p, Param):
+                self._params[id(p)] = p
         self._entries.append((out, bw))
         return out
 
@@ -424,7 +448,9 @@ class Tape:
     # -- backward ------------------------------------------------------
 
     def backward(self, loss: Node, loss_grad=None) -> dict[Param, Matrix]:
-        """Gradient of `loss` w.r.t. every parameter touched; clears the tape."""
+        """Gradient of `loss` w.r.t. every parameter touched, as views of
+        one new zeroed buffer per parameter buffer, laid out like it, that
+        contributions are added into; clears the tape."""
         if not self._entries:
             raise UsageError("backward called with no recorded forward ops")
         if loss_grad is None:
@@ -436,10 +462,15 @@ class Tape:
                     f"loss grad shape {seed.shape} != output shape {loss.value.shape}"
                 )
         grads: dict[int, Matrix] = {id(loss): seed}
+        buffers = {id(p.flat): p.flat for p in self._params.values()}
+        flats = {key: np.zeros_like(buf) for key, buf in buffers.items()}
+        slots = {k: flats[id(p.flat)][p.lo : p.lo + p.value.size].reshape(p.value.shape) for k, p in self._params.items()}
 
         def sink(node: Node, contrib: Matrix):
             key = id(node)
-            if key in grads:
+            if key in slots:
+                slots[key] += contrib
+            elif key in grads:
                 grads[key] = grads[key] + contrib
             else:
                 grads[key] = contrib
@@ -450,14 +481,13 @@ class Tape:
                 continue
             bw(g, sink)
 
-        out = {p: grads[id(p)] if id(p) in grads else np.zeros_like(p.value) for p in self._params}
+        out = {p: slots[k] for k, p in self._params.items()}
         self.clear()
         return out
 
     def clear(self) -> None:
         self._entries.clear()
         self._params.clear()
-        self._param_ids.clear()
 
 
 def dense_forward(layer: DenseLayer, x: Node, tape: Tape, rows: int | None = None) -> Node:
@@ -492,40 +522,52 @@ class AdamState:
     eps: float = 1e-8
     weight_decay: float = 0.0
     t: int = 0
-    m: dict = field(default_factory=dict)  # id(param) -> moment
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None  # moments, laid out like the parameter buffer
+    v: np.ndarray | None = None
+    scratch: np.ndarray = field(default_factory=lambda: np.empty((2, ADAM_BLOCK)))
 
 
 def adam_step(state: AdamState, params: list[Param], grads: dict[Param, Matrix]) -> None:
     """Bias-corrected Adam update, in place. Weight decay is decoupled:
     applied directly to the parameter, outside the moment machinery. A
     parameter missing from `grads` (the loss never reached it) gets a zero
-    gradient, so its moments decay and weight decay still applies."""
-    grads = {p: grads[p] if p in grads else np.zeros_like(p.value) for p in params}
-    for p in params:
-        if not np.all(np.isfinite(grads[p])):
-            raise UsageError(f"non-finite gradient for parameter {p.name!r}; step aborted")
+    gradient, so its moments decay and weight decay still applies.
+
+    `params` should tile one buffer as `pack` lays them out, and `grads` be
+    `Tape.backward`'s views of one buffer laid out like it; others are
+    packed or gathered first. Blocks of ADAM_BLOCK values go through the
+    per-parameter expressions op by op, so the result is bit-identical."""
+    flat = params[0].flat
+    if flat.size != sum(p.value.size for p in params) or any(p.flat is not flat for p in params):
+        flat = pack(params)
+    g = next(iter(grads.values()), np.empty(0)).base
+    if g is None or g.shape != flat.shape or any(v.base is not g for v in grads.values()):
+        g = np.zeros_like(flat)  # not one buffer from Tape.backward: gather
+        for p in params:
+            if p in grads:
+                g[p.lo : p.lo + p.value.size] = grads[p].reshape(-1)
+    bad = first_non_finite(params, g)
+    if bad is not None:
+        raise UsageError(f"non-finite gradient for parameter {bad.name!r}; step aborted")
+    if state.m is None:
+        state.m, state.v = np.zeros_like(flat), np.zeros_like(flat)
     state.t += 1
-    b1, b2, t = state.beta1, state.beta2, state.t
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
-    for p in params:
-        g = grads[p]
-        key = id(p)
-        m = state.m.get(key)
-        if m is None:
-            m = np.zeros_like(p.value)
-            v = np.zeros_like(p.value)
-        else:
-            v = state.v[key]
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        state.m[key] = m
-        state.v[key] = v
-        update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    b1, b2, lr = state.beta1, state.beta2, state.lr
+    bc1 = 1.0 - b1**state.t
+    bc2 = 1.0 - b2**state.t
+    for lo in range(0, flat.size, ADAM_BLOCK):
+        p, gb, m, v = (a[lo : lo + ADAM_BLOCK] for a in (flat, g, state.m, state.v))
+        s, u = state.scratch[:, : p.size]
+        # m = b1 * m + (1 - b1) * g
+        np.add(np.multiply(m, b1, out=m), np.multiply(gb, 1.0 - b1, out=s), out=m)
+        # v = b2 * v + (1 - b2) * g * g
+        np.add(np.multiply(v, b2, out=v), np.multiply(np.multiply(gb, 1.0 - b2, out=s), gb, out=s), out=v)
+        # update = lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.multiply(np.divide(m, bc1, out=u), lr, out=u)
+        np.divide(u, np.add(np.sqrt(np.divide(v, bc2, out=s), out=s), state.eps, out=s), out=u)
         if state.weight_decay > 0.0:
-            update = update + state.lr * state.weight_decay * p.value
-        p.value = p.value - update
+            np.add(u, np.multiply(p, lr * state.weight_decay, out=s), out=u)
+        np.subtract(p, u, out=p)
 
 
 # -- finite-difference gradient checking --------------------------------

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import splitmix64
+from ._util import check_floats, splitmix64
 from .embeddings import (
     EmbeddingStore,
     InteractionRecord,
@@ -48,8 +48,7 @@ class SyntheticConfig:
     def __post_init__(self):
         if self.n_drugs < 2 or self.n_targets < 2:
             raise ConfigError("need at least 2 drugs and 2 targets")
-        if self.noise < 0:
-            raise ConfigError("noise must be >= 0")
+        check_floats(self, noise=">= 0")
         if self.n_latent_factors < 1:
             raise ConfigError("need at least 1 latent factor")
         if self.task not in ("dti", "dta"):

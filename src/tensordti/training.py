@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import losses, model as model_mod
-from ._util import parse_number, read_tsv, splitmix64, write_tsv
+from ._util import check_floats, parse_number, read_tsv, splitmix64, write_tsv
 from .embeddings import EmbeddingStore, InteractionRecord, validate_interactions
 from .errors import ConfigError, DataError, FormatError
 from .metrics import aupr, metric_bundle, pcc
@@ -32,8 +32,7 @@ class TrainConfig:
     seeds: tuple[int, ...] = (0,)
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ConfigError("lr must be >= 0")
+        check_floats(self, lr=">= 0", weight_decay=">= 0")
         if self.patience < 1:
             raise ConfigError("patience must be >= 1")
         if self.batch_size < 1 or self.max_epochs < 1:

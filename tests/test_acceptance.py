@@ -249,8 +249,8 @@ def test_criterion_4_pocket_linearity():
     pocketful = M.init_model(zero_cfg, seed=7)
     pocketless = M.init_model(dataclasses.replace(cfg, pocket_dim=None), seed=8)
     for a, b in zip(pocketless.encoder_protein, pocketful.encoder_protein):
-        a.weight.value = b.weight.value.copy()
-        a.bias.value = b.bias.value.copy()
+        a.weight.value[...] = b.weight.value.copy()
+        a.bias.value[...] = b.bias.value.copy()
     xp = rng.standard_normal((9, 64))
     xk = rng.standard_normal((7, 64))
     with_pocket = M.encode_protein_with_pocket(pocketful, xp, xk).value
@@ -314,8 +314,8 @@ def test_criterion_7_unfamiliarity():
                       latent_dim=4, max_len=10, vocab="CNOSPF123456789c")
     assert cfg.vocab_size == 20
     state = M.init_model(cfg, seed=0)
-    state.ae_decoder.weight.value = np.zeros_like(state.ae_decoder.weight.value)
-    state.ae_decoder.bias.value = np.zeros_like(state.ae_decoder.bias.value)
+    state.ae_decoder.weight.value[...] = np.zeros_like(state.ae_decoder.weight.value)
+    state.ae_decoder.bias.value[...] = np.zeros_like(state.ae_decoder.bias.value)
     tokens = state.tokenizer.tokenize("CNO")
     cube = M.reconstruct(state, np.ones(6)).value.reshape(cfg.max_len, cfg.vocab_size, 1)
     mask = (tokens.ids != 0).astype(float)

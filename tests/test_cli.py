@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensordti.cli import _parse_config_file, _split_fields, main
-from tensordti.errors import TdtiError
+from tensordti.errors import ConfigError, TdtiError
 from tensordti.model import ModelConfig
 from tensordti.pipeline import SplitSpec
 from tensordti.synthetic import SyntheticConfig
@@ -552,6 +552,46 @@ def test_config_value_of_the_wrong_type_is_config_error(tmp_path, capsys, comman
     assert rc == 1
     key = line.split(" = ")[0]
     assert err.startswith(f"ERROR CONFIG: config key {key!r} expects") and err.count("\n") == 1
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "cls, field, value",
+    [
+        (TrainConfig, "lr", NAN),
+        (TrainConfig, "lr", INF),
+        (TrainConfig, "weight_decay", -1.0),
+        (TrainConfig, "weight_decay", NAN),
+        (ModelConfig, "alpha_cls", NAN),
+        (ModelConfig, "alpha_recon", NAN),
+        (ModelConfig, "margin", NAN),
+        (ModelConfig, "triplet_margin", INF),
+        (ModelConfig, "unfamiliarity_eps", NAN),
+        (ModelConfig, "error_scale", 0.0),
+        (ModelConfig, "error_scale", NAN),
+        (ModelConfig, "lambda_pocket", NAN),
+        (ModelConfig, "lambda_protein", -INF),
+        (SyntheticConfig, "noise", NAN),
+        (SyntheticConfig, "noise", INF),
+    ],
+)
+def test_config_float_out_of_range_is_config_error_naming_the_field(cls, field, value):
+    """Every float field is finite and in range: nan passes `x < 0`, so a
+    bare range check let these through."""
+    with pytest.raises(ConfigError, match=f"^{field} must be a finite number"):
+        cls(**({"drug_dim": 4, "protein_dim": 4} if cls is ModelConfig else {}), **{field: value})
+
+
+def test_train_with_nan_learning_rate_is_one_config_error_line(tmp_path, capsys):
+    data = gen(tmp_path)
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("lr = nan\n")
+    rc = main(["train", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("ERROR CONFIG: lr must be a finite number >= 0, got nan") and err.count("\n") == 1
 
 
 CONFIG_CLASSES = (SyntheticConfig, SplitSpec, ModelConfig, TrainConfig)

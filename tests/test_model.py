@@ -1,13 +1,17 @@
 import itertools
 import math
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensordti import model as M
-from tensordti.errors import ConfigError, DataError, FormatError, ShapeError
+from tensordti.errors import ConfigError, DataError, FormatError, ShapeError, TdtiError
 from tensordti.model import ModelConfig, init_model, load_checkpoint, save_checkpoint
 from tensordti.nn import Tape, token_nll
 
@@ -21,7 +25,7 @@ def tiny_config(**kw):
 
 def zero_params(state):
     for p in state.parameters():
-        p.value = np.zeros_like(p.value)
+        p.value[...] = np.zeros_like(p.value)
 
 
 # -- encoders -----------------------------------------------------------------
@@ -52,8 +56,8 @@ def test_encode_drug_identity_like_init_passes_through():
     cfg = tiny_config(drug_dim=3, hidden_dim=3, output_dim=3, pocket_dim=None)
     state = init_model(cfg, seed=0)
     for layer in state.encoder_drug:
-        layer.weight.value = np.eye(3)
-        layer.bias.value = np.zeros((3, 1))
+        layer.weight.value[...] = np.eye(3)
+        layer.bias.value[...] = np.zeros((3, 1))
     x = np.array([[0.5], [1.5], [2.0]])  # nonnegative so relu is transparent
     assert np.allclose(M.encode_drug(state, x).value, x)
 
@@ -78,10 +82,10 @@ def test_pocket_aggregation_stated_arithmetic():
     cfg = tiny_config(protein_dim=2, pocket_dim=2, hidden_dim=2, output_dim=2)
     state = init_model(cfg, seed=0)
     for layers, vec in ((state.encoder_protein, [1.0, 2.0]), (state.encoder_pocket, [0.5, 0.0])):
-        layers[0].weight.value = np.eye(2)
-        layers[0].bias.value = np.zeros((2, 1))
-        layers[1].weight.value = np.diag(vec)
-        layers[1].bias.value = np.zeros((2, 1))
+        layers[0].weight.value[...] = np.eye(2)
+        layers[0].bias.value[...] = np.zeros((2, 1))
+        layers[1].weight.value[...] = np.diag(vec)
+        layers[1].bias.value[...] = np.zeros((2, 1))
     out = M.encode_protein_with_pocket(state, np.ones((2, 1)), np.ones((2, 1)))
     assert np.allclose(out.value, [[2.0], [2.0]])
 
@@ -106,14 +110,14 @@ def test_lambda_pocket_zero_matches_pocketless_bit_for_bit():
     pocketless = init_model(tiny_config(pocket_dim=None), seed=12)
     # share protein-branch and classifier weights
     for a, b in zip(pocketless.encoder_protein, pocketful.encoder_protein):
-        a.weight.value = b.weight.value.copy()
-        a.bias.value = b.bias.value.copy()
+        a.weight.value[...] = b.weight.value.copy()
+        a.bias.value[...] = b.bias.value.copy()
     for a, b in zip(pocketless.encoder_drug, pocketful.encoder_drug):
-        a.weight.value = b.weight.value.copy()
-        a.bias.value = b.bias.value.copy()
+        a.weight.value[...] = b.weight.value.copy()
+        a.bias.value[...] = b.bias.value.copy()
     for a, b in zip(pocketless.classifier, pocketful.classifier):
-        a.weight.value = b.weight.value.copy()
-        a.bias.value = b.bias.value.copy()
+        a.weight.value[...] = b.weight.value.copy()
+        a.bias.value[...] = b.bias.value.copy()
     rng = np.random.default_rng(0)
     xd = rng.standard_normal((6, 5))
     xp = rng.standard_normal((5, 5))
@@ -144,8 +148,8 @@ def test_pocket_model_requires_pocket():
 def test_zero_classifier_gives_half_probability():
     state = init_model(tiny_config(pocket_dim=None), seed=0)
     for layer in state.classifier:
-        layer.weight.value = np.zeros_like(layer.weight.value)
-        layer.bias.value = np.zeros_like(layer.bias.value)
+        layer.weight.value[...] = np.zeros_like(layer.weight.value)
+        layer.bias.value[...] = np.zeros_like(layer.bias.value)
     e_d = M.encode_drug(state, np.random.default_rng(0).standard_normal((6, 4)))
     e_p = M.encode_protein_with_pocket(state, np.random.default_rng(1).standard_normal((5, 4)))
     logit = M.interaction_logit(state, e_d, e_p)
@@ -165,8 +169,8 @@ def test_logit_order_sensitivity():
 def test_confidence_zero_weights_half():
     state = init_model(tiny_config(pocket_dim=None), seed=0)
     for layer in state.conf_head:
-        layer.weight.value = np.zeros_like(layer.weight.value)
-        layer.bias.value = np.zeros_like(layer.bias.value)
+        layer.weight.value[...] = np.zeros_like(layer.weight.value)
+        layer.bias.value[...] = np.zeros_like(layer.bias.value)
     rng = np.random.default_rng(0)
     e_d = M.encode_drug(state, rng.standard_normal((6, 3)))
     e_p = M.encode_protein_with_pocket(state, rng.standard_normal((5, 3)))
@@ -190,8 +194,8 @@ def test_confidence_strictly_in_unit_interval():
 
 def test_reconstruct_zero_decoder_uniform_after_softmax():
     state = init_model(tiny_config(pocket_dim=None), seed=0)
-    state.ae_decoder.weight.value = np.zeros_like(state.ae_decoder.weight.value)
-    state.ae_decoder.bias.value = np.zeros_like(state.ae_decoder.bias.value)
+    state.ae_decoder.weight.value[...] = np.zeros_like(state.ae_decoder.weight.value)
+    state.ae_decoder.bias.value[...] = np.zeros_like(state.ae_decoder.bias.value)
     logits = M.reconstruct(state, np.ones(6)).value.reshape(10, state.config.vocab_size)
     probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
     assert np.allclose(probs, 1.0 / state.config.vocab_size)
@@ -211,8 +215,8 @@ def test_unfamiliarity_uniform_logits_closed_form():
     cfg = tiny_config(pocket_dim=None, vocab="CNOSPF123456789c")
     assert cfg.vocab_size == 20
     state = init_model(cfg, seed=0)
-    state.ae_decoder.weight.value = np.zeros_like(state.ae_decoder.weight.value)
-    state.ae_decoder.bias.value = np.zeros_like(state.ae_decoder.bias.value)
+    state.ae_decoder.weight.value[...] = np.zeros_like(state.ae_decoder.weight.value)
+    state.ae_decoder.bias.value[...] = np.zeros_like(state.ae_decoder.bias.value)
     ids, mask = state.tokenizer.tokenize_many(["CNO"])
     u = M.unfamiliarity_many(state, np.ones((6, 1)), ids, mask)[0]
     nll = math.log(20)
@@ -398,6 +402,62 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     for a, b in zip(state.parameters(), loaded.parameters()):
         assert np.array_equal(a.value, b.value)
     assert (tmp_path / "a.tdti.json").is_file()
+
+
+def test_parameter_values_are_views_of_the_model_buffer(tmp_path):
+    """init_model, load_checkpoint and restore leave every parameter a view
+    of its slot of `state.flat`, the buffer Adam updates and checkpoints
+    read."""
+
+    def assert_views(state):
+        params = state.parameters()
+        assert all(np.shares_memory(p.value, state.flat) and p.flat is state.flat for p in params)
+        assert np.array_equal(np.concatenate([p.value.reshape(-1) for p in params]), state.flat)
+
+    state = init_model(tiny_config(), seed=3)
+    assert_views(state)
+    save_checkpoint(state, tmp_path / "a.tdti")
+    loaded = load_checkpoint(tmp_path / "a.tdti")
+    assert_views(loaded)
+    assert np.array_equal(loaded.flat, state.flat)
+    saved = state.snapshot()
+    state.flat += 1.0
+    state.restore(saved)
+    assert_views(state)
+    assert np.array_equal(state.flat, saved) and not np.shares_memory(state.flat, saved)
+    with pytest.raises(ShapeError):
+        state.restore(saved[:-1])
+
+
+def _small_checkpoint() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.tdti"
+        save_checkpoint(init_model(tiny_config(hidden_dim=3, output_dim=2, latent_dim=2, max_len=4), seed=1), path)
+        return path.read_bytes()
+
+
+SMALL_CHECKPOINT = _small_checkpoint()
+CHECKPOINT_DAMAGE = st.one_of(
+    st.integers(0, len(SMALL_CHECKPOINT) - 1).map(lambda n: SMALL_CHECKPOINT[:n]),
+    st.lists(st.tuples(st.integers(0, len(SMALL_CHECKPOINT) - 1), st.integers(1, 255)), min_size=1, max_size=3).map(
+        lambda flips: bytes(b ^ next((x for i, x in flips if i == j), 0) for j, b in enumerate(SMALL_CHECKPOINT))
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(CHECKPOINT_DAMAGE)
+def test_damaged_checkpoint_loads_or_is_a_typed_error(data):
+    """A truncated checkpoint, or one with up to three bytes flipped, either
+    loads or raises a TdtiError: no struct.error or ValueError escapes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.tdti"
+        path.write_bytes(data)
+        try:
+            state = load_checkpoint(path)
+        except TdtiError:
+            return
+    assert all(np.shares_memory(p.value, state.flat) for p in state.parameters())
 
 
 def test_checkpoint_bad_magic(tmp_path):

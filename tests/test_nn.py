@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tensordti.errors import ShapeError, UsageError
 from tensordti.nn import (
+    ADAM_BLOCK,
     AdamState,
     DenseLayer,
     GradCheckReport,
@@ -12,6 +15,7 @@ from tensordti.nn import (
     dense_forward,
     grad_check,
     init_dense,
+    pack,
     stable_sigmoid,
 )
 
@@ -218,6 +222,113 @@ def test_adam_rejects_nan_gradient_naming_parameter():
     state = AdamState(lr=0.1)
     with pytest.raises(UsageError, match="culprit"):
         adam_step(state, [w], {w: np.array([[np.nan]])})
+
+
+def adam_oracle(state: dict, values: list, grads: list, lr, weight_decay, b1=0.9, b2=0.999, eps=1e-8) -> list:
+    """The per-parameter Adam update the flat one replaced: one array per
+    parameter, a gradient of None counting as zero, new arrays each step."""
+    state["t"] = t = state.get("t", 0) + 1
+    bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+    out = []
+    for i, (p, g) in enumerate(zip(values, grads)):
+        g = np.zeros_like(p) if g is None else g
+        m, v = state.get(("m", i), np.zeros_like(p)), state.get(("v", i), np.zeros_like(p))
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        state["m", i], state["v", i] = m, v
+        update = lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        if weight_decay > 0.0:
+            update = update + lr * weight_decay * p
+        out.append(p - update)
+    return out
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.5])
+def test_adam_matches_per_parameter_oracle(weight_decay):
+    """Five steps over shapes around ADAM_BLOCK, so blocks span parameters,
+    with one parameter left out of the gradients on some steps; gradients
+    come as views of one flat buffer (as backward gives them) on even steps
+    and as separate arrays on odd ones. Every value is bit-identical."""
+    rng = np.random.default_rng(4)
+    shapes = [(3, 4), (250, 150), (7, 1), (1, 1), (ADAM_BLOCK // 2, 2)]
+    params = [Param(rng.standard_normal(s), f"p{i}") for i, s in enumerate(shapes)]
+    flat = pack(params)
+    assert flat.size > 2 * ADAM_BLOCK and params[1].lo < ADAM_BLOCK < params[1].lo + params[1].value.size
+    values = [p.value.copy() for p in params]
+    state, oracle = AdamState(lr=0.01, weight_decay=weight_decay), {}
+    for step in range(5):
+        reached = [step in (2, 3) or i != 2 for i in range(len(params))]
+        g_flat = np.zeros_like(flat)
+        grads = {}
+        for p, hit in zip(params, reached):
+            if hit:
+                g = g_flat[p.lo : p.lo + p.value.size].reshape(p.value.shape)
+                g[...] = rng.standard_normal(p.value.shape)
+                grads[p] = g if step % 2 == 0 else g.copy()
+        adam_step(state, params, grads)
+        values = adam_oracle(oracle, values, [grads.get(p) for p in params], 0.01, weight_decay)
+        for p, want in zip(params, values):
+            assert np.array_equal(p.value, want), (step, p.name)
+        assert all(np.shares_memory(p.value, flat) for p in params)
+
+
+def test_adam_steady_state_allocates_no_parameter_sized_buffers():
+    """After the first step has made the moments, a step allocates only
+    small temporaries, not arrays the size of the parameters."""
+    rng = np.random.default_rng(0)
+    params = [Param(rng.standard_normal((ADAM_BLOCK, 4)), "w"), Param(rng.standard_normal((ADAM_BLOCK, 4)), "u")]
+    flat = pack(params)
+    g_flat = rng.standard_normal(flat.size)
+    grads = {p: g_flat[p.lo : p.lo + p.value.size].reshape(p.value.shape) for p in params}
+    state = AdamState(lr=0.01, weight_decay=0.1)
+    adam_step(state, params, grads)
+    tracemalloc.start()
+    try:
+        adam_step(state, params, grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the isfinite check takes one byte per value (an eighth of the parameter
+    # buffer); an update over whole arrays takes several buffers of 8 bytes
+    assert peak <= flat.size + 8 * ADAM_BLOCK, peak
+    assert state.t == 2
+
+
+def test_backward_calls_return_independent_gradients():
+    """Each backward writes into its own buffer, laid out like the
+    parameters' one: a later call leaves an earlier call's gradients as
+    they were."""
+    rng = np.random.default_rng(2)
+    layers = [init_dense(rng, 3, 4, "relu", "l1"), init_dense(rng, 4, 2, "identity", "l2")]
+    params = [q for lyr in layers for q in (lyr.weight, lyr.bias)]
+    flat = pack(params)
+
+    def grads_at(x):
+        tape = Tape()
+        return tape.backward(tape.sum_all(dense_forward(layers[1], dense_forward(layers[0], tape.constant(x), tape), tape)))
+
+    first = grads_at(rng.standard_normal((3, 5)))
+    kept = {p: g.copy() for p, g in first.items()}
+    second = grads_at(rng.standard_normal((3, 5)))
+    assert all(np.array_equal(first[p], kept[p]) for p in params)
+    assert not any(np.array_equal(first[p], second[p]) for p in (layers[0].weight, layers[1].weight))
+    for grads in (first, second):
+        base = grads[params[0]].base
+        assert base.shape == flat.shape and not np.shares_memory(base, flat)
+        for p in params:
+            assert np.shares_memory(grads[p], base[p.lo : p.lo + p.value.size])
+    assert not np.shares_memory(first[params[0]].base, second[params[0]].base)
+
+
+def test_backward_zeroes_parameters_it_never_reached():
+    """A parameter of the same buffer that is not on the tape gets a zero
+    slot, whatever the buffer held before."""
+    w, unused = Param([[1.0, 2.0]], "w"), Param(np.full((2, 2), 7.0), "unused")
+    pack([w, unused])
+    tape = Tape()
+    grads = tape.backward(tape.sum_all(tape.matmul(w, tape.constant([[3.0], [4.0]]))))
+    assert list(grads) == [w] and np.array_equal(grads[w], [[3.0, 4.0]])
+    assert np.array_equal(grads[w].base, [3.0, 4.0, 0.0, 0.0, 0.0, 0.0])
 
 
 def test_grad_check_linear_model_is_exact():

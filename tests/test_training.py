@@ -181,8 +181,8 @@ def test_evaluate_constant_regression_pcc_flagged_rmse_computed():
     cfg = model_cfg(mode="regression")
     state = M.init_model(cfg, seed=0)
     for layer in state.classifier:
-        layer.weight.value = np.zeros_like(layer.weight.value)
-        layer.bias.value = np.zeros_like(layer.bias.value)
+        layer.weight.value[...] = np.zeros_like(layer.weight.value)
+        layer.bias.value[...] = np.zeros_like(layer.bias.value)
     metrics, _ = evaluate(state, bundle, bundle.subset("test"))
     assert metrics["pcc"] is None
     assert "pcc_error" in metrics
@@ -295,7 +295,7 @@ def test_factored_scores_match_tape_path(monkeypatch, case):
     rng = np.random.default_rng(1)
     for p in state.parameters():  # non-zero biases, so their placement counts
         if p.name.endswith(".bias"):
-            p.value = 0.1 * rng.standard_normal(p.value.shape)
+            p.value[...] = 0.1 * rng.standard_normal(p.value.shape)
     records = bundle.interactions + bundle.interactions[:5]
     assert len({r.drug_id for r in records}) < len(records) and len(records) % 8
     monkeypatch.setattr(M, "CHUNK_ELEMENTS", 8 * state.config.hidden_dim)
