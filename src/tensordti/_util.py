@@ -20,8 +20,8 @@ def splitmix64(seed: int, index: int = 0) -> int:
     """Derive a child seed from (master seed, index).
 
     Standard splitmix64 finalizer; used everywhere a sub-stream is needed
-    (per-epoch shuffles, per-shard sampling, per-run seeds) so that parallel
-    or reordered work cannot perturb determinism.
+    (fixtures, model init, per-epoch shuffles, class balancing, per-run
+    seeds), so each stream depends only on the master seed and its index.
     """
     z = (int(seed) + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64

@@ -308,32 +308,25 @@ def cmd_rank(args, config: dict) -> int:
     criterion = RANKING_ALIASES[args.ranking]
     run = _Run("rank", args.out, {**config, "ranking": args.ranking}, [args.seed])
     preds = training.load_predictions(run.track_input(args.predictions))
-    targets = sorted({p.target_id for p in preds})
-    if args.target:
-        preds = [p for p in preds if p.target_id == args.target]
-        if not preds:
-            raise DataError(f"no predictions for target {args.target!r}")
-    elif len(targets) > 1:
-        raise DataError(f"predictions cover {len(targets)} targets; pick one with --target")
-    rows = []
-    for p in preds:
-        # ascending = better for all criteria: negate our higher-is-stronger outputs
-        if p.affinity_pred is not None:
-            score = -p.affinity_pred
-        elif p.prob is not None:
-            score = -p.prob
-        else:
-            score = -p.logit
-        rows.append(
-            ScoreRow(
-                compound_id=p.drug_id,
-                method="tensordti",
-                score=score,
-                label=p.pred_label,
-                confidence=p.confidence,
-                unfamiliarity=p.unfamiliarity,
-            )
+    # ascending = better for all criteria: negate our higher-is-stronger
+    # outputs, each row's affinity_pred, else prob, else logit
+    rows = [
+        ScoreRow(
+            compound_id=drug,
+            method="tensordti",
+            score=-(aff if aff is not None else prob if prob is not None else logit),
+            label=label,
+            confidence=conf,
+            unfamiliarity=unf,
         )
+        for drug, target, logit, prob, label, aff, conf, unf in zip(*preds.values())
+        if not args.target or target == args.target
+    ]
+    if args.target and not rows:
+        raise DataError(f"no predictions for target {args.target!r}")
+    n_targets = len(set(preds["target_id"]))
+    if not args.target and n_targets > 1:
+        raise DataError(f"predictions cover {n_targets} targets; pick one with --target")
     if args.unf_threshold is not None:
         rows, census = screening.filter_unfamiliar(rows, args.unf_threshold)
         run.artifact("filter_census.json").write_text(
@@ -414,35 +407,30 @@ def cmd_report(args, config: dict) -> int:
     run = _Run("report", args.out, dict(config), [args.seed])
     preds = training.load_predictions(run.track_input(args.predictions))
     column = "prob" if args.mode == "dti" else "affinity_pred"
-    predicted = [getattr(p, column) for p in preds]
-    if any(v is None for v in predicted):
+    predicted = preds[column]
+    if None in predicted:
         raise MissingColumnError(f"{args.predictions}: {column} required for {args.mode} report")
     truth = {
         (r.drug_id, r.target_id): r
         for r in load_interactions(run.track_input(args.interactions))
     }
-    missing = [(p.drug_id, p.target_id) for p in preds if (p.drug_id, p.target_id) not in truth]
+    keys = list(zip(preds["drug_id"], preds["target_id"]))
+    missing = [k for k in keys if k not in truth]
     if missing:
         raise DataError(f"{len(missing)} predictions lack ground truth, e.g. {missing[:3]}")
 
     field = "label" if args.mode == "dti" else "affinity"
-    actual = [getattr(truth[(p.drug_id, p.target_id)], field) for p in preds]
-    if any(v is None for v in actual):
+    actual = [getattr(truth[k], field) for k in keys]
+    if None in actual:
         raise MissingColumnError(f"{args.interactions}: ground-truth {field} required for {args.mode} report")
-    payload: dict = {"n": len(preds), **metric_bundle(args.mode == "dti", predicted, actual)}
-    confs = [p.confidence for p in preds]
-    if args.mode == "dti" and all(c is not None for c in confs):
-        payload["confusion_confidence"] = confusion_confidence(actual, predicted, confs).as_dict()
+    payload: dict = {"n": len(keys), **metric_bundle(args.mode == "dti", predicted, actual)}
+    confs = preds["confidence"]
+    if args.mode == "dti" and None not in confs:
+        payload["confusion_confidence"] = confusion_confidence(actual, predicted, confs)
     if args.unf_threshold is not None:
         rows = [
-            ScoreRow(
-                compound_id=f"{p.drug_id}|{p.target_id}",
-                method="tensordti",
-                score=p.logit,
-                label=p.pred_label,
-                unfamiliarity=p.unfamiliarity,
-            )
-            for p in preds
+            ScoreRow(compound_id=f"{d}|{t}", method="tensordti", score=logit, label=label, unfamiliarity=unf)
+            for (d, t), logit, label, unf in zip(keys, preds["logit"], preds["pred_label"], preds["unfamiliarity"])
         ]
         _, payload["filter_census"] = screening.filter_unfamiliar(rows, args.unf_threshold)
     run.artifact("metrics.json").write_text(
@@ -499,7 +487,7 @@ def build_parser() -> _Parser:
     p.add_argument("--scores", help="score table TSV (compound_id method score ...)")
     p.add_argument("--ranking", choices=tuple(RANKING_ALIASES), default="two_key")
     p.add_argument("--actives", required=True)
-    p.add_argument("--k-grid", default="1,5,20,50,100")
+    p.add_argument("--k-grid", default=",".join(f"{k:g}" for k in screening.DEFAULT_K_GRID))
     p.add_argument("--format", choices=("tsv", "json", "both"), default="both")
 
     p = sub.add_parser("report", help="metric bundle from predictions + ground truth")

@@ -3,8 +3,6 @@ per-mode bundle of them, and per-confusion-category confidence summaries."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DataError
@@ -98,57 +96,33 @@ def metric_bundle(classification: bool, predicted, truth) -> dict:
     return out
 
 
-@dataclass
-class CategoryStats:
-    count: int
-    mean_confidence: float | None
-    q25: float | None
-    q50: float | None
-    q75: float | None
-
-
-@dataclass
-class ConfusionSummary:
-    tp: CategoryStats
-    fp: CategoryStats
-    tn: CategoryStats
-    fn: CategoryStats
-    total: int
-
-    def as_dict(self) -> dict:
-        out = {"total": self.total}
-        for name in ("tp", "fp", "tn", "fn"):
-            c: CategoryStats = getattr(self, name)
-            out[name] = {
-                "count": c.count,
-                "mean_confidence": c.mean_confidence,
-                "q25": c.q25,
-                "q50": c.q50,
-                "q75": c.q75,
-            }
-        return out
-
-
-def confusion_confidence(labels, probs, confidences, threshold: float = 0.5) -> ConfusionSummary:
+def confusion_confidence(labels, probs, confidences, threshold: float = 0.5) -> dict:
     """Categorize at `threshold` and summarize the confidence score per
-    TP/FP/TN/FN category."""
+    TP/FP/TN/FN category: {"total", "tp", "fp", "tn", "fn"}, each category
+    with its count, mean confidence and quartiles (None when empty)."""
     p, y = _scores_labels(probs, labels)
     c = np.asarray(confidences, dtype=np.float64).reshape(-1)
     if c.size != y.size:
         raise DataError("confidences length mismatch")
     pred = p >= threshold
 
-    def stats(mask) -> CategoryStats:
+    def stats(mask) -> dict:
         vals = c[mask]
         if vals.size == 0:
-            return CategoryStats(0, None, None, None, None)
+            return {"count": 0, "mean_confidence": None, "q25": None, "q50": None, "q75": None}
         q25, q50, q75 = np.quantile(vals, [0.25, 0.5, 0.75])
-        return CategoryStats(int(vals.size), float(vals.mean()), float(q25), float(q50), float(q75))
+        return {
+            "count": int(vals.size),
+            "mean_confidence": float(vals.mean()),
+            "q25": float(q25),
+            "q50": float(q50),
+            "q75": float(q75),
+        }
 
-    return ConfusionSummary(
-        tp=stats(pred & (y == 1)),
-        fp=stats(pred & (y == 0)),
-        tn=stats(~pred & (y == 0)),
-        fn=stats(~pred & (y == 1)),
-        total=int(y.size),
-    )
+    return {
+        "total": int(y.size),
+        "tp": stats(pred & (y == 1)),
+        "fp": stats(pred & (y == 0)),
+        "tn": stats(~pred & (y == 0)),
+        "fn": stats(~pred & (y == 1)),
+    }

@@ -533,19 +533,16 @@ def adam_step(state: AdamState, params: list[Param], grads: dict[Param, Matrix])
     parameter missing from `grads` (the loss never reached it) gets a zero
     gradient, so its moments decay and weight decay still applies.
 
-    `params` should tile one buffer as `pack` lays them out, and `grads` be
-    `Tape.backward`'s views of one buffer laid out like it; others are
-    packed or gathered first. Blocks of ADAM_BLOCK values go through the
+    `params` must tile one buffer as `pack` lays them out, and `grads` be
+    `Tape.backward`'s views of one buffer laid out like it; anything else
+    is a UsageError. Blocks of ADAM_BLOCK values go through the
     per-parameter expressions op by op, so the result is bit-identical."""
     flat = params[0].flat
     if flat.size != sum(p.value.size for p in params) or any(p.flat is not flat for p in params):
-        flat = pack(params)
+        raise UsageError("adam_step needs parameters that tile one buffer, as pack lays them out")
     g = next(iter(grads.values()), np.empty(0)).base
     if g is None or g.shape != flat.shape or any(v.base is not g for v in grads.values()):
-        g = np.zeros_like(flat)  # not one buffer from Tape.backward: gather
-        for p in params:
-            if p in grads:
-                g[p.lo : p.lo + p.value.size] = grads[p].reshape(-1)
+        raise UsageError("adam_step needs gradients that are views of one buffer laid out like the parameters'")
     bad = first_non_finite(params, g)
     if bad is not None:
         raise UsageError(f"non-finite gradient for parameter {bad.name!r}; step aborted")

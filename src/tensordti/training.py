@@ -1,5 +1,5 @@
 """Training loop with early stopping, multi-seed orchestration,
-checkpointing hooks, and evaluation to prediction records."""
+checkpointing hooks, and evaluation to prediction columns."""
 
 from __future__ import annotations
 
@@ -87,18 +87,6 @@ class TrainReport:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-@dataclass
-class PredictionRecord:
-    drug_id: str
-    target_id: str
-    logit: float
-    prob: float | None = None
-    pred_label: int | None = None
-    affinity_pred: float | None = None
-    confidence: float | None = None
-    unfamiliarity: float | None = None
-
-
 PREDICTION_COLUMNS = (
     "drug_id",
     "target_id",
@@ -111,38 +99,29 @@ PREDICTION_COLUMNS = (
 )
 
 
-def save_predictions(records: list[PredictionRecord], path: str | Path) -> None:
-    def fields(r: PredictionRecord) -> list[str]:
-        values = (getattr(r, c) for c in PREDICTION_COLUMNS)
-        return ["" if v is None else repr(v) if isinstance(v, float) else str(v) for v in values]
+def save_predictions(columns: dict[str, list], path: str | Path) -> None:
+    """Write the PREDICTION_COLUMNS of `columns`, one row per pair; None
+    is an empty field."""
+    rows = zip(*(columns[c] for c in PREDICTION_COLUMNS))
+    write_tsv(path, PREDICTION_COLUMNS, (["" if v is None else str(v) for v in row] for row in rows))
 
-    write_tsv(path, PREDICTION_COLUMNS, map(fields, records))
 
-
-def load_predictions(path: str | Path) -> list[PredictionRecord]:
+def load_predictions(path: str | Path) -> dict[str, list]:
+    """predictions.tsv as one list per column, in PREDICTION_COLUMNS order;
+    an empty field is None, except that every row needs a logit."""
     rows = read_tsv(path)
     header = next(rows)
     if tuple(header) != PREDICTION_COLUMNS:
         raise FormatError(f"{path}: header {header} != {list(PREDICTION_COLUMNS)}")
-    out = []
-    for where, (d, t, logit, prob, pred, aff, conf, unf) in rows:
-
-        def num(raw, col, cast=float):
-            return parse_number(raw, cast, where, col) if raw else None
-
-        out.append(
-            PredictionRecord(
-                drug_id=d,
-                target_id=t,
-                logit=parse_number(logit, float, where, "logit"),
-                prob=num(prob, "prob"),
-                pred_label=num(pred, "pred_label", int),
-                affinity_pred=num(aff, "affinity_pred"),
-                confidence=num(conf, "confidence"),
-                unfamiliarity=num(unf, "unfamiliarity"),
-            )
-        )
-    return out
+    columns = {c: [] for c in PREDICTION_COLUMNS}
+    drugs, targets, *numbers = columns.values()
+    casts = (float, float, int, float, float, float)
+    for where, (d, t, *fields) in rows:
+        drugs.append(d)
+        targets.append(t)
+        for out, name, cast, raw in zip(numbers, PREDICTION_COLUMNS[2:], casts, fields):
+            out.append(parse_number(raw, cast, where, name) if raw or name == "logit" else None)
+    return columns
 
 
 # -- batch preparation ------------------------------------------------------
@@ -362,8 +341,11 @@ def train(model_config: ModelConfig, data: DatasetBundle, config: TrainConfig) -
 def evaluate(state: ModelState, data: DatasetBundle, records: list[InteractionRecord]):
     """Score records with the frozen model.
 
-    Returns (metric bundle, PredictionRecords). Unfamiliarity is filled in
-    whenever a SMILES string is available for the drug.
+    Returns (metric bundle, prediction columns): one list per name in
+    PREDICTION_COLUMNS, a row per record; columns that hold the same values
+    (logit and affinity_pred, or the absent ones) share one list.
+    Unfamiliarity is filled in whenever a SMILES string is available for
+    the drug.
     """
     classification = state.config.mode == "classification"
     validate_interactions(records, data.drugs, data.proteins, data.pockets, state.config.mode)
@@ -378,22 +360,21 @@ def evaluate(state: ModelState, data: DatasetBundle, records: list[InteractionRe
             ids, mask = state.tokenizer.tokenize_many([data.smiles[d] for d in scored])
             u = model_mod.unfamiliarity_many(state, pairs.x_drug[:, keep], ids, mask)
             unf_by_drug = dict(zip(scored, u.tolist()))
+    metrics = metric_bundle(
+        classification, probs if classification else logits, pairs.labels if classification else pairs.affinity
+    )
+    del pairs  # free its per-record index and truth arrays before the columns exist
 
-    preds = []
-    for i, r in enumerate(records):
-        preds.append(
-            PredictionRecord(
-                drug_id=r.drug_id,
-                target_id=r.target_id,
-                logit=float(logits[i]),
-                prob=float(probs[i]) if classification else None,
-                pred_label=int(probs[i] >= 0.5) if classification else None,
-                affinity_pred=None if classification else float(logits[i]),
-                confidence=float(confs[i]),
-                unfamiliarity=unf_by_drug.get(r.drug_id),
-            )
-        )
-
-    if classification:
-        return metric_bundle(True, probs, pairs.labels), preds
-    return metric_bundle(False, logits, pairs.affinity), preds
+    drug_ids = [r.drug_id for r in records]
+    logit_col, absent = logits.tolist(), [None] * len(records)
+    columns = {
+        "drug_id": drug_ids,
+        "target_id": [r.target_id for r in records],
+        "logit": logit_col,
+        "prob": probs.tolist() if classification else absent,
+        "pred_label": (probs >= 0.5).astype(int).tolist() if classification else absent,
+        "affinity_pred": absent if classification else logit_col,
+        "confidence": confs.tolist(),
+        "unfamiliarity": list(map(unf_by_drug.get, drug_ids)),
+    }
+    return metrics, columns

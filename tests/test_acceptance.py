@@ -299,9 +299,9 @@ def test_criterion_6_confidence_semantics():
         _, preds = evaluate(state, bundle, bundle.subset("test"))
         truth = {(r.drug_id, r.target_id): r.label for r in bundle.subset("test")}
         correct, incorrect = [], []
-        for p in preds:
-            bucket = correct if p.pred_label == truth[(p.drug_id, p.target_id)] else incorrect
-            bucket.append(p.confidence)
+        for d, t, label, conf in zip(preds["drug_id"], preds["target_id"], preds["pred_label"], preds["confidence"]):
+            bucket = correct if label == truth[(d, t)] else incorrect
+            bucket.append(conf)
         assert incorrect, f"seed {seed}: no errors on the noisy set"
         assert float(np.mean(correct)) < float(np.mean(incorrect)), (
             f"seed {seed}: {np.mean(correct):.4f} !< {np.mean(incorrect):.4f}"
@@ -449,10 +449,12 @@ def test_criterion_11_determinism(tmp_path):
 
     _, preds1 = evaluate(state1, bundle, bundle.subset("test"))
     _, preds2 = evaluate(state2, bundle, bundle.subset("test"))
-    rows1 = [ScoreRow(p.drug_id + "|" + p.target_id, "m", score=-p.prob, label=p.pred_label,
-                      confidence=p.confidence) for p in preds1]
-    rows2 = [ScoreRow(p.drug_id + "|" + p.target_id, "m", score=-p.prob, label=p.pred_label,
-                      confidence=p.confidence) for p in preds2]
+    def score_rows(p):
+        columns = zip(p["drug_id"], p["target_id"], p["prob"], p["pred_label"], p["confidence"])
+        return [ScoreRow(d + "|" + t, "m", score=-prob, label=label, confidence=conf)
+                for d, t, prob, label, conf in columns]
+
+    rows1, rows2 = score_rows(preds1), score_rows(preds2)
     assert rank(rows1, "two_key_label_then_confidence").ids == rank(rows2, "two_key_label_then_confidence").ids
 
     p1, p2 = tmp_path / "a.tdti", tmp_path / "b.tdti"

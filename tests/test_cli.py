@@ -108,6 +108,46 @@ def test_rank_without_confidence_missing_column(tmp_path, capsys):
     assert "ERROR MISSING_COLUMN:" in capsys.readouterr().err
 
 
+PREDICTIONS_HEADER = "drug_id\ttarget_id\tlogit\tprob\tpred_label\taffinity_pred\tconfidence\tunfamiliarity\n"
+
+
+def test_rank_affinity_scores_each_row_by_its_first_present_prediction(tmp_path):
+    """Each row is scored by -affinity_pred, else -prob, else -logit: rows
+    that hold only one of them, or all three, rank in one order. Picking
+    another column for any row moves it."""
+    preds = tmp_path / "p.tsv"
+    rows = [
+        ("D0", "T0", "0.5", "", "", "7.0"),  # -7
+        ("D1", "T0", "4.0", "0.9", "1", ""),  # -0.9, not -4
+        ("D2", "T0", "3.0", "", "", ""),  # -3
+        ("D3", "T0", "-1.0", "", "", "2.0"),  # -2
+        ("D4", "T0", "5.0", "0.1", "0", ""),  # -0.1
+        ("D5", "T0", "0.5", "", "", ""),  # -0.5
+        ("D6", "T1", "9.0", "", "", "99.0"),  # another target
+        ("D7", "T0", "9.0", "0.99", "1", "0.05"),  # -0.05, not -0.99 or -9
+        ("D8", "T0", "0.5", "", "", ""),  # -0.5, a tie broken by id
+    ]
+    preds.write_text(PREDICTIONS_HEADER + "".join("\t".join(r) + "\t0.2\t\n" for r in rows))
+    out = tmp_path / "r"
+    assert main(["rank", "--predictions", str(preds), "--ranking", "affinity", "--target", "T0",
+                 "--out", str(out)]) == 0
+    ranked = [line.split("\t")[1] for line in (out / "ranked.tsv").read_text().splitlines()[1:]]
+    assert ranked == ["D0", "D2", "D3", "D1", "D5", "D8", "D4", "D7"]
+
+
+@pytest.mark.parametrize(
+    "target, message",
+    [(None, "predictions cover 2 targets; pick one with --target"), ("T9", "no predictions for target 'T9'")],
+)
+def test_rank_target_errors_are_data_errors(tmp_path, capsys, target, message):
+    preds = tmp_path / "p.tsv"
+    preds.write_text(PREDICTIONS_HEADER + "D0\tT0\t1.0\t0.7\t1\t\t0.1\t\nD1\tT1\t-1.0\t0.3\t0\t\t0.2\t\n")
+    args = ["rank", "--predictions", str(preds), "--out", str(tmp_path / "r")]
+    assert main(args + (["--target", target] if target else [])) == 1
+    assert capsys.readouterr().err == f"ERROR DATA: {message}\n"
+    assert not (tmp_path / "r" / "ranked.tsv").exists()
+
+
 def test_full_pipeline_smoke(tmp_path):
     """gen-synth -> split(unseen_target) -> train(dti) -> predict -> rank(two_key) -> enrich."""
     data = gen(tmp_path, "data", seed=3)
@@ -508,8 +548,9 @@ def test_train_and_predict_without_smiles(tmp_path):
                  "--model", str(model_dir / "model.tdti"), "--out", str(preds)]) == 0
     from tensordti.training import load_predictions
 
-    rows = load_predictions(preds / "predictions.tsv")
-    assert rows and all(r.unfamiliarity is None and r.prob is not None for r in rows)
+    columns = load_predictions(preds / "predictions.tsv")
+    assert columns["prob"] and None not in columns["prob"]
+    assert set(columns["unfamiliarity"]) == {None}
 
 
 # -- report and config errors ---------------------------------------------------------

@@ -215,8 +215,8 @@ def test_metric_bundle_per_mode():
 
 def test_confusion_all_correct_no_false_categories():
     summary = confusion_confidence([1, 0, 1], [0.9, 0.1, 0.8], [0.1, 0.2, 0.3])
-    assert summary.fp.count == 0 and summary.fn.count == 0
-    assert summary.tp.count == 2 and summary.tn.count == 1
+    assert summary["fp"]["count"] == 0 and summary["fn"]["count"] == 0
+    assert summary["tp"]["count"] == 2 and summary["tn"]["count"] == 1
 
 
 def test_confusion_counts_sum_to_total():
@@ -225,13 +225,12 @@ def test_confusion_counts_sum_to_total():
     probs = rng.random(200)
     confs = rng.random(200)
     s = confusion_confidence(labels, probs, confs)
-    assert s.tp.count + s.fp.count + s.tn.count + s.fn.count == s.total == 200
+    assert sum(s[c]["count"] for c in ("tp", "fp", "tn", "fn")) == s["total"] == 200
 
 
 def test_confusion_summary_statistics():
     s = confusion_confidence([1, 1], [0.9, 0.8], [0.2, 0.4])
-    assert s.tp.mean_confidence == pytest.approx(0.3, abs=1e-12)
-    assert s.tp.q50 == pytest.approx(0.3, abs=1e-12)
-    assert s.fn.mean_confidence is None
-    payload = s.as_dict()
-    assert payload["tp"]["count"] == 2
+    assert s["tp"]["mean_confidence"] == pytest.approx(0.3, abs=1e-12)
+    assert s["tp"]["q50"] == pytest.approx(0.3, abs=1e-12)
+    assert s["fn"] == {"count": 0, "mean_confidence": None, "q25": None, "q50": None, "q75": None}
+    assert list(s) == ["total", "tp", "fp", "tn", "fn"] and s["tp"]["count"] == 2

@@ -167,10 +167,21 @@ def test_backward_computes_no_contribution_for_constant_inputs():
     assert np.array_equal(grads[lyr.weight], [[2.0, -4.0], [1.0, 3.0]])  # relu keeps one unit a column
 
 
+def grads_of(params, values: dict) -> dict:
+    """Gradients as Tape.backward gives them: views of one zeroed buffer
+    laid out like the parameters' buffer, with `values` in their slots."""
+    g = np.zeros_like(params[0].flat)
+    out = {}
+    for p, value in values.items():
+        out[p] = g[p.lo : p.lo + p.value.size].reshape(p.value.shape)
+        out[p][...] = value
+    return out
+
+
 def test_adam_first_step_bias_correction_cancels():
     w = Param([[0.0]], "w")
     state = AdamState(lr=1e-3)
-    adam_step(state, [w], {w: np.array([[1.0]])})
+    adam_step(state, [w], grads_of([w], {w: 1.0}))
     assert state.t == 1
     assert w.value[0, 0] == pytest.approx(-1e-3, rel=1e-6)
 
@@ -179,7 +190,7 @@ def test_adam_zero_gradient_is_identity():
     w = Param([[0.7]], "w")
     state = AdamState(lr=0.1, weight_decay=0.0)
     before = w.value.copy()
-    adam_step(state, [w], {w: np.zeros((1, 1))})
+    adam_step(state, [w], grads_of([w], {w: 0.0}))
     assert state.t == 1
     assert np.array_equal(w.value, before)
 
@@ -189,14 +200,14 @@ def test_adam_descends_quadratic():
     w = Param([[1.0]], "w")
     state = AdamState(lr=0.1)
     for _ in range(100):
-        adam_step(state, [w], {w: 2.0 * w.value})
+        adam_step(state, [w], grads_of([w], {w: 2.0 * w.value}))
     assert abs(w.value[0, 0]) < 0.05
 
 
 def test_adam_decoupled_weight_decay():
     w = Param([[2.0]], "w")
     state = AdamState(lr=0.5, weight_decay=0.1)
-    adam_step(state, [w], {w: np.zeros((1, 1))})
+    adam_step(state, [w], grads_of([w], {w: 0.0}))
     # zero gradient: only the decay term moves the parameter
     assert w.value[0, 0] == pytest.approx(2.0 - 0.5 * 0.1 * 2.0, abs=1e-12)
 
@@ -208,11 +219,12 @@ def test_adam_missing_gradient_is_a_zero_gradient():
     init = rng.standard_normal((3, 2))
     g = rng.standard_normal((3, 2))
     (a, b), (c, d) = [(Param(init, "a"), Param(init, "b")) for _ in range(2)]
+    pack([a, b]), pack([c, d])
     missing, zero = AdamState(lr=0.1, weight_decay=0.5), AdamState(lr=0.1, weight_decay=0.5)
     for step in range(3):
         reached = step == 1  # b gets a gradient only on the second step
-        adam_step(missing, [a, b], {a: g, **({b: g} if reached else {})})
-        adam_step(zero, [c, d], {c: g, d: g if reached else np.zeros_like(g)})
+        adam_step(missing, [a, b], grads_of([a, b], {a: g, **({b: g} if reached else {})}))
+        adam_step(zero, [c, d], grads_of([c, d], {c: g, d: g if reached else np.zeros_like(g)}))
     assert np.array_equal(a.value, c.value) and np.array_equal(b.value, d.value)
     assert not np.array_equal(b.value, init)
 
@@ -221,7 +233,7 @@ def test_adam_rejects_nan_gradient_naming_parameter():
     w = Param([[1.0]], "culprit")
     state = AdamState(lr=0.1)
     with pytest.raises(UsageError, match="culprit"):
-        adam_step(state, [w], {w: np.array([[np.nan]])})
+        adam_step(state, [w], grads_of([w], {w: np.nan}))
 
 
 def adam_oracle(state: dict, values: list, grads: list, lr, weight_decay, b1=0.9, b2=0.999, eps=1e-8) -> list:
@@ -246,9 +258,8 @@ def adam_oracle(state: dict, values: list, grads: list, lr, weight_decay, b1=0.9
 @pytest.mark.parametrize("weight_decay", [0.0, 0.5])
 def test_adam_matches_per_parameter_oracle(weight_decay):
     """Five steps over shapes around ADAM_BLOCK, so blocks span parameters,
-    with one parameter left out of the gradients on some steps; gradients
-    come as views of one flat buffer (as backward gives them) on even steps
-    and as separate arrays on odd ones. Every value is bit-identical."""
+    with one parameter left out of the gradients on some steps. Every value
+    is bit-identical."""
     rng = np.random.default_rng(4)
     shapes = [(3, 4), (250, 150), (7, 1), (1, 1), (ADAM_BLOCK // 2, 2)]
     params = [Param(rng.standard_normal(s), f"p{i}") for i, s in enumerate(shapes)]
@@ -258,18 +269,35 @@ def test_adam_matches_per_parameter_oracle(weight_decay):
     state, oracle = AdamState(lr=0.01, weight_decay=weight_decay), {}
     for step in range(5):
         reached = [step in (2, 3) or i != 2 for i in range(len(params))]
-        g_flat = np.zeros_like(flat)
-        grads = {}
-        for p, hit in zip(params, reached):
-            if hit:
-                g = g_flat[p.lo : p.lo + p.value.size].reshape(p.value.shape)
-                g[...] = rng.standard_normal(p.value.shape)
-                grads[p] = g if step % 2 == 0 else g.copy()
+        grads = grads_of(params, {p: rng.standard_normal(p.value.shape) for p, hit in zip(params, reached) if hit})
         adam_step(state, params, grads)
         values = adam_oracle(oracle, values, [grads.get(p) for p in params], 0.01, weight_decay)
         for p, want in zip(params, values):
             assert np.array_equal(p.value, want), (step, p.name)
         assert all(np.shares_memory(p.value, flat) for p in params)
+
+
+def test_adam_refuses_parameters_or_gradients_outside_one_buffer():
+    """Parameters that do not tile one buffer, or gradients that are not
+    views of one buffer laid out like it, are a UsageError before anything
+    moves: no parameter is rebound or stepped."""
+    a, b = Param([[1.0, 2.0]], "a"), Param([[3.0]], "b")
+    state = AdamState(lr=0.1)
+    value_a = a.value
+    with pytest.raises(UsageError, match="tile one buffer"):
+        adam_step(state, [a, b], {a: np.ones((1, 2)), b: np.ones((1, 1))})
+    assert a.value is value_a and a.flat is not b.flat
+    pack([a, b])
+    good = grads_of([a, b], {a: 1.0, b: 1.0})
+    for grads in (
+        {a: np.ones((1, 2)), b: np.ones((1, 1))},  # separate arrays
+        {a: good[a], b: np.ones((1, 1))},  # one view, one array
+        {a: np.zeros(4)[:2].reshape(1, 2)},  # a buffer of another layout
+        {},
+    ):
+        with pytest.raises(UsageError, match="views of one buffer"):
+            adam_step(state, [a, b], grads)
+    assert np.array_equal(a.value, [[1.0, 2.0]]) and state.t == 0 and state.m is None
 
 
 def test_adam_steady_state_allocates_no_parameter_sized_buffers():

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tensordti import losses
+from tensordti import _util, losses
 from tensordti import model as M
 from tensordti import training as T
 from tensordti.errors import ConfigError, DataError
@@ -15,8 +15,8 @@ from tensordti.nn import Tape
 from tensordti.pipeline import SplitSpec, split
 from tensordti.synthetic import SyntheticConfig, gen_synthetic
 from tensordti.training import (
+    PREDICTION_COLUMNS,
     DatasetBundle,
-    PredictionRecord,
     TrainConfig,
     evaluate,
     load_predictions,
@@ -193,11 +193,13 @@ def test_evaluate_fills_unfamiliarity_and_confidence():
     bundle = make_bundle()
     state, _ = train(model_cfg(), bundle, train_cfg(max_epochs=2, patience=2))
     metrics, preds = evaluate(state, bundle, bundle.subset("test"))
-    assert len(preds) == len(bundle.subset("test"))
-    for p in preds[:10]:
-        assert p.confidence is not None and 0.0 < p.confidence < 1.0
-        assert p.unfamiliarity is not None
-        assert p.prob is not None and p.pred_label in (0, 1)
+    assert tuple(preds) == PREDICTION_COLUMNS
+    assert all(len(col) == len(bundle.subset("test")) for col in preds.values())
+    for i in range(10):
+        assert 0.0 < preds["confidence"][i] < 1.0
+        assert preds["unfamiliarity"][i] is not None
+        assert preds["prob"][i] is not None and preds["pred_label"][i] in (0, 1)
+        assert preds["affinity_pred"][i] is None
 
 
 def test_evaluate_missing_embedding_errors():
@@ -219,21 +221,29 @@ def test_checkpoint_round_trip_preserves_evaluation(tmp_path):
     m1, p1 = evaluate(state, bundle, bundle.subset("test"))
     m2, p2 = evaluate(loaded, bundle, bundle.subset("test"))
     assert m1 == m2
-    for a, b in zip(p1, p2):
-        assert a == b
+    assert p1 == p2
 
 
 def test_prediction_tsv_round_trip(tmp_path):
-    records = [
-        PredictionRecord("D0", "T0", logit=1.5, prob=0.817574, pred_label=1,
-                         confidence=0.12, unfamiliarity=0.8),
-        PredictionRecord("D1", "T1", logit=-0.25, prob=0.437823, pred_label=0,
-                         confidence=0.5, unfamiliarity=None),
-        PredictionRecord("D2", "T2", logit=6.25, affinity_pred=6.25),
-    ]
+    columns = {
+        "drug_id": ["D0", "D1", "D2"],
+        "target_id": ["T0", "T1", "T2"],
+        "logit": [1.5, -0.25, 6.25],
+        "prob": [0.817574, 0.437823, None],
+        "pred_label": [1, 0, None],
+        "affinity_pred": [None, None, 6.25],
+        "confidence": [0.12, 0.5, None],
+        "unfamiliarity": [0.8, None, None],
+    }
     path = tmp_path / "preds.tsv"
-    save_predictions(records, path)
-    assert load_predictions(path) == records
+    save_predictions(columns, path)
+    assert path.read_text().splitlines()[1:] == [
+        "D0\tT0\t1.5\t0.817574\t1\t\t0.12\t0.8",
+        "D1\tT1\t-0.25\t0.437823\t0\t\t0.5\t",
+        "D2\tT2\t6.25\t\t\t6.25\t\t",
+    ]
+    loaded = load_predictions(path)
+    assert loaded == columns and tuple(loaded) == PREDICTION_COLUMNS
 
 
 def test_triplet_variant_trains():
@@ -260,7 +270,7 @@ def test_pocket_model_trains_end_to_end():
     assert state.encoder_pocket is not None
     assert np.isfinite(report.test_mean["aupr"])
     metrics, preds = evaluate(state, bundle, bundle.subset("test"))
-    assert len(preds) == len(bundle.subset("test"))
+    assert len(preds["logit"]) == len(bundle.subset("test"))
 
 
 def pocket_bundle(task="dti"):
@@ -368,6 +378,43 @@ def test_training_table_memory_bounded_by_entities_not_records():
 
     small, large = 2_000, 20_000
     assert peak(large) - peak(small) <= 64 * (large - small)
+
+
+def test_prediction_columns_memory_bounded_by_entities_not_records(tmp_path, monkeypatch):
+    """Ten times the records over the same 50 drugs x 5 targets: scoring them
+    and writing predictions.tsv grows the traced peak by at most 200 B a
+    record (the columns' list slots and Python floats, plus the scoring
+    arrays), not by one prediction object per record. Scoring chunks and
+    TSV blocks are kept small, so that neither fixed-size buffer grows over
+    this range."""
+    data = gen_synthetic(
+        SyntheticConfig(
+            n_drugs=50, n_targets=5, drug_dim=10, protein_dim=10, pocket_dim=6,
+            n_latent_factors=2, smiles_len=8, seed=3,
+        )
+    )
+    bundle = DatasetBundle(
+        drugs=data.drugs, proteins=data.proteins, pockets=data.pockets,
+        interactions=data.interactions, smiles=data.smiles,
+    )
+    state = M.init_model(model_cfg(pocket_dim=6), seed=0)
+    monkeypatch.setattr(M, "CHUNK_ELEMENTS", 256 * state.config.hidden_dim)
+    monkeypatch.setattr(_util, "TSV_BLOCK_ROWS", 256)
+    rng = np.random.default_rng(0)
+
+    def peak(n_records):
+        records = [bundle.interactions[i] for i in rng.integers(0, len(bundle.interactions), n_records)]
+        tracemalloc.start()
+        try:
+            _, predictions = evaluate(state, bundle, records)
+            save_predictions(predictions, tmp_path / "predictions.tsv")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = 2_000, 20_000
+    grown = (peak(large) - peak(small)) / (large - small)
+    assert grown <= 200, f"{grown:.0f} B a record"
 
 
 def _train_step(state, arr, idx, tape=None):
