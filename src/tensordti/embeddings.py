@@ -94,8 +94,8 @@ def _load_jsonl(path: Path, modality: str) -> EmbeddingStore:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{where}: bad JSON: {exc}") from exc
+            except (ValueError, RecursionError) as exc:
+                raise FormatError(f"{where}: bad JSON: {exc}") from None
             if not isinstance(rec, dict):
                 raise FormatError(f"{where}: expected a JSON object")
             for key in ("id", "kind", "vec"):
@@ -105,12 +105,14 @@ def _load_jsonl(path: Path, modality: str) -> EmbeddingStore:
                 raise FormatError(f"{where}: id {rec['id']!r} is not a string")
             if rec["kind"] != modality:
                 raise FormatError(f"{where}: record {rec['id']!r} has kind {rec['kind']!r}, expected {modality!r}")
+            vec = rec["vec"]
+            # a flat list of JSON numbers; a bool is an int subclass, so compare types exactly
+            if not isinstance(vec, list) or not vec or not set(map(type, vec)) <= {int, float}:
+                raise FormatError(f"{where}: vec of {rec['id']!r} is not a list of numbers, or is empty")
             try:
-                store.add(rec["id"], rec["vec"])
-            except FormatError as exc:
+                store.add(rec["id"], vec)
+            except (FormatError, OverflowError) as exc:  # OverflowError: an int past float64
                 raise FormatError(f"{where}: {exc}") from None
-            except (ValueError, TypeError):
-                raise FormatError(f"{where}: vec of {rec['id']!r} is not a list of numbers") from None
     return store
 
 
@@ -121,6 +123,8 @@ def _load_binary(path: Path, modality: str) -> EmbeddingStore:
     if len(data) < 12:
         raise FormatError(f"{path}: truncated header")
     (width,) = struct.unpack_from("<I", data, 8)
+    if width == 0:
+        raise FormatError(f"{path}: header width 0")
     store = EmbeddingStore(modality)
     off = 12
     while off < len(data):

@@ -76,12 +76,13 @@ def confidence_loss(tape: Tape, conf, labels, probs) -> Node:
     return tape.mean_all(tape.mul(err, err))
 
 
-def reconstruction_loss(tape: Tape, logits, token_ids, pad_mask, n_positions: int, vocab_size: int) -> Node:
+def reconstruction_loss(tape: Tape, logits, token_ids, pad_mask, n_positions: int, vocab_size: int, weights=None) -> Node:
     """Softmax cross-entropy averaged over non-PAD positions per sample,
-    then over the batch."""
+    then over the batch; with `weights` (one a sample), their weighted sum
+    instead."""
     logits = _as_node(tape, logits)
     per_sample = tape.token_xent(logits, token_ids, pad_mask, n_positions, vocab_size)
-    return tape.mean_all(per_sample)
+    return tape.mean_all(per_sample) if weights is None else tape.matmul(per_sample, tape.constant(weights))
 
 
 def mse_loss(tape: Tape, pred, target) -> Node:

@@ -3,7 +3,7 @@ pocket aggregation, interaction head, confidence head, and the drug
 autoencoder behind the unfamiliarity score.
 
 All functions take column-vector batches (dim, batch). Passing tape=None
-runs pure inference on a throwaway tape. `score_pairs` and
+runs pure inference on a tape that records nothing. `score_pairs` and
 `unfamiliarity_many` are the inference paths: they score per entity and
 work in chunks of at most CHUNK_ELEMENTS float64 values per buffer.
 """
@@ -19,7 +19,7 @@ import numpy as np
 
 from ._util import check_floats
 from .errors import ConfigError, DataError, FormatError, ShapeError
-from .nn import DenseLayer, Node, Param, Tape, dense_forward, first_non_finite, init_dense, pack, token_nll, unit_sigmoid
+from .nn import DenseLayer, Node, Param, Tape, dense_forward, first_non_finite, init_dense, pack, token_nll
 from .tokenizer import DEFAULT_ALPHABET, N_SPECIALS, SmilesTokenizer
 
 CHECKPOINT_MAGIC = b"TDTICKPT"
@@ -156,20 +156,20 @@ def _prep(x, tape: Tape, width: int, what: str) -> Node:
 
 
 def encode_drug(state: ModelState, vec, tape: Tape | None = None) -> Node:
-    tape = tape or Tape()
+    tape = tape or Tape(record=False)
     return _run(state.encoder_drug, _prep(vec, tape, state.config.drug_dim, "drug vector"), tape)
 
 
 def run_encoder(layers: list[DenseLayer], x: np.ndarray) -> np.ndarray:
     """Inference-only pass of a column batch through an encoder branch."""
-    tape = Tape()
+    tape = Tape(record=False)
     return _run(layers, tape.constant(x), tape).value
 
 
 def encode_protein_with_pocket(state: ModelState, protein_vec, pocket_vec=None, tape: Tape | None = None) -> Node:
     """lambda_protein * E(protein) + lambda_pocket * K(pocket) when a pocket
     is given; plain E(protein) on the pocketless path."""
-    tape = tape or Tape()
+    tape = tape or Tape(record=False)
     c = state.config
     if pocket_vec is not None and state.encoder_pocket is None:
         raise ConfigError("pocket embedding supplied to a pocketless model")
@@ -188,14 +188,10 @@ def encode_protein_with_pocket(state: ModelState, protein_vec, pocket_vec=None, 
 def interaction_logit(state: ModelState, e_d: Node, e_p: Node, tape: Tape | None = None) -> Node:
     """Classifier over the concatenated pair [e_d || e_p]; (1, batch) logits
     (raw affinity values in regression mode)."""
-    tape = tape or Tape()
+    tape = tape or Tape(record=False)
     out = state.config.output_dim
-    if e_d.value.shape[0] != out or e_p.value.shape[0] != out:
-        raise ShapeError(
-            f"pair embeddings must have width {out}, got "
-            f"{e_d.value.shape[0]} and {e_p.value.shape[0]}"
-        )
-    return _run(state.classifier, tape.concat_rows(e_d, e_p), tape)
+    x = tape.concat_rows(_prep(e_d, tape, out, "drug embedding"), _prep(e_p, tape, out, "target embedding"))
+    return _run(state.classifier, x, tape)
 
 
 def confidence(state: ModelState, e_d: Node, e_p: Node, logit: Node, tape: Tape | None = None) -> Node:
@@ -204,7 +200,7 @@ def confidence(state: ModelState, e_d: Node, e_p: Node, logit: Node, tape: Tape 
     Inputs are detached: the confidence loss trains this head only and can
     never reshape the encoders or the classifier that produce its inputs.
     """
-    tape = tape or Tape()
+    tape = tape or Tape(record=False)
     x = tape.concat_rows(tape.detach(e_d), tape.detach(e_p), tape.detach(logit))
     return _run(state.conf_head, x, tape)
 
@@ -220,58 +216,64 @@ def reconstruct(state: ModelState, drug_vec, tape: Tape | None = None, n_positio
     batch), position-major. n_positions defaults to max_len; a shorter
     prefix evaluates only its decoder rows, and the rows past it get zero
     gradient."""
-    tape = tape or Tape()
+    tape = tape or Tape(record=False)
     c = state.config
     z = dense_forward(state.ae_encoder, _prep(drug_vec, tape, c.drug_dim, "drug vector"), tape)
     rows = None if n_positions is None else n_positions * c.vocab_size
     return dense_forward(state.ae_decoder, z, tape, rows)
 
 
+def head_partials(state: ModelState, e_d: Node, e_p: Node, tape: Tape) -> tuple[Node, Node, Node, Node]:
+    """Both heads' first layer split per entity, W [e_d; e_p] + b = W_d e_d +
+    (W_p e_p + b): one column per drug or per (target, pocket); the confidence
+    head's come from detached embeddings. Returns the classifier's drug and
+    target partials, then the confidence head's."""
+    out = state.config.output_dim
+    partials = []
+    for layer, d, p in ((state.classifier[0], e_d, e_p), (state.conf_head[0], tape.detach(e_d), tape.detach(e_p))):
+        partials.append(tape.matmul(tape.part(layer.weight, np.s_[:, :out]), d))
+        partials.append(tape.add(tape.matmul(tape.part(layer.weight, np.s_[:, out : 2 * out]), p), layer.bias))
+    return tuple(partials)
+
+
+def pair_heads(state: ModelState, partials, drug_idx: np.ndarray, target_idx: np.ndarray, tape: Tape) -> tuple[Node, Node]:
+    """Logits and confidences, (1, n) each, of the pairs (drug_idx[i],
+    target_idx[i]), column indices into `head_partials`: a gather, an add and
+    a relu, then hidden -> 1; the confidence head also adds w_logit * the
+    detached logit. Equal to interaction_logit / confidence up to rounding."""
+    cls_d, cls_p, conf_d, conf_p = partials
+    h = tape.add(tape.take_cols(cls_d, drug_idx), tape.take_cols(cls_p, target_idx))
+    logit = dense_forward(state.classifier[1], tape.relu(h), tape)
+    w_logit = tape.part(state.conf_head[0].weight, np.s_[:, 2 * state.config.output_dim :])
+    h = tape.add(tape.take_cols(conf_d, drug_idx), tape.take_cols(conf_p, target_idx))
+    h = tape.add(h, tape.matmul(w_logit, tape.detach(logit)))
+    return logit, dense_forward(state.conf_head[1], tape.relu(h), tape)
+
+
 def score_pairs(state: ModelState, drug_matrix, protein_matrix, pocket_matrix, drug_idx, target_idx):
     """Interaction logits and confidences, (n,) each, of the pairs
     (drug_idx[i], target_idx[i]): column indices into per-entity matrices,
-    one column per drug and one per (target, pocket).
-
-    Each entity goes through its tower once. The first layer of both heads is
-    linear in [e_d; e_p], so W [e_d; e_p] + b = W_d e_d + (W_p e_p + b): those
-    partials are computed per entity, and a pair costs a gather, an add, a
-    relu and the hidden -> 1 layer (plus w_logit * logit in the confidence
-    head). Equal to interaction_logit / confidence up to float rounding.
-    """
-    c = state.config
+    one column per drug and one per (target, pocket). Each entity goes
+    through its tower and `head_partials` once; the pairs go through
+    `pair_heads` in chunks."""
     drug_idx = np.asarray(drug_idx, dtype=np.intp)
     target_idx = np.asarray(target_idx, dtype=np.intp)
     if drug_idx.ndim != 1 or drug_idx.shape != target_idx.shape:
         raise ShapeError(f"pair indices must be two equal-length vectors, got {drug_idx.shape} and {target_idx.shape}")
-    e_d = encode_drug(state, drug_matrix).value
-    e_p = encode_protein_with_pocket(state, protein_matrix, pocket_matrix).value
-    for idx, n_cols, what in ((drug_idx, e_d.shape[1], "drug"), (target_idx, e_p.shape[1], "target")):
+    tape = Tape(record=False)
+    e_d = encode_drug(state, drug_matrix, tape)
+    e_p = encode_protein_with_pocket(state, protein_matrix, pocket_matrix, tape)
+    for idx, n_cols, what in ((drug_idx, e_d.value.shape[1], "drug"), (target_idx, e_p.value.shape[1], "target")):
         if idx.size and (idx.min() < 0 or idx.max() >= n_cols):
             raise ShapeError(f"{what} index outside 0..{n_cols - 1}")
-
-    # per-entity partials, one row per entity so a pair gathers contiguous rows
-    out = c.output_dim
-    cls_in, cls_out = state.classifier
-    conf_in, conf_out = state.conf_head
-    w, wc = cls_in.weight.value, conf_in.weight.value
-    cls_d, cls_p = e_d.T @ w[:, :out].T, e_p.T @ w[:, out:].T + cls_in.bias.value.T
-    conf_d, conf_p = e_d.T @ wc[:, :out].T, e_p.T @ wc[:, out : 2 * out].T + conf_in.bias.value.T
-    w_logit = wc[:, 2 * out :].T
-
+    partials = head_partials(state, e_d, e_p, tape)
     n = drug_idx.size
     logits, confs = np.empty(n), np.empty(n)
-    step = max(1, CHUNK_ELEMENTS // c.hidden_dim)
+    step = max(1, CHUNK_ELEMENTS // (8 * state.config.hidden_dim))  # pair_heads holds < 8 (hidden, step) buffers
     for lo in range(0, n, step):
-        d, t = drug_idx[lo : lo + step], target_idx[lo : lo + step]
-        h = cls_d[d]
-        h += cls_p[t]
-        logit = np.maximum(h, 0.0, out=h) @ cls_out.weight.value.T + cls_out.bias.value
-        h = conf_d[d]
-        h += conf_p[t]
-        h += logit * w_logit
-        conf = np.maximum(h, 0.0, out=h) @ conf_out.weight.value.T + conf_out.bias.value
-        logits[lo : lo + step] = logit[:, 0]
-        confs[lo : lo + step] = unit_sigmoid(conf)[:, 0]
+        cols = slice(lo, lo + step)
+        logit, conf = pair_heads(state, partials, drug_idx[cols], target_idx[cols], tape)
+        logits[cols], confs[cols] = logit.value[0], conf.value[0]
     return logits, confs
 
 
@@ -286,7 +288,7 @@ def unfamiliarity_many(state: ModelState, drug_matrix, token_ids, pad_mask) -> n
     and would add exact zeros.
     """
     c = state.config
-    tape = Tape()
+    tape = Tape(record=False)
     z = dense_forward(state.ae_encoder, _prep(drug_matrix, tape, c.drug_dim, "drug vector"), tape).value
     dec_w, dec_b = state.ae_decoder.weight.value, state.ae_decoder.bias.value
     u = np.empty(z.shape[1])

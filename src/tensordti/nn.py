@@ -23,6 +23,7 @@ Matrix = np.ndarray
 ACTIVATIONS = ("identity", "relu", "sigmoid", "tanh")
 
 ADAM_BLOCK = 1 << 15  # float64 values per block of the in-place Adam update (256 KiB)
+ONEHOT_LIMIT = 1 << 16  # largest positions x columns one-hot of take_cols' backward (512 KiB)
 
 
 def as_matrix(x, name: str = "tensor") -> Matrix:
@@ -49,12 +50,6 @@ def stable_sigmoid(x: Matrix) -> Matrix:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def unit_sigmoid(x: Matrix) -> Matrix:
-    """stable_sigmoid clamped to [1e-12, 1 - 1e-12], so saturated heads keep
-    the open (0, 1) contract."""
-    return np.clip(stable_sigmoid(x), 1e-12, 1.0 - 1e-12)
 
 
 def token_nll(cube: Matrix, ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, Matrix]:
@@ -178,14 +173,15 @@ class Tape:
     has a parent to feed; ops with several parents skip those that need none.
     """
 
-    def __init__(self):
+    def __init__(self, record: bool = True):
+        self.record = record  # False for inference: nothing kept for backward, so intermediates free early
         self._entries: list[tuple[Node, Callable]] = []
         self._params: dict[int, Param] = {}  # by id, in recording order
 
     # -- recording -----------------------------------------------------
 
     def _record(self, out: Node, parents: tuple[Node, ...], bw: Callable) -> Node:
-        if not any(p.needs_grad for p in parents):
+        if not self.record or not any(p.needs_grad for p in parents):
             return out
         out.needs_grad = True
         for p in parents:
@@ -220,26 +216,17 @@ class Tape:
 
     def add(self, a: Node, b: Node) -> Node:
         va, vb = a.value, b.value
-        if va.shape == vb.shape:
-            out = Node(va + vb)
-
-            def bw(g, sink):
-                if a.needs_grad:
-                    sink(a, g)
-                if b.needs_grad:
-                    sink(b, g)
-
-        elif vb.shape == (va.shape[0], 1):  # bias broadcast over columns
-            out = Node(va + vb)
-
-            def bw(g, sink):
-                if a.needs_grad:
-                    sink(a, g)
-                if b.needs_grad:
-                    sink(b, g.sum(axis=1, keepdims=True))
-
-        else:
+        bias = va.shape != vb.shape  # b broadcast over columns
+        if bias and vb.shape != (va.shape[0], 1):
             raise ShapeError(f"add: incompatible shapes {va.shape} and {vb.shape}")
+        out = Node(va + vb)
+
+        def bw(g, sink):
+            if a.needs_grad:
+                sink(a, g)
+            if b.needs_grad:
+                sink(b, g.sum(axis=1, keepdims=True) if bias else g)
+
         return self._record(out, (a, b), bw)
 
     def sub(self, a: Node, b: Node) -> Node:
@@ -278,16 +265,16 @@ class Tape:
         return self._record(out, (x,), bw)
 
     def relu(self, x: Node) -> Node:
-        mask = x.value > 0
-        out = Node(np.where(mask, x.value, 0.0))
+        out = Node(np.maximum(x.value, 0.0))
 
         def bw(g, sink):
-            sink(x, g * mask)
+            sink(x, g * (x.value > 0))
 
         return self._record(out, (x,), bw)
 
     def sigmoid(self, x: Node) -> Node:
-        s = unit_sigmoid(x.value)
+        # clamped to [1e-12, 1 - 1e-12], so saturated heads keep the open (0, 1) contract
+        s = np.clip(stable_sigmoid(x.value), 1e-12, 1.0 - 1e-12)
         out = Node(s)
 
         def bw(g, sink):
@@ -358,27 +345,35 @@ class Tape:
 
         return self._record(out, tuple(xs), bw)
 
-    def first_rows(self, x: Node, rows: int) -> Node:
-        """x[:rows]; the rows past the cut get exactly zero gradient."""
-        out = Node(x.value[:rows])
-        shape = x.value.shape
+    def part(self, x: Param, where) -> Node:
+        """x[where] for a basic index, as a view; backward adds into that part of x's gradient alone."""
+        if not isinstance(x, Param):
+            raise UsageError("part takes a part of a Param only")
+        out = Node(x.value[where])
 
         def bw(g, sink):
-            buf = np.zeros(shape)
-            buf[:rows] = g
-            sink(x, buf)
+            sink(x, g, where)
 
         return self._record(out, (x,), bw)
 
     def take_cols(self, x: Node, idx: np.ndarray) -> Node:
+        """x[:, idx]. Backward sums each column's gradient over the positions
+        that took it: as g @ onehot(idx) while the one-hot holds at most
+        ONEHOT_LIMIT values (the faster form at training batch sizes), else
+        as a sorted segment sum, linear in the positions."""
         idx = np.asarray(idx, dtype=np.intp)
         out = Node(x.value[:, idx])
-        shape = x.value.shape
 
         def bw(g, sink):
-            buf = np.zeros(shape)
-            np.add.at(buf, (slice(None), idx), g)
-            sink(x, buf)
+            if idx.size * x.value.shape[1] <= ONEHOT_LIMIT:
+                onehot = np.zeros((idx.size, x.value.shape[1]))
+                onehot[np.arange(idx.size), idx] = 1.0
+                return sink(x, g @ onehot)
+            order = np.argsort(idx, kind="stable")
+            starts = np.flatnonzero(np.diff(idx[order], prepend=-1))
+            grad = np.zeros(x.value.shape)
+            grad[:, idx[order[starts]]] = np.add.reduceat(np.take(g, order, axis=1), starts, axis=1)
+            sink(x, grad)
 
         return self._record(out, (x,), bw)
 
@@ -466,14 +461,12 @@ class Tape:
         flats = {key: np.zeros_like(buf) for key, buf in buffers.items()}
         slots = {k: flats[id(p.flat)][p.lo : p.lo + p.value.size].reshape(p.value.shape) for k, p in self._params.items()}
 
-        def sink(node: Node, contrib: Matrix):
+        def sink(node: Node, contrib: Matrix, where=...):  # `where`: a Param's part (Tape.part)
             key = id(node)
             if key in slots:
-                slots[key] += contrib
-            elif key in grads:
-                grads[key] = grads[key] + contrib
+                slots[key][where] += contrib
             else:
-                grads[key] = contrib
+                grads[key] = grads[key] + contrib if key in grads else contrib
 
         for node, bw in reversed(self._entries):
             g = grads.pop(id(node), None)
@@ -500,7 +493,7 @@ def dense_forward(layer: DenseLayer, x: Node, tape: Tape, rows: int | None = Non
             f"weight shape {w.value.shape}"
         )
     if rows is not None and rows < w.value.shape[0]:
-        w, b = tape.first_rows(w, rows), tape.first_rows(b, rows)
+        w, b = tape.part(w, np.s_[:rows]), tape.part(b, np.s_[:rows])
     h = tape.add(tape.matmul(w, x), b)
     if layer.activation == "identity":
         return h

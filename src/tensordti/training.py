@@ -168,20 +168,18 @@ class _Pairs:
         self.token_ids, self.pad_mask = state.tokenizer.tokenize_many([data.smiles[d] for d in self.drugs])
 
 
-def _pair_forward(state: ModelState, pairs: _Pairs, idx: np.ndarray, tape: Tape):
-    """Both encoders, the interaction head and the confidence head for the
-    pairs at idx: (e_d, e_p, logit, confidence) nodes on `tape`."""
-    e_d = model_mod.encode_drug(state, pairs.x_drug[:, pairs.drug_idx[idx]], tape)
-    targets = pairs.target_idx[idx]
+def _forward_losses(state: ModelState, pairs: _Pairs, idx: np.ndarray, tape: Tape, trip_rng: np.random.Generator | None):
+    """Loss terms of the minibatch of pairs at idx, per entity: each unique
+    drug and (target, pocket) key goes through its tower, and each unique
+    drug through the autoencoder, once; the pairs gather the embeddings and
+    the head partials by their per-pair inverse indices."""
+    c = state.config
+    drugs, d_of = np.unique(pairs.drug_idx[idx], return_inverse=True)
+    targets, t_of = np.unique(pairs.target_idx[idx], return_inverse=True)
+    e_d = model_mod.encode_drug(state, pairs.x_drug[:, drugs], tape)
     pocket = None if pairs.x_pocket is None else pairs.x_pocket[:, targets]
     e_p = model_mod.encode_protein_with_pocket(state, pairs.x_protein[:, targets], pocket, tape)
-    logit = model_mod.interaction_logit(state, e_d, e_p, tape)
-    return e_d, e_p, logit, model_mod.confidence(state, e_d, e_p, logit, tape)
-
-
-def _forward_losses(state: ModelState, pairs: _Pairs, idx: np.ndarray, tape: Tape, trip_rng: np.random.Generator | None):
-    c = state.config
-    e_d, e_p, logit, conf = _pair_forward(state, pairs, idx, tape)
+    logit, conf = model_mod.pair_heads(state, model_mod.head_partials(state, e_d, e_p, tape), d_of, t_of, tape)
 
     terms = losses.LossTerms()
     if c.mode == "classification":
@@ -191,7 +189,7 @@ def _forward_losses(state: ModelState, pairs: _Pairs, idx: np.ndarray, tape: Tap
         terms.conf = losses.confidence_loss(tape, conf, y, probs)
         if c.alpha_con > 0:
             if c.contrastive == "cosine_margin":
-                terms.con = losses.contrastive_cosine(tape, e_d, e_p, y, c.margin)
+                terms.con = losses.contrastive_cosine(tape, tape.take_cols(e_d, d_of), tape.take_cols(e_p, t_of), y, c.margin)
             else:
                 pos = np.where(y == 1)[0]
                 if pos.size == 0:
@@ -200,30 +198,29 @@ def _forward_losses(state: ModelState, pairs: _Pairs, idx: np.ndarray, tape: Tap
                     perm = trip_rng.permutation(idx.size) if trip_rng is not None else np.roll(np.arange(idx.size), 1)
                     terms.con = losses.contrastive_triplet(
                         tape,
-                        tape.take_cols(e_d, pos),
-                        tape.take_cols(e_p, pos),
-                        tape.take_cols(e_p, perm[pos]),
+                        tape.take_cols(e_d, d_of[pos]),
+                        tape.take_cols(e_p, t_of[pos]),
+                        tape.take_cols(e_p, t_of[perm[pos]]),
                         c.triplet_margin,
                     )
     else:
         target = pairs.affinity[idx]
-        if np.any(np.isnan(target)):
-            raise DataError("regression mode requires an affinity on every record")
         terms.mse = losses.mse_loss(tape, logit, tape.constant(target.reshape(1, -1)))
         err = np.minimum(1.0, np.abs(target - logit.value.reshape(-1)) / c.error_scale)
         terms.conf = losses.mse_loss(tape, conf, err.reshape(1, -1))
 
     if c.alpha_recon > 0:
         # positions past the batch's longest scorable prefix are masked, so
-        # their logits are never computed
-        drugs = pairs.drug_idx[idx]
+        # their logits are never computed; each drug's NLL weighs its pair
+        # count / batch size, which is the mean over the batch's pairs
         mask = pairs.pad_mask[:, drugs]
         n_pos = model_mod.scorable_prefix(mask)
         recon_logits = model_mod.reconstruct(state, pairs.x_drug[:, drugs], tape, n_pos)
         terms.recon = losses.reconstruction_loss(
-            tape, recon_logits, pairs.token_ids[:n_pos, drugs], mask[:n_pos], n_pos, c.vocab_size
+            tape, recon_logits, pairs.token_ids[:n_pos, drugs], mask[:n_pos], n_pos, c.vocab_size,
+            np.bincount(d_of) / idx.size,
         )
-    return terms, logit, conf
+    return terms
 
 
 def _scores(state: ModelState, pairs: _Pairs):
@@ -278,7 +275,7 @@ def _train_single(model_config: ModelConfig, data: DatasetBundle, config: TrainC
         for lo in range(0, n, config.batch_size):
             idx = order[lo : lo + config.batch_size]
             tape = Tape()
-            terms, _, _ = _forward_losses(state, train, idx, tape, trip_rng)
+            terms = _forward_losses(state, train, idx, tape, trip_rng)
             total, bd = losses.composite_loss(tape, terms, model_config)
             if not np.isfinite(bd.l_total):
                 raise DataError(

@@ -1,11 +1,16 @@
 import json
 import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensordti.embeddings import (
+    EMBEDDING_MAGIC,
     EmbeddingStore,
     InteractionRecord,
     load_embeddings,
@@ -17,7 +22,7 @@ from tensordti.embeddings import (
     save_smiles,
     validate_interactions,
 )
-from tensordti.errors import DataError, FormatError
+from tensordti.errors import DataError, FormatError, TdtiError
 
 
 def make_store(modality="drug", n=3, width=4, seed=0):
@@ -75,6 +80,14 @@ def test_binary_refuses_an_id_longer_than_its_length_field(tmp_path):
     assert not path.exists()
 
 
+def test_binary_accepts_an_id_of_exactly_its_length_field(tmp_path):
+    store = EmbeddingStore("drug")
+    store.add("é" * 32_767 + "a", np.ones(3))  # 65,535 UTF-8 bytes
+    path = tmp_path / "e.bin"
+    save_embeddings_binary(store, path)
+    assert load_embeddings(path, "drug").ids() == store.ids()
+
+
 def test_nan_record_rejected(tmp_path):
     path = tmp_path / "nan.jsonl"
     path.write_text(json.dumps({"id": "a", "kind": "drug", "vec": [1.0, None]}) + "\n")
@@ -112,6 +125,19 @@ EMBEDDING_FAULTS = {
         b'{"id": "a", "kind": "drug", "vec": [1, 2]}\n{"id": "b", "kind": "drug", "vec": "abc"}\n',
         ":2: vec of 'b' is not a list of numbers",
     ),
+    "jsonl_vec_nested": (b'{"id": "a", "kind": "drug", "vec": [[1, 2], [3, 4]]}\n', ":1: vec of 'a' is not a list of numbers"),
+    "jsonl_vec_string": (b'{"id": "a", "kind": "drug", "vec": "12"}\n', ":1: vec of 'a' is not a list of numbers"),
+    "jsonl_vec_scalar": (b'{"id": "a", "kind": "drug", "vec": 3}\n', ":1: vec of 'a' is not a list of numbers"),
+    "jsonl_vec_booleans": (b'{"id": "a", "kind": "drug", "vec": [true, false]}\n', ":1: vec of 'a' is not a list of numbers"),
+    "jsonl_vec_empty": (b'{"id": "a", "kind": "drug", "vec": []}\n', ":1: vec of 'a' is not a list of numbers, or is empty"),
+    "jsonl_vec_int_past_float64": (
+        b'{"id": "a", "kind": "drug", "vec": [1' + b"0" * 400 + b']}\n',
+        ":1: int too large to convert to float",
+    ),
+    "jsonl_nested_too_deep": (
+        b'{"id": "a", "kind": "drug", "vec": [1]}\n' + b"[" * 100_000 + b"\n", ":2: bad JSON: maximum recursion depth"
+    ),
+    "binary_width_zero": (b"TDTIEMB1" + struct.pack("<IH", 0, 1) + b"a", ": header width 0"),
     "jsonl_not_utf8": (
         b'{"id": "a", "kind": "drug", "vec": [1, 2]}\n{"id": "\xff", "kind": "drug", "vec": [1, 2]}\n',
         ":2: not UTF-8",
@@ -189,3 +215,42 @@ def test_smiles_round_trip(tmp_path):
     assert load_smiles(path) == data
 
 
+
+
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+RECORD = st.fixed_dictionaries(
+    {"id": st.text(max_size=4) | JSON_VALUE, "kind": st.sampled_from(["drug", "protein"]) | JSON_VALUE, "vec": JSON_VALUE}
+)
+JSONL_BYTES = st.lists(RECORD | JSON_VALUE, max_size=4).map(lambda recs: "\n".join(map(json.dumps, recs)).encode("utf-8"))
+# a header width of 0-3, then records of (u16 id length, id, vector bytes) whose vectors may not match it
+BINARY_BYTES = st.tuples(st.integers(0, 3), st.lists(st.tuples(st.binary(max_size=4), st.binary(max_size=16)), max_size=3)).map(
+    lambda spec: EMBEDDING_MAGIC
+    + struct.pack("<I", spec[0])
+    + b"".join(struct.pack("<H", len(rec_id)) + rec_id + vec for rec_id, vec in spec[1])
+)
+EMBEDDING_BYTES = st.binary(max_size=96) | st.binary(max_size=64).map(EMBEDDING_MAGIC.__add__) | JSONL_BYTES | BINARY_BYTES
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(EMBEDDING_BYTES, st.sampled_from(["", "bitflip"]), st.integers(0, 10**6))
+def test_embedding_readers_on_arbitrary_bytes_load_or_raise_a_typed_error(data, damage, where):
+    """Either format, raw or damaged: the store loads with one positive
+    width and finite vectors, or the reader raises a TdtiError."""
+    if damage and data:
+        data = bytearray(data)
+        data[where % len(data)] ^= 1 << (where % 8)
+        data = bytes(data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "e.emb"
+        path.write_bytes(data)
+        try:
+            store = load_embeddings(path, "drug")
+        except TdtiError:
+            return
+    vecs = [store.get(i) for i in store.ids()]
+    assert store.width is None if not vecs else store.width > 0
+    assert all(v.shape == (store.width,) and np.all(np.isfinite(v)) for v in vecs)

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tensordti import nn
 from tensordti.errors import ShapeError, UsageError
 from tensordti.nn import (
     ADAM_BLOCK,
@@ -146,9 +147,9 @@ class SinkSpy(Tape):
 
     def _record(self, out, parents, bw):
         def spied(g, sink):
-            def spy(node, contrib):
+            def spy(node, contrib, *where):
                 self.sunk.append(node)
-                sink(node, contrib)
+                sink(node, contrib, *where)
 
             bw(g, spy)
 
@@ -165,6 +166,58 @@ def test_backward_computes_no_contribution_for_constant_inputs():
     assert tape.sunk and all(node.needs_grad for node in tape.sunk)
     assert x not in tape.sunk
     assert np.array_equal(grads[lyr.weight], [[2.0, -4.0], [1.0, 3.0]])  # relu keeps one unit a column
+
+
+@pytest.mark.parametrize(
+    "idx", [[2, 0, 2, 1, 0, 2], [3, 3, 1], [4, 2, 0, 1, 3], []], ids=["repeats", "some-columns", "permutation", "empty"]
+)
+@pytest.mark.parametrize("limit", [nn.ONEHOT_LIMIT, 0], ids=["onehot", "segment-sum"])
+def test_take_cols_backward_is_the_scatter_add_of_its_positions(monkeypatch, idx, limit):
+    """Into a parameter and into an op output alike, as a one-hot product or
+    a segment sum: each column's gradient is the sum over the positions that
+    took it, and untaken columns get 0."""
+    monkeypatch.setattr(nn, "ONEHOT_LIMIT", limit)
+    rng = np.random.default_rng(0)
+    w = Param(rng.standard_normal((3, 5)), "w")
+    g = rng.standard_normal((3, len(idx)))
+    want = np.zeros((3, 5))
+    np.add.at(want, (slice(None), np.array(idx, dtype=int)), g)
+    tape = Tape()
+    taken = tape.take_cols(w, idx)
+    assert np.array_equal(taken.value, w.value[:, idx])
+    assert np.allclose(tape.backward(taken, g)[w], want, rtol=0, atol=1e-15)
+    tape = Tape()
+    h = tape.affine(w, 2.0)
+    grads = tape.backward(tape.take_cols(h, idx), g)
+    assert np.allclose(grads[w], 2.0 * want, rtol=0, atol=1e-15)
+
+
+def test_part_backward_fills_only_its_part():
+    """Row prefixes and column blocks of one parameter: each part's gradient
+    lands in its own region, and the rest stays exactly zero. Only a
+    Param has parts."""
+    w = Param(np.arange(12.0).reshape(3, 4), "w")
+    tape = Tape()
+    top = tape.part(w, np.s_[:2])
+    left = tape.part(w, np.s_[:, :1])
+    assert np.shares_memory(top.value, w.value)
+    out = tape.add(tape.sum_all(top), tape.sum_all(tape.affine(left, 3.0)))
+    grads = tape.backward(out)
+    assert np.array_equal(grads[w], [[4.0, 1.0, 1.0, 1.0], [4.0, 1.0, 1.0, 1.0], [3.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(UsageError, match="Param"):
+        Tape().part(tape.affine(w, 1.0), np.s_[1:])
+
+
+def test_tape_that_does_not_record_gives_the_same_values():
+    rng = np.random.default_rng(1)
+    lyr = init_dense(rng, 4, 3, "relu", "l")
+    x = rng.standard_normal((4, 5))
+    quiet = Tape(record=False)
+    out = dense_forward(lyr, quiet.constant(x), quiet)
+    assert np.array_equal(out.value, dense_forward(lyr, Tape().constant(x), Tape()).value)
+    assert not out.needs_grad
+    with pytest.raises(UsageError, match="no recorded"):
+        quiet.backward(out)
 
 
 def grads_of(params, values: dict) -> dict:

@@ -8,6 +8,7 @@ from pathlib import Path
 import tensordti
 
 SRC = Path(tensordti.__file__).parent
+BENCH_CHECKS = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
 
 # kept for the tests alone: each is the reference a tested path is checked against
 TEST_ORACLES = {
@@ -16,6 +17,9 @@ TEST_ORACLES = {
     "tokenizer.SmilesTokenizer.detokenize",
     "model.run_encoder",
     "embeddings.save_embeddings_binary",
+    # the per-pair heads: perfbench's prediction check calls them as its oracle
+    "model.interaction_logit",
+    "model.confidence",
 }
 
 
@@ -64,3 +68,20 @@ def test_every_definition_is_referenced_in_src_outside_itself():
 
     assert TEST_ORACLES <= defined, f"oracles no longer defined: {sorted(TEST_ORACLES - defined)}"
     assert sorted(dead - TEST_ORACLES) == []
+
+
+def test_every_model_function_the_benchmark_checks_call_exists():
+    """perfbench/checks.py checks predictions against `model.<name>`
+    functions; each must exist, or every benchmark run fails its checks."""
+    tree = ast.parse(BENCH_CHECKS.read_text(encoding="utf-8"), str(BENCH_CHECKS))
+    called = {
+        node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "model"
+    }
+    assert {"interaction_logit", "confidence", "load_checkpoint"} <= called
+    model = importlib.import_module("tensordti.model")
+    assert sorted(name for name in called if not callable(getattr(model, name, None))) == []

@@ -1,17 +1,17 @@
 import dataclasses
 import logging
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from tensordti import _util, losses
 from tensordti import model as M
+from tensordti import nn
 from tensordti import training as T
 from tensordti.errors import ConfigError, DataError
 from tensordti.model import ModelConfig
-from tensordti.nn import Tape
+from tensordti.nn import Tape, stable_sigmoid
 from tensordti.pipeline import SplitSpec, split
 from tensordti.synthetic import SyntheticConfig, gen_synthetic
 from tensordti.training import (
@@ -286,6 +286,51 @@ def pocket_bundle(task="dti"):
     )
 
 
+def _pair_forward(state, pairs, idx, tape):
+    """The per-pair path: both encoders, the interaction head and the
+    confidence head once per pair at idx, (e_d, e_p, logit, confidence)."""
+    e_d = M.encode_drug(state, pairs.x_drug[:, pairs.drug_idx[idx]], tape)
+    targets = pairs.target_idx[idx]
+    pocket = None if pairs.x_pocket is None else pairs.x_pocket[:, targets]
+    e_p = M.encode_protein_with_pocket(state, pairs.x_protein[:, targets], pocket, tape)
+    logit = M.interaction_logit(state, e_d, e_p, tape)
+    return e_d, e_p, logit, M.confidence(state, e_d, e_p, logit, tape)
+
+
+def _per_pair_losses(state, pairs, idx, tape):
+    """The loss terms of one training step on the per-pair path: every
+    tower, both heads and the autoencoder run once per pair, and the
+    reconstruction loss is the mean over pairs."""
+    c = state.config
+    e_d, e_p, logit, conf = _pair_forward(state, pairs, idx, tape)
+    terms = losses.LossTerms()
+    if c.mode == "classification":
+        y = pairs.labels[idx]
+        terms.bce = losses.bce_with_logits(tape, logit, y)
+        terms.conf = losses.confidence_loss(tape, conf, y, stable_sigmoid(logit.value).reshape(-1))
+        if c.contrastive == "cosine_margin":
+            terms.con = losses.contrastive_cosine(tape, e_d, e_p, y, c.margin)
+        else:
+            pos = np.where(y == 1)[0]
+            neg = np.roll(np.arange(idx.size), 1)[pos]
+            terms.con = losses.contrastive_triplet(
+                tape, tape.take_cols(e_d, pos), tape.take_cols(e_p, pos), tape.take_cols(e_p, neg), c.triplet_margin
+            )
+    else:
+        target = pairs.affinity[idx]
+        terms.mse = losses.mse_loss(tape, logit, target.reshape(1, -1))
+        err = np.minimum(1.0, np.abs(target - logit.value.reshape(-1)) / c.error_scale)
+        terms.conf = losses.mse_loss(tape, conf, err.reshape(1, -1))
+    drugs = pairs.drug_idx[idx]
+    mask = pairs.pad_mask[:, drugs]
+    n_pos = M.scorable_prefix(mask)
+    recon_logits = M.reconstruct(state, pairs.x_drug[:, drugs], tape, n_pos)
+    terms.recon = losses.reconstruction_loss(
+        tape, recon_logits, pairs.token_ids[:n_pos, drugs], mask[:n_pos], n_pos, c.vocab_size
+    )
+    return terms
+
+
 FACTORED_CASES = {
     "classification-pocket": ("dti", dict(pocket_dim=6)),
     "classification-no-pocket": ("dti", {}),
@@ -308,11 +353,14 @@ def test_factored_scores_match_tape_path(monkeypatch, case):
             p.value[...] = 0.1 * rng.standard_normal(p.value.shape)
     records = bundle.interactions + bundle.interactions[:5]
     assert len({r.drug_id for r in records}) < len(records) and len(records) % 8
-    monkeypatch.setattr(M, "CHUNK_ELEMENTS", 8 * state.config.hidden_dim)
+    monkeypatch.setattr(M, "CHUNK_ELEMENTS", 64 * state.config.hidden_dim)
+    chunks, pair_heads = [], M.pair_heads
+    monkeypatch.setattr(M, "pair_heads", lambda s, p, d, t, tape: chunks.append(d.size) or pair_heads(s, p, d, t, tape))
 
     pairs = T._Pairs(bundle, records, state)
     logits, _, confs = T._scores(state, pairs)
-    _, _, logit, conf = T._pair_forward(state, pairs, np.arange(len(records)), Tape())
+    assert len(chunks) > 2 and set(chunks[:-1]) == {8} and 0 < chunks[-1] < 8
+    _, _, logit, conf = _pair_forward(state, pairs, np.arange(len(records)), Tape())
     assert np.max(np.abs(logits - logit.value.reshape(-1))) <= 1e-12
     assert np.max(np.abs(confs - conf.value.reshape(-1))) <= 1e-12
 
@@ -417,49 +465,71 @@ def test_prediction_columns_memory_bounded_by_entities_not_records(tmp_path, mon
     assert grown <= 200, f"{grown:.0f} B a record"
 
 
-def _train_step(state, arr, idx, tape=None):
+def _train_step(state, arr, idx, tape=None, forward_losses=None):
     """Loss value and parameter gradients of one training step."""
     tape = tape or Tape()
-    terms, _, _ = T._forward_losses(state, arr, idx, tape, None)
+    if forward_losses is None:
+        terms = T._forward_losses(state, arr, idx, tape, None)
+    else:
+        terms = forward_losses(state, arr, idx, tape)
     total, _ = losses.composite_loss(tape, terms, state.config)
     return total.item(), tape.backward(total)
 
 
 ORACLE_CASES = {
     "classification-pocket": ("dti", dict(pocket_dim=6)),
+    "classification": ("dti", {}),
+    "triplet-pocket": ("dti", dict(pocket_dim=6, contrastive="triplet_l2")),
+    "triplet": ("dti", dict(contrastive="triplet_l2")),
+    "regression-pocket": ("dta", dict(pocket_dim=6, mode="regression")),
     "regression": ("dta", dict(mode="regression")),
 }
 
 
+def _distinct_pairs(pairs):
+    """Indices of pairs no two of which share a drug or a target."""
+    seen_d, seen_t, picked = set(), set(), []
+    for i, (d, t) in enumerate(zip(pairs.drug_idx, pairs.target_idx)):
+        if d not in seen_d and t not in seen_t:
+            seen_d.add(d)
+            seen_t.add(t)
+            picked.append(i)
+    return np.array(picked)
+
+
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-def test_training_step_through_pairs_matches_per_pair_matrices(case):
-    """One step on a shuffled minibatch gathered through the per-entity table
-    against the same step over per-pair matrices (identity indices): the
-    same values in the same order, so the loss and every gradient are equal
-    bit for bit."""
+def test_training_step_through_pairs_matches_per_pair_matrices(monkeypatch, case):
+    """One per-entity training step against the per-pair path (every tower,
+    both heads and the autoencoder once per pair, the reconstruction loss a
+    mean over pairs): the loss and every parameter gradient agree to 1e-12
+    of their largest magnitude, on a minibatch that repeats drugs and
+    targets and on one whose pairs share none, with take_cols' backward as
+    a one-hot product and as a segment sum."""
     task, kw = ORACLE_CASES[case]
     bundle = pocket_bundle(task)
     state = M.init_model(model_cfg(**kw), seed=4)
-    records = bundle.interactions + bundle.interactions[:9]
-    pairs = T._Pairs(bundle, records, state)
+    rng = np.random.default_rng(3)
+    for p in state.parameters():  # non-zero biases, so their placement counts
+        if p.name.endswith(".bias"):
+            p.value[...] = 0.1 * rng.standard_normal(p.value.shape)
+    pairs = T._Pairs(bundle, bundle.interactions, state)
     pairs.tokenize(bundle, state)
-    n = len(records)
-    assert pairs.x_drug.shape[1] < n and pairs.x_protein.shape[1] < n
-    per_pair = SimpleNamespace(
-        x_drug=bundle.drugs.matrix([r.drug_id for r in records]),
-        x_protein=bundle.proteins.matrix([r.target_id for r in records]),
-        x_pocket=None if pairs.x_pocket is None else bundle.pockets.matrix([r.pocket_id for r in records]),
-        drug_idx=np.arange(n), target_idx=np.arange(n),
-        labels=pairs.labels, affinity=pairs.affinity,
-    )
-    per_pair.token_ids, per_pair.pad_mask = state.tokenizer.tokenize_many([bundle.smiles[r.drug_id] for r in records])
-    idx = np.random.default_rng(2).permutation(n)[:64]
-    loss, grads = _train_step(state, pairs, idx)
-    want_loss, want_grads = _train_step(state, per_pair, idx)
-    assert loss == want_loss
-    assert grads.keys() == want_grads.keys()
-    for p, g in want_grads.items():
-        assert np.array_equal(grads[p], g), p.name
+    repeated = np.random.default_rng(2).permutation(len(bundle.interactions))[:64]
+    distinct = _distinct_pairs(pairs)
+    assert np.unique(pairs.drug_idx[repeated]).size < repeated.size > np.unique(pairs.target_idx[repeated]).size
+    assert distinct.size == np.unique(pairs.target_idx).size
+    for idx in (repeated, distinct):
+        if task == "dti":
+            assert 0 < pairs.labels[idx].sum() < idx.size
+        want_loss, want_grads = _train_step(state, pairs, idx, forward_losses=_per_pair_losses)
+        for limit in (nn.ONEHOT_LIMIT, 0):
+            monkeypatch.setattr(nn, "ONEHOT_LIMIT", limit)
+            loss, grads = _train_step(state, pairs, idx)
+            assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+            assert grads.keys() == want_grads.keys()
+            for p, want in want_grads.items():
+                assert np.max(np.abs(grads[p] - want)) <= 1e-12 * np.max(np.abs(want)), p.name
+        monkeypatch.undo()
 
 
 def test_train_with_lambda_pocket_zero_only_decays_the_pocket_branch():
