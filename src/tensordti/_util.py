@@ -1,5 +1,6 @@
-"""Small shared helpers: seed derivation, hashing, and the TSV table format
-every table reader and writer goes through."""
+"""Small shared helpers: seed derivation, hashing, the TSV table format
+every table reader and writer goes through, and the split strategy names
+that the CLI parser and `pipeline` share."""
 
 from __future__ import annotations
 
@@ -14,6 +15,8 @@ _MASK64 = (1 << 64) - 1
 
 # rows per block that write_tsv formats, checks and writes at once
 TSV_BLOCK_ROWS = 4096
+
+SPLIT_STRATEGIES = ("random", "unseen_drug", "unseen_target", "external_tag")
 
 
 def splitmix64(seed: int, index: int = 0) -> int:

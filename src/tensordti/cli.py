@@ -3,9 +3,10 @@ enrich, report.
 
 Every command validates its flags before touching files, writes all outputs
 under --out together with a run manifest, and fails with a single-line
-``ERROR <CLASS>: message`` on stderr. Config precedence is flags > config
-file > built-in defaults. The ``TDTI_LOG`` environment variable controls
-verbosity (debug | info | quiet).
+``ERROR <CLASS>: message`` on stderr. Each command imports only the modules
+it runs, so `rank` and `enrich` start without numpy or the model. Config
+precedence is flags > config file > built-in defaults. The ``TDTI_LOG``
+environment variable controls verbosity (debug | info | quiet).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import platform
 import sys
@@ -22,23 +24,10 @@ import types
 import typing
 from pathlib import Path
 
-import numpy as np
-
-from . import pipeline, screening, synthetic, training
-from . import model as model_mod
-from ._util import read_tsv, sha256_bytes, sha256_file, splitmix64, write_tsv
-from .embeddings import (
-    load_embeddings,
-    load_interactions,
-    load_smiles,
-    save_interactions,
-)
+from . import screening
+from ._util import SPLIT_STRATEGIES, read_tsv, sha256_bytes, sha256_file, splitmix64, write_tsv
 from .errors import ConfigError, DataError, FormatError, MissingColumnError, TdtiError, UsageError
-from .metrics import confusion_confidence, metric_bundle
-from .model import ModelConfig
-from .pipeline import SplitSpec
 from .screening import ScoreRow, load_actives, load_scores
-from .training import DatasetBundle, TrainConfig
 
 log = logging.getLogger("tensordti")
 
@@ -56,7 +45,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _finite_float(text: str) -> float:
     value = float(text)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
 
@@ -145,11 +134,13 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 def environment() -> dict:
     """What byte-reproducibility rests on: the interpreter, numpy, the BLAS
-    build and the BLAS thread settings (None where a variable is unset)."""
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    build and the BLAS thread settings (None where a variable is unset).
+    numpy and the BLAS are None when the command loaded no numpy."""
+    np = sys.modules.get("numpy")
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {}) if np else {}
     return {
         "python": platform.python_version(),
-        "numpy": np.__version__,
+        "numpy": np.__version__ if np else None,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
     }
@@ -210,9 +201,10 @@ class _Run:
         ).write(self.outdir)
 
 
-def _load_bundle(
-    run: _Run, data_dir: str, interactions: str | None = None, embeddings_dir: str | None = None
-) -> DatasetBundle:
+def _load_bundle(run: _Run, data_dir: str, interactions: str | None = None, embeddings_dir: str | None = None):
+    from .embeddings import load_embeddings, load_interactions, load_smiles
+    from .training import DatasetBundle
+
     d = Path(data_dir)
     e = Path(embeddings_dir) if embeddings_dir else d
     drugs = load_embeddings(run.track_input(e / "drugs.jsonl"), "drug")
@@ -232,6 +224,8 @@ def _load_bundle(
 
 
 def cmd_gen_synth(args, config: dict) -> int:
+    from . import synthetic
+
     fields = _split_fields(config, synthetic.SyntheticConfig)
     fields["seed"] = args.seed
     cfg = synthetic.SyntheticConfig(**fields)
@@ -245,10 +239,13 @@ def cmd_gen_synth(args, config: dict) -> int:
 
 
 def cmd_split(args, config: dict) -> int:
-    fields = _split_fields(config, SplitSpec)
+    from . import pipeline
+    from .embeddings import load_interactions, save_interactions
+
+    fields = _split_fields(config, pipeline.SplitSpec)
     fields["strategy"] = args.strategy
     fields["seed"] = args.seed
-    spec = SplitSpec(**fields)
+    spec = pipeline.SplitSpec(**fields)
     run = _Run("split", args.out, {**fields}, [args.seed])
     records = load_interactions(run.track_input(Path(args.data) / "interactions.tsv"))
     tagged = pipeline.split(records, spec)
@@ -260,11 +257,13 @@ def cmd_split(args, config: dict) -> int:
 
 
 def cmd_train(args, config: dict) -> int:
+    from . import model as model_mod, training
+
     mode = "classification" if args.mode == "dti" else "regression"
     run = _Run("train", args.out, {**config, "mode": args.mode}, [args.seed])
     data = _load_bundle(run, args.data, args.interactions, args.embeddings)
 
-    model_fields = _split_fields(config, ModelConfig)
+    model_fields = _split_fields(config, model_mod.ModelConfig)
     model_fields.setdefault("drug_dim", data.drugs.width)
     model_fields.setdefault("protein_dim", data.proteins.width)
     if data.pockets is not None and any(r.pocket_id for r in data.interactions):
@@ -272,14 +271,14 @@ def cmd_train(args, config: dict) -> int:
     model_fields["mode"] = mode
     if data.smiles is None:
         model_fields["alpha_recon"] = 0.0
-    model_config = ModelConfig(**model_fields)
+    model_config = model_mod.ModelConfig(**model_fields)
 
-    train_fields = _split_fields(config, TrainConfig)
+    train_fields = _split_fields(config, training.TrainConfig)
     train_fields.setdefault("lr", 5e-5 if mode == "classification" else 1e-4)
     n_seeds = config.get("n_seeds", 1)
     _check_type("n_seeds", n_seeds, int)
     train_fields["seeds"] = tuple(splitmix64(args.seed, i) % (2**31) for i in range(n_seeds))
-    train_config = TrainConfig(**train_fields)
+    train_config = training.TrainConfig(**train_fields)
 
     state, report = training.train(model_config, data, train_config)
     model_mod.save_checkpoint(state, run.artifact("model.tdti"))
@@ -291,6 +290,8 @@ def cmd_train(args, config: dict) -> int:
 
 
 def cmd_predict(args, config: dict) -> int:
+    from . import model as model_mod, training
+
     run = _Run("predict", args.out, dict(config), [args.seed])
     state = model_mod.load_checkpoint(run.track_input(args.model))
     data = _load_bundle(run, args.data, args.interactions, args.embeddings)
@@ -298,8 +299,7 @@ def cmd_predict(args, config: dict) -> int:
     records = data.subset(which) if which != "all" else data.interactions
     if not records:
         raise DataError(f"no records in split {which!r} to predict")
-    _, preds = training.evaluate(state, data, records)
-    training.save_predictions(preds, run.artifact("predictions.tsv"))
+    screening.save_predictions(training.evaluate(state, data, records), run.artifact("predictions.tsv"))
     run.finish()
     return 0
 
@@ -307,7 +307,7 @@ def cmd_predict(args, config: dict) -> int:
 def cmd_rank(args, config: dict) -> int:
     criterion = RANKING_ALIASES[args.ranking]
     run = _Run("rank", args.out, {**config, "ranking": args.ranking}, [args.seed])
-    preds = training.load_predictions(run.track_input(args.predictions))
+    preds = screening.load_predictions(run.track_input(args.predictions))
     # ascending = better for all criteria: negate our higher-is-stronger
     # outputs, each row's affinity_pred, else prob, else logit
     rows = [
@@ -404,8 +404,11 @@ def cmd_enrich(args, config: dict) -> int:
 
 
 def cmd_report(args, config: dict) -> int:
+    from .embeddings import load_interactions
+    from .metrics import confusion_confidence, metric_bundle
+
     run = _Run("report", args.out, dict(config), [args.seed])
-    preds = training.load_predictions(run.track_input(args.predictions))
+    preds = screening.load_predictions(run.track_input(args.predictions))
     column = "prob" if args.mode == "dti" else "affinity_pred"
     predicted = preds[column]
     if None in predicted:
@@ -458,7 +461,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("split", help="tag interactions with train/valid/test")
     common(p)
     p.add_argument("--data", required=True)
-    p.add_argument("--strategy", choices=pipeline.STRATEGIES, default="random")
+    p.add_argument("--strategy", choices=SPLIT_STRATEGIES, default="random")
 
     p = sub.add_parser("train", help="train a model")
     common(p)

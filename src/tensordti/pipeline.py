@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import SPLIT_STRATEGIES
 from .embeddings import InteractionRecord
 from .errors import ConfigError, DataError
-
-STRATEGIES = ("random", "unseen_drug", "unseen_target", "external_tag")
 
 
 @dataclass
@@ -26,7 +25,7 @@ class SplitSpec:
     balance_train: bool = False
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
+        if self.strategy not in SPLIT_STRATEGIES:
             raise ConfigError(f"unknown split strategy {self.strategy!r}")
         if len(self.fractions) != 3 or not all(f > 0 for f in self.fractions):
             raise ConfigError(f"fractions must be 3 positive numbers, got {self.fractions}")

@@ -1,6 +1,6 @@
-"""Virtual-screening analytics: ranking criteria, recall/EF,
-screening-budget metrics, exact random-ranking baselines, unfamiliarity
-filtering, and the combined enrichment report.
+"""Virtual-screening analytics: the predictions, score and actives tables,
+ranking criteria, recall/EF, screening-budget metrics, exact random-ranking
+baselines, unfamiliarity filtering, and the combined enrichment report.
 
 Budget metrics answer "what fraction of the ranked library must be screened
 to recover ...". Target counts use ceil with a small tolerance so that e.g.
@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ._util import parse_number, read_tsv
+from ._util import parse_number, read_tsv, write_tsv
 from .errors import ConfigError, DataError, FormatError, MissingColumnError, UsageError
 
 log = logging.getLogger("tensordti")
@@ -76,6 +76,36 @@ def load_scores(path: str | Path) -> list[ScoreRow]:
             )
         )
     return out
+
+
+PREDICTION_COLUMNS = (
+    "drug_id", "target_id", "logit", "prob", "pred_label", "affinity_pred", "confidence", "unfamiliarity"
+)
+
+
+def save_predictions(columns: dict[str, list], path: str | Path) -> None:
+    """Write the PREDICTION_COLUMNS of `columns`, one row per pair; None
+    is an empty field."""
+    rows = zip(*(columns[c] for c in PREDICTION_COLUMNS))
+    write_tsv(path, PREDICTION_COLUMNS, (["" if v is None else str(v) for v in row] for row in rows))
+
+
+def load_predictions(path: str | Path) -> dict[str, list]:
+    """predictions.tsv as one list per column, in PREDICTION_COLUMNS order;
+    an empty field is None, except that every row needs a logit."""
+    rows = read_tsv(path)
+    header = next(rows)
+    if tuple(header) != PREDICTION_COLUMNS:
+        raise FormatError(f"{path}: header {header} != {list(PREDICTION_COLUMNS)}")
+    columns = {c: [] for c in PREDICTION_COLUMNS}
+    drugs, targets, *numbers = columns.values()
+    casts = (float, float, int, float, float, float)
+    for where, (d, t, *fields) in rows:
+        drugs.append(d)
+        targets.append(t)
+        for out, name, cast, raw in zip(numbers, PREDICTION_COLUMNS[2:], casts, fields):
+            out.append(parse_number(raw, cast, where, name) if raw or name == "logit" else None)
+    return columns
 
 
 @dataclass

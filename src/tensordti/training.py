@@ -1,5 +1,5 @@
 """Training loop with early stopping, multi-seed orchestration,
-checkpointing hooks, and evaluation to prediction columns."""
+checkpointing hooks, and scoring to prediction columns."""
 
 from __future__ import annotations
 
@@ -7,14 +7,13 @@ import json
 import logging
 import time
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import losses, model as model_mod
-from ._util import check_floats, parse_number, read_tsv, splitmix64, write_tsv
+from ._util import check_floats, splitmix64
 from .embeddings import EmbeddingStore, InteractionRecord, validate_interactions
-from .errors import ConfigError, DataError, FormatError
+from .errors import ConfigError, DataError
 from .metrics import aupr, metric_bundle, pcc
 from .model import ModelConfig, ModelState
 from .nn import AdamState, Tape, adam_step, stable_sigmoid
@@ -85,43 +84,6 @@ class TrainReport:
         """Every field, plus the early-stopping metric the mode implies."""
         payload = {**asdict(self), "eval_metric": "aupr" if self.mode == "classification" else "pcc"}
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-PREDICTION_COLUMNS = (
-    "drug_id",
-    "target_id",
-    "logit",
-    "prob",
-    "pred_label",
-    "affinity_pred",
-    "confidence",
-    "unfamiliarity",
-)
-
-
-def save_predictions(columns: dict[str, list], path: str | Path) -> None:
-    """Write the PREDICTION_COLUMNS of `columns`, one row per pair; None
-    is an empty field."""
-    rows = zip(*(columns[c] for c in PREDICTION_COLUMNS))
-    write_tsv(path, PREDICTION_COLUMNS, (["" if v is None else str(v) for v in row] for row in rows))
-
-
-def load_predictions(path: str | Path) -> dict[str, list]:
-    """predictions.tsv as one list per column, in PREDICTION_COLUMNS order;
-    an empty field is None, except that every row needs a logit."""
-    rows = read_tsv(path)
-    header = next(rows)
-    if tuple(header) != PREDICTION_COLUMNS:
-        raise FormatError(f"{path}: header {header} != {list(PREDICTION_COLUMNS)}")
-    columns = {c: [] for c in PREDICTION_COLUMNS}
-    drugs, targets, *numbers = columns.values()
-    casts = (float, float, int, float, float, float)
-    for where, (d, t, *fields) in rows:
-        drugs.append(d)
-        targets.append(t)
-        for out, name, cast, raw in zip(numbers, PREDICTION_COLUMNS[2:], casts, fields):
-            out.append(parse_number(raw, cast, where, name) if raw or name == "logit" else None)
-    return columns
 
 
 # -- batch preparation ------------------------------------------------------
@@ -306,7 +268,12 @@ def _train_single(model_config: ModelConfig, data: DatasetBundle, config: TrainC
     if best_epoch == -1:
         log.warning("seed %d: no finite validation metric in %d epochs; returning the initial weights", seed, len(stats))
     state.restore(best_values)
-    test_metrics, _ = evaluate(state, data, test_recs)
+    test = _Pairs(data, test_recs, state)
+    logits, probs, _ = _scores(state, test)
+    classification = model_config.mode == "classification"
+    test_metrics = metric_bundle(
+        classification, probs if classification else logits, test.labels if classification else test.affinity
+    )
     return state, SeedRun(
         seed=seed,
         best_epoch=best_epoch,
@@ -335,17 +302,17 @@ def train(model_config: ModelConfig, data: DatasetBundle, config: TrainConfig) -
     return first_state, report
 
 
-def evaluate(state: ModelState, data: DatasetBundle, records: list[InteractionRecord]):
-    """Score records with the frozen model.
+def evaluate(state: ModelState, data: DatasetBundle, records: list[InteractionRecord]) -> dict[str, list]:
+    """Score records with the frozen model. Their ids must resolve; a label
+    or affinity is neither needed nor read.
 
-    Returns (metric bundle, prediction columns): one list per name in
-    PREDICTION_COLUMNS, a row per record; columns that hold the same values
-    (logit and affinity_pred, or the absent ones) share one list.
-    Unfamiliarity is filled in whenever a SMILES string is available for
-    the drug.
+    Returns one list per name in screening.PREDICTION_COLUMNS, a row per
+    record; columns that hold the same values (logit and affinity_pred, or
+    the absent ones) share one list. Unfamiliarity is filled in whenever a
+    SMILES string is available for the drug.
     """
     classification = state.config.mode == "classification"
-    validate_interactions(records, data.drugs, data.proteins, data.pockets, state.config.mode)
+    validate_interactions(records, data.drugs, data.proteins, data.pockets)
     pairs = _Pairs(data, records, state)
     logits, probs, confs = _scores(state, pairs)
 
@@ -357,9 +324,6 @@ def evaluate(state: ModelState, data: DatasetBundle, records: list[InteractionRe
             ids, mask = state.tokenizer.tokenize_many([data.smiles[d] for d in scored])
             u = model_mod.unfamiliarity_many(state, pairs.x_drug[:, keep], ids, mask)
             unf_by_drug = dict(zip(scored, u.tolist()))
-    metrics = metric_bundle(
-        classification, probs if classification else logits, pairs.labels if classification else pairs.affinity
-    )
     del pairs  # free its per-record index and truth arrays before the columns exist
 
     drug_ids = [r.drug_id for r in records]
@@ -374,4 +338,4 @@ def evaluate(state: ModelState, data: DatasetBundle, records: list[InteractionRe
         "confidence": confs.tolist(),
         "unfamiliarity": list(map(unf_by_drug.get, drug_ids)),
     }
-    return metrics, columns
+    return columns

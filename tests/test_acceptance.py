@@ -296,7 +296,7 @@ def test_criterion_6_confidence_semantics():
     for seed in (0, 1, 2):
         _, bundle = synth_bundle(noise=0.6, seed=seed)
         state, _ = train(model_cfg(), bundle, train_cfg(max_epochs=40, patience=12, seeds=(seed,)))
-        _, preds = evaluate(state, bundle, bundle.subset("test"))
+        preds = evaluate(state, bundle, bundle.subset("test"))
         truth = {(r.drug_id, r.target_id): r.label for r in bundle.subset("test")}
         correct, incorrect = [], []
         for d, t, label, conf in zip(preds["drug_id"], preds["target_id"], preds["pred_label"], preds["confidence"]):
@@ -447,8 +447,8 @@ def test_criterion_11_determinism(tmp_path):
     state2, r2 = train(cfg, bundle, tcfg)
     assert r1.to_json() == r2.to_json()
 
-    _, preds1 = evaluate(state1, bundle, bundle.subset("test"))
-    _, preds2 = evaluate(state2, bundle, bundle.subset("test"))
+    preds1 = evaluate(state1, bundle, bundle.subset("test"))
+    preds2 = evaluate(state2, bundle, bundle.subset("test"))
     def score_rows(p):
         columns = zip(p["drug_id"], p["target_id"], p["prob"], p["pred_label"], p["confidence"])
         return [ScoreRow(d + "|" + t, "m", score=-prob, label=label, confidence=conf)

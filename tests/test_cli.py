@@ -2,7 +2,10 @@ import dataclasses
 import hashlib
 import json
 import logging
+import os
 import platform
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensordti.cli import _parse_config_file, _split_fields, main
+from tensordti.embeddings import load_interactions
 from tensordti.errors import ConfigError, TdtiError
 from tensordti.model import ModelConfig
 from tensordti.pipeline import SplitSpec
+from tensordti.screening import load_predictions
 from tensordti.synthetic import SyntheticConfig
 from tensordti.training import TrainConfig
 
@@ -546,11 +551,131 @@ def test_train_and_predict_without_smiles(tmp_path):
     preds = tmp_path / "preds"
     assert main(["predict", "--data", str(data), "--interactions", inter,
                  "--model", str(model_dir / "model.tdti"), "--out", str(preds)]) == 0
-    from tensordti.training import load_predictions
+    from tensordti.screening import load_predictions
 
     columns = load_predictions(preds / "predictions.tsv")
     assert columns["prob"] and None not in columns["prob"]
     assert set(columns["unfamiliarity"]) == {None}
+
+
+@pytest.fixture(scope="module")
+def tiny_models(tmp_path_factory):
+    """mode -> (fixture directory, checkpoint) of a one-epoch dti and dta model."""
+    models = {}
+    for mode in ("dti", "dta"):
+        tmp = tmp_path_factory.mktemp(mode)
+        data = gen(tmp, seed=5, task=mode)
+        assert main(["split", "--data", str(data), "--seed", "5", "--out", str(tmp / "splits")]) == 0
+        cfg = write_config(tmp / "t.cfg", hidden_dim=8, output_dim=4, latent_dim=4, max_len=8,
+                           vocab="CNOPSFclnos=", max_epochs=1, patience=1, batch_size=64)
+        assert main(["train", "--mode", mode, "--data", str(data), "--interactions",
+                     str(tmp / "splits" / "interactions.tsv"), "--config", str(cfg), "--out", str(tmp / "m")]) == 0
+        models[mode] = data, tmp / "m" / "model.tdti"
+    return models
+
+
+@pytest.mark.parametrize("label", ["", "1"], ids=["blank", "one-class"])
+@pytest.mark.parametrize("mode", ["dti", "dta"])
+def test_predict_rank_enrich_over_a_library_without_truth(tmp_path, capsys, tiny_models, mode, label):
+    """A screening library needs no truth: predict scores an untagged table
+    whose label and affinity columns are blank, or whose rows are all one
+    class, and rank and enrich run over the predictions. report refuses
+    them for want of the mode's truth."""
+    data, model = tiny_models[mode]
+    records = load_interactions(data / "interactions.tsv")
+    library = tmp_path / "library.tsv"
+    library.write_text("drug_id\ttarget_id\tpocket_id\tlabel\taffinity\tsplit\n"
+                       + "".join(f"{r.drug_id}\t{r.target_id}\t\t{label}\t\t\n" for r in records))
+    cfg = write_config(tmp_path / "p.cfg", predict_split="unassigned")
+    preds = tmp_path / "preds" / "predictions.tsv"
+    assert main(["predict", "--data", str(data), "--interactions", str(library), "--model", str(model),
+                 "--config", str(cfg), "--out", str(preds.parent)]) == 0
+    assert load_predictions(preds)["drug_id"] == [r.drug_id for r in records]
+
+    target = records[0].target_id
+    library_drugs = [r.drug_id for r in records if r.target_id == target]
+    ranking = "two_key" if mode == "dti" else "affinity"
+    assert main(["rank", "--predictions", str(preds), "--target", target, "--ranking", ranking,
+                 "--out", str(tmp_path / "rank")]) == 0
+    ranked = tmp_path / "rank" / "ranked.tsv"
+    assert sorted(line.split("\t")[1] for line in ranked.read_text().splitlines()[1:]) == sorted(library_drugs)
+    actives = tmp_path / "actives.tsv"
+    actives.write_text("compound_id\n" + "".join(f"{d}\n" for d in library_drugs[:3]))
+    assert main(["enrich", "--ranked", f"tensordti={ranked}", "--actives", str(actives),
+                 "--out", str(tmp_path / "enrich")]) == 0
+
+    capsys.readouterr()
+    assert main(["report", "--predictions", str(preds), "--interactions", str(library), "--mode", mode,
+                 "--out", str(tmp_path / "report")]) == 1
+    code = "DATA" if mode == "dti" and label else "MISSING_COLUMN"  # one class has no AUPR
+    assert capsys.readouterr().err.startswith(f"ERROR {code}:")
+
+
+# -- per-command imports and the manifest environment ---------------------------------
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def modules_after(argv: list[str] | None, **env: str | None) -> set[str]:
+    """The modules a fresh interpreter on `src/` has loaded after importing
+    the CLI and, unless argv is None, running `main(argv)` to success; env
+    entries set (or, when None, unset) environment variables."""
+    script = "import json, sys\nfrom tensordti.cli import main\n"
+    if argv is not None:
+        script += f"assert main({[str(a) for a in argv]!r}) == 0\n"
+    script += "print(json.dumps(sorted(sys.modules)))\n"
+    environ = {**os.environ, "PYTHONPATH": str(SRC), **env}
+    environ = {k: v for k, v in environ.items() if v is not None}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=environ)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+def screening_inputs(tmp_path):
+    """A two-row one-target predictions table, its ground truth, and a
+    ranked library with its actives."""
+    preds = tmp_path / "preds.tsv"
+    preds.write_text(PREDICTIONS_HEADER + "D0\tT0\t1.0\t0.7\t1\t\t0.2\t0.5\nD1\tT0\t-1.0\t0.3\t0\t\t0.4\t0.6\n")
+    truth = tmp_path / "truth.tsv"
+    truth.write_text("drug_id\ttarget_id\tpocket_id\tlabel\taffinity\tsplit\nD0\tT0\t\t1\t\ttest\nD1\tT0\t\t0\t\ttest\n")
+    ranked, actives = enrich_inputs(tmp_path, GOOD_RANKED)
+    return preds, truth, ranked, actives
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    """Importing the CLI loads no numpy; rank and enrich load neither numpy
+    nor the model, and report loads none of the training stack."""
+    preds, truth, ranked, actives = screening_inputs(tmp_path)
+    assert "numpy" not in modules_after(None)
+    heavy = {"numpy", "tensordti.training", "tensordti.model", "tensordti.nn"}
+    rank = ["rank", "--predictions", preds, "--unf-threshold", "1", "--out", tmp_path / "rank"]
+    assert not modules_after(rank) & heavy
+    enrich = ["enrich", "--ranked", f"m={ranked}", "--actives", actives, "--out", tmp_path / "enrich"]
+    assert not modules_after(enrich) & heavy
+    report = ["report", "--predictions", preds, "--interactions", truth, "--out", tmp_path / "report"]
+    assert not modules_after(report) & {"tensordti.model", "tensordti.nn", "tensordti.training", "tensordti.losses"}
+
+
+def test_rank_manifest_records_no_numpy(tmp_path):
+    """rank runs no numpy, so its manifest names no numpy or BLAS build; the
+    thread variables are still recorded."""
+    preds, *_ = screening_inputs(tmp_path)
+    out = tmp_path / "rank"
+    modules_after(["rank", "--predictions", preds, "--out", out],
+                  OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="3", MKL_NUM_THREADS=None)
+    assert json.loads((out / "manifest.json").read_text())["environment"] == {
+        "python": platform.python_version(),
+        "numpy": None,
+        "blas": {"name": None, "version": None},
+        "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None},
+    }
+
+
+def test_unknown_split_strategy_is_usage_error(tmp_path, capsys):
+    rc = main(["split", "--data", str(tmp_path), "--strategy", "bogus", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("ERROR USAGE:")
 
 
 # -- report and config errors ---------------------------------------------------------

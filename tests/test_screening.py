@@ -17,13 +17,13 @@ from tensordti.screening import (
     filter_unfamiliar,
     kpct_actives_budget,
     load_actives,
+    load_predictions,
     load_scores,
     random_budget,
     rank,
     recall_at_k,
     topk_potency_budget,
 )
-from tensordti.training import load_predictions
 
 
 def lib(ids):

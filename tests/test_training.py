@@ -10,19 +10,13 @@ from tensordti import model as M
 from tensordti import nn
 from tensordti import training as T
 from tensordti.errors import ConfigError, DataError
+from tensordti.metrics import aupr, metric_bundle
 from tensordti.model import ModelConfig
 from tensordti.nn import Tape, stable_sigmoid
 from tensordti.pipeline import SplitSpec, split
+from tensordti.screening import PREDICTION_COLUMNS, load_predictions, save_predictions
 from tensordti.synthetic import SyntheticConfig, gen_synthetic
-from tensordti.training import (
-    PREDICTION_COLUMNS,
-    DatasetBundle,
-    TrainConfig,
-    evaluate,
-    load_predictions,
-    save_predictions,
-    train,
-)
+from tensordti.training import DatasetBundle, TrainConfig, evaluate, train
 
 VOCAB = "CNOPSFclnos="
 
@@ -96,8 +90,8 @@ def test_early_stopping_returns_best_epoch_parameters():
     assert run.best_epoch <= run.epochs[-1].epoch
     # the returned parameters reproduce the best validation metric
     valid = bundle.subset("valid")
-    metrics, _ = evaluate(state, bundle, valid)
-    assert metrics["aupr"] == pytest.approx(best, abs=1e-12)
+    preds = evaluate(state, bundle, valid)
+    assert aupr(preds["prob"], [r.label for r in valid]) == pytest.approx(best, abs=1e-12)
 
 
 def test_warns_when_validation_metric_never_finite(caplog):
@@ -170,8 +164,6 @@ def test_evaluate_perfect_scores_give_aupr_one():
     # a perfect scorer by evaluating on records sorted by label with a stub
     records = bundle.subset("test")
     labels = np.array([r.label for r in records])
-    from tensordti.metrics import aupr
-
     scores = labels * 2.0 - 1.0
     assert aupr(scores, labels) == pytest.approx(1.0)
 
@@ -183,7 +175,9 @@ def test_evaluate_constant_regression_pcc_flagged_rmse_computed():
     for layer in state.classifier:
         layer.weight.value[...] = np.zeros_like(layer.weight.value)
         layer.bias.value[...] = np.zeros_like(layer.bias.value)
-    metrics, _ = evaluate(state, bundle, bundle.subset("test"))
+    records = bundle.subset("test")
+    preds = evaluate(state, bundle, records)
+    metrics = metric_bundle(False, preds["affinity_pred"], [r.affinity for r in records])
     assert metrics["pcc"] is None
     assert "pcc_error" in metrics
     assert np.isfinite(metrics["rmse"])
@@ -192,7 +186,7 @@ def test_evaluate_constant_regression_pcc_flagged_rmse_computed():
 def test_evaluate_fills_unfamiliarity_and_confidence():
     bundle = make_bundle()
     state, _ = train(model_cfg(), bundle, train_cfg(max_epochs=2, patience=2))
-    metrics, preds = evaluate(state, bundle, bundle.subset("test"))
+    preds = evaluate(state, bundle, bundle.subset("test"))
     assert tuple(preds) == PREDICTION_COLUMNS
     assert all(len(col) == len(bundle.subset("test")) for col in preds.values())
     for i in range(10):
@@ -212,15 +206,26 @@ def test_evaluate_missing_embedding_errors():
         evaluate(state, bundle, ghost)
 
 
+@pytest.mark.parametrize("task, mode", [("dti", "classification"), ("dta", "regression")])
+@pytest.mark.parametrize("label", [None, 1])
+def test_evaluate_scores_records_without_truth(task, mode, label):
+    """Scoring reads no label or affinity: records stripped of both, or all
+    of one class, get the columns of the labelled records."""
+    bundle = make_bundle(task=task)
+    state = M.init_model(model_cfg(mode=mode), seed=0)
+    records = bundle.subset("test")
+    stripped = [dataclasses.replace(r, label=label, affinity=None, split="unassigned") for r in records]
+    assert evaluate(state, bundle, stripped) == evaluate(state, bundle, records)
+
+
 def test_checkpoint_round_trip_preserves_evaluation(tmp_path):
     bundle = make_bundle()
     state, _ = train(model_cfg(), bundle, train_cfg(max_epochs=3, patience=3))
     path = tmp_path / "model.tdti"
     M.save_checkpoint(state, path)
     loaded = M.load_checkpoint(path)
-    m1, p1 = evaluate(state, bundle, bundle.subset("test"))
-    m2, p2 = evaluate(loaded, bundle, bundle.subset("test"))
-    assert m1 == m2
+    p1 = evaluate(state, bundle, bundle.subset("test"))
+    p2 = evaluate(loaded, bundle, bundle.subset("test"))
     assert p1 == p2
 
 
@@ -269,7 +274,7 @@ def test_pocket_model_trains_end_to_end():
     state, report = train(cfg, bundle, train_cfg(max_epochs=5))
     assert state.encoder_pocket is not None
     assert np.isfinite(report.test_mean["aupr"])
-    metrics, preds = evaluate(state, bundle, bundle.subset("test"))
+    preds = evaluate(state, bundle, bundle.subset("test"))
     assert len(preds["logit"]) == len(bundle.subset("test"))
 
 
@@ -454,7 +459,7 @@ def test_prediction_columns_memory_bounded_by_entities_not_records(tmp_path, mon
         records = [bundle.interactions[i] for i in rng.integers(0, len(bundle.interactions), n_records)]
         tracemalloc.start()
         try:
-            _, predictions = evaluate(state, bundle, records)
+            predictions = evaluate(state, bundle, records)
             save_predictions(predictions, tmp_path / "predictions.tsv")
             return tracemalloc.get_traced_memory()[1]
         finally:

@@ -13,8 +13,7 @@ from tensordti._util import read_tsv, write_tsv
 from tensordti.cli import _load_ranked
 from tensordti.embeddings import INTERACTION_COLUMNS, load_interactions, load_smiles
 from tensordti.errors import DataError, FormatError
-from tensordti.screening import load_actives, load_scores
-from tensordti.training import PREDICTION_COLUMNS, load_predictions
+from tensordti.screening import PREDICTION_COLUMNS, load_actives, load_predictions, load_scores
 
 # reader, header, two good rows
 READERS = {
