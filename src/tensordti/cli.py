@@ -18,6 +18,7 @@ import logging
 import math
 import os
 import platform
+import resource
 import sys
 import time
 import types
@@ -154,6 +155,8 @@ class RunManifest:
     inputs: dict[str, str]
     artifacts: list[str]
     wall_time_s: float
+    peak_rss_mb: float  # ru_maxrss (KiB on Linux) / 1024; counts the launching process's high-water mark too
+    minor_faults: int
     environment: dict
 
     def write(self, outdir: Path) -> None:
@@ -190,6 +193,7 @@ class _Run:
 
     def finish(self) -> None:
         cfg = json.dumps(self.config, sort_keys=True, default=str)
+        usage = resource.getrusage(resource.RUSAGE_SELF)
         RunManifest(
             command=self.command,
             config_hash=sha256_bytes(cfg.encode("utf-8")),
@@ -197,6 +201,8 @@ class _Run:
             inputs=self.inputs,
             artifacts=sorted(self.artifacts),
             wall_time_s=round(time.monotonic() - self.t0, 3),
+            peak_rss_mb=round(usage.ru_maxrss / 1024, 1),
+            minor_faults=usage.ru_minflt,
             environment=environment(),
         ).write(self.outdir)
 

@@ -120,8 +120,9 @@ class ModelState:
         self.flat[...] = values
 
 
-def init_model(config: ModelConfig, seed: int = 0) -> ModelState:
-    rng = np.random.default_rng(seed)
+def init_model(config: ModelConfig, seed: int | None = 0) -> ModelState:
+    """Scaled-uniform weights drawn from `seed`; with seed None, zeros for a caller to overwrite."""
+    rng = None if seed is None else np.random.default_rng(seed)
     c = config
     return ModelState(
         config=c,
@@ -343,7 +344,7 @@ def load_checkpoint(path: str | Path) -> ModelState:
     off = 16
     try:
         raw = json.loads(data[off : off + cfg_len].decode("utf-8"))
-        state = init_model(ModelConfig(**raw), seed=0)
+        state = init_model(ModelConfig(**raw), seed=None)
     except (ValueError, TypeError, ConfigError, DataError) as exc:
         raise FormatError(f"{path}: unreadable config block: {exc}") from exc
     off += cfg_len

@@ -11,6 +11,7 @@ serves is closed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -52,12 +53,13 @@ def stable_sigmoid(x: Matrix) -> Matrix:
     return out
 
 
-def token_nll(cube: Matrix, ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, Matrix]:
+def token_nll(cube: Matrix, ids: np.ndarray, mask: np.ndarray, work: np.ndarray | None = None) -> tuple[np.ndarray, Matrix]:
     """Per-sample mean -log softmax(cube)[token] over scorable positions.
 
     cube: (positions, vocab, batch) logits; ids: (positions, batch) token
-    ids; mask: (positions, batch), 1.0 where the position counts. Returns the
-    (batch,) mean NLLs and the (positions, vocab, batch) log-probabilities.
+    ids; mask: (positions, batch), 1.0 where the position counts; work: a (2, positions,
+    vocab, batch) buffer (new when None). Returns the (batch,) mean NLLs and the (positions,
+    1, batch) log-normalisers log_z; work[0] is left holding log-probabilities + log_z.
     """
     n_pos, _, batch = cube.shape
     ids = np.asarray(ids, dtype=np.intp).reshape(n_pos, batch)
@@ -65,9 +67,10 @@ def token_nll(cube: Matrix, ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarr
     t_eff = mask.sum(axis=0)
     if np.any(t_eff == 0):
         raise DataError("sequence with no scorable (non-PAD) tokens")
-    shifted = cube - cube.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    picked = logp[np.arange(n_pos)[:, None], ids, np.arange(batch)[None, :]]
+    shifted, ex = np.empty((2, *cube.shape)) if work is None else work
+    np.subtract(cube, cube.max(axis=1, keepdims=True), out=shifted)
+    log_z = np.log(np.exp(shifted, out=ex).sum(axis=1, keepdims=True))
+    picked = shifted[np.arange(n_pos)[:, None], ids, np.arange(batch)[None, :]] - log_z[:, 0]
     # cumsum adds positions in order for every batch width and memory layout
     # (sum() goes pairwise where positions are contiguous: a lone column, or
     # the column-major arrays that gathering minibatch columns gives), so
@@ -76,7 +79,7 @@ def token_nll(cube: Matrix, ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarr
     # second buffer
     picked *= mask
     np.cumsum(picked, axis=0, out=picked)
-    return -picked[-1] / t_eff, logp
+    return -picked[-1] / t_eff, log_z
 
 
 class Node:
@@ -153,10 +156,10 @@ class DenseLayer:
             )
 
 
-def init_dense(rng: np.random.Generator, in_dim: int, out_dim: int, activation: str, name: str) -> DenseLayer:
-    """Scaled-uniform init in +-sqrt(6/(fan_in+fan_out)); zero bias."""
+def init_dense(rng: np.random.Generator | None, in_dim: int, out_dim: int, activation: str, name: str) -> DenseLayer:
+    """Scaled-uniform init in +-sqrt(6/(fan_in+fan_out)), or zeros with no rng; zero bias."""
     bound = np.sqrt(6.0 / (in_dim + out_dim))
-    w = rng.uniform(-bound, bound, size=(out_dim, in_dim))
+    w = np.zeros((out_dim, in_dim)) if rng is None else rng.uniform(-bound, bound, size=(out_dim, in_dim))
     return DenseLayer(
         weight=Param(w, f"{name}.weight"),
         bias=Param(np.zeros((out_dim, 1)), f"{name}.bias"),
@@ -171,12 +174,16 @@ class Tape:
     valid topological order regardless of batch content. An op whose parents
     need no gradient is not recorded, so a one-parent op's backward always
     has a parent to feed; ops with several parents skip those that need none.
+    A tape kept across steps keeps its gradient buffer (one per parameter
+    buffer) and the buffers it lends (`_lend`), grown to the largest step's.
     """
 
     def __init__(self, record: bool = True):
         self.record = record  # False for inference: nothing kept for backward, so intermediates free early
         self._entries: list[tuple[Node, Callable]] = []
         self._params: dict[int, Param] = {}  # by id, in recording order
+        self._grads: dict[int, np.ndarray] = {}  # by id of the parameter buffer
+        self._bufs, self._lent = [], 0  # lent buffers, and how many are lent since the last clear
 
     # -- recording -----------------------------------------------------
 
@@ -204,7 +211,7 @@ class Tape:
         va, vb = a.value, b.value
         if va.shape[1] != vb.shape[0]:
             raise ShapeError(f"matmul: inner dims differ, {va.shape} x {vb.shape}")
-        out = Node(va @ vb)
+        out = Node(np.matmul(va, vb, out=self._lend((va.shape[0], vb.shape[1]), (a, b))))
 
         def bw(g, sink):
             if a.needs_grad:
@@ -428,11 +435,13 @@ class Tape:
             )
         ids = np.asarray(token_ids, dtype=np.intp).reshape(n_positions, batch)
         mask = np.asarray(pad_mask, dtype=np.float64).reshape(n_positions, batch)
-        nll, logp = token_nll(logits.value.reshape(n_positions, vocab_size, batch), ids, mask)
+        cube = logits.value.reshape(n_positions, vocab_size, batch)
+        work = self._lend((2, *cube.shape), (logits,))  # None when not recorded: token_nll allocates
+        nll, log_z = token_nll(cube, ids, mask, work)
         out = Node(nll.reshape(1, batch))
 
-        def bw(g, sink):
-            grad = np.exp(logp)
+        def bw(g, sink):  # the gradient is made in place of the shifted logits, as exp(log-probabilities)
+            grad = np.exp(np.subtract(work[0], log_z, out=work[0]), out=work[0])
             grad[np.arange(n_positions)[:, None], ids, np.arange(batch)[None, :]] -= 1.0
             grad *= (mask / mask.sum(axis=0))[:, None, :]
             grad *= g.reshape(1, 1, batch)
@@ -440,12 +449,24 @@ class Tape:
 
         return self._record(out, (logits,), bw)
 
+    def _lend(self, shape: tuple[int, ...], parents: tuple[Node, ...]) -> np.ndarray | None:
+        """A buffer of `shape` for the output or work of an op to be recorded, else None: each op
+        since the last clear gets its own buffer, which the same op of the next step reuses."""
+        if not self.record or not any(p.needs_grad for p in parents):
+            return None
+        size, i = math.prod(shape), self._lent
+        if i == len(self._bufs) or self._bufs[i].size < size:
+            self._bufs[i : i + 1] = [np.empty(size)]  # replaces the buffer, or appends one
+        self._lent += 1
+        return self._bufs[i][:size].reshape(shape)
+
     # -- backward ------------------------------------------------------
 
     def backward(self, loss: Node, loss_grad=None) -> dict[Param, Matrix]:
         """Gradient of `loss` w.r.t. every parameter touched, as views of
-        one new zeroed buffer per parameter buffer, laid out like it, that
-        contributions are added into; clears the tape."""
+        one zeroed buffer per parameter buffer, laid out like it, that the
+        tape keeps: they hold until its next backward. Clears the tape,
+        releasing each op's record once it has been replayed."""
         if not self._entries:
             raise UsageError("backward called with no recorded forward ops")
         if loss_grad is None:
@@ -457,9 +478,11 @@ class Tape:
                     f"loss grad shape {seed.shape} != output shape {loss.value.shape}"
                 )
         grads: dict[int, Matrix] = {id(loss): seed}
-        buffers = {id(p.flat): p.flat for p in self._params.values()}
-        flats = {key: np.zeros_like(buf) for key, buf in buffers.items()}
-        slots = {k: flats[id(p.flat)][p.lo : p.lo + p.value.size].reshape(p.value.shape) for k, p in self._params.items()}
+        for key, flat in {id(p.flat): p.flat for p in self._params.values()}.items():
+            if key not in self._grads or self._grads[key].shape != flat.shape:
+                self._grads[key] = np.empty(flat.shape)
+            self._grads[key].fill(0.0)
+        slots = {k: self._grads[id(p.flat)][p.lo : p.lo + p.value.size].reshape(p.value.shape) for k, p in self._params.items()}
 
         def sink(node: Node, contrib: Matrix, where=...):  # `where`: a Param's part (Tape.part)
             key = id(node)
@@ -468,12 +491,11 @@ class Tape:
             else:
                 grads[key] = grads[key] + contrib if key in grads else contrib
 
-        for node, bw in reversed(self._entries):
+        while self._entries:
+            node, bw = self._entries.pop()
             g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            bw(g, sink)
-
+            if g is not None:
+                bw(g, sink)
         out = {p: slots[k] for k, p in self._params.items()}
         self.clear()
         return out
@@ -481,6 +503,7 @@ class Tape:
     def clear(self) -> None:
         self._entries.clear()
         self._params.clear()
+        self._lent = 0
 
 
 def dense_forward(layer: DenseLayer, x: Node, tape: Tape, rows: int | None = None) -> Node:

@@ -223,9 +223,10 @@ def _train_single(model_config: ModelConfig, data: DatasetBundle, config: TrainC
 
     best_metric = float("-inf")
     best_epoch = -1
-    best_values = state.snapshot()
+    best_values = state.snapshot()  # the one copy: each improving epoch is copied into it
     stats: list[EpochStats] = []
     n = len(train_recs)
+    tape = Tape()  # one per run, so its gradient buffer and work cubes are reused by every step
 
     for epoch in range(config.max_epochs):
         t0 = time.perf_counter()
@@ -236,7 +237,6 @@ def _train_single(model_config: ModelConfig, data: DatasetBundle, config: TrainC
         n_batches = 0
         for lo in range(0, n, config.batch_size):
             idx = order[lo : lo + config.batch_size]
-            tape = Tape()
             terms = _forward_losses(state, train, idx, tape, trip_rng)
             total, bd = losses.composite_loss(tape, terms, model_config)
             if not np.isfinite(bd.l_total):
@@ -261,7 +261,7 @@ def _train_single(model_config: ModelConfig, data: DatasetBundle, config: TrainC
         if val_metric > best_metric:
             best_metric = val_metric
             best_epoch = epoch
-            best_values = state.snapshot()
+            np.copyto(best_values, state.flat)
         elif epoch - best_epoch >= config.patience:
             break
 

@@ -74,6 +74,19 @@ def test_gen_synth_manifest_written(tmp_path):
     assert manifest["config_hash"]
 
 
+def test_manifest_schema_records_memory_and_faults(tmp_path):
+    """The manifest's fields are pinned; peak RSS (MB) and minor page faults
+    come from the process's own rusage, beside the wall time."""
+    manifest = json.loads((gen(tmp_path) / "manifest.json").read_text())
+    assert sorted(manifest) == [
+        "artifacts", "command", "config_hash", "environment", "inputs", "minor_faults", "peak_rss_mb", "seeds",
+        "wall_time_s",
+    ]
+    assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0
+    assert isinstance(manifest["minor_faults"], int) and manifest["minor_faults"] > 0
+    assert isinstance(manifest["wall_time_s"], float)
+
+
 def test_manifest_records_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setenv("OMP_NUM_THREADS", "3")

@@ -55,6 +55,8 @@ def test_two_record_fixture(tmp_path):
 
 def test_binary_round_trips_bit_exactly_with_jsonl(tmp_path):
     store = make_store(n=5, width=7, seed=3)
+    for rec_id in ("", "é€😀"):  # an empty id and multi-byte UTF-8
+        store.add(rec_id, np.arange(7, dtype=np.float32))
     jsonl = tmp_path / "e.jsonl"
     binary = tmp_path / "e.bin"
     save_embeddings_jsonl(store, jsonl)

@@ -376,9 +376,9 @@ def test_adam_steady_state_allocates_no_parameter_sized_buffers():
 
 
 def test_backward_calls_return_independent_gradients():
-    """Each backward writes into its own buffer, laid out like the
-    parameters' one: a later call leaves an earlier call's gradients as
-    they were."""
+    """Each backward on a new tape writes into its own buffer, laid out
+    like the parameters' one: a later call leaves an earlier call's
+    gradients as they were."""
     rng = np.random.default_rng(2)
     layers = [init_dense(rng, 3, 4, "relu", "l1"), init_dense(rng, 4, 2, "identity", "l2")]
     params = [q for lyr in layers for q in (lyr.weight, lyr.bias)]

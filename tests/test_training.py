@@ -609,3 +609,152 @@ def test_training_step_backward_skips_inputs_and_detached_values():
     _, grads = _train_step(state, arr, idx, tape)
     assert tape.sunk and all(node.needs_grad for node in tape.sunk)
     assert all(np.any(grads[p]) for p in (state.conf_head[0].weight, state.encoder_pocket[0].weight))
+
+
+# -- one tape per run: a kept gradient buffer, token cross-entropy cubes and matmul outputs ---------
+
+
+class FreshEachStep(Tape):
+    """A tape that drops its buffers after each backward, so every step
+    allocates its gradient buffer and lent buffers anew, as a new tape per
+    step does."""
+
+    def backward(self, loss, loss_grad=None):
+        grads = super().backward(loss, loss_grad)
+        self._grads, self._bufs = {}, []
+        return grads
+
+
+def _steps(state, pairs, tape_for, sizes):
+    """Training steps (forward, loss, backward, Adam) over minibatches of the
+    given sizes; yields each step's gradients, copied."""
+    adam = nn.AdamState(lr=1e-2)
+    rng = np.random.default_rng(3)
+    for size in sizes:
+        tape = tape_for()
+        idx = rng.choice(len(pairs.drug_idx), size=size, replace=False)
+        total, _ = losses.composite_loss(tape, T._forward_losses(state, pairs, idx, tape, None), state.config)
+        grads = tape.backward(total)
+        yield {p.name: g.copy() for p, g in grads.items()}
+        nn.adam_step(adam, state.parameters(), grads)
+
+
+@pytest.mark.parametrize("case", ["classification-pocket", "classification-no-pocket", "regression-pocket", "regression-no-pocket"])
+def test_reused_tape_gives_a_fresh_tapes_gradients_bit_for_bit(case):
+    """Four consecutive steps of growing and shrinking minibatches: the
+    tape kept across them gives exactly the gradients of a new tape per
+    step, in both modes, with and without a pocket."""
+    task, kw = FACTORED_CASES[case]
+    bundle = pocket_bundle(task)
+    runs = []
+    for reuse in (False, True):
+        state = M.init_model(model_cfg(**kw), seed=7)
+        pairs = T._Pairs(bundle, bundle.interactions, state)
+        pairs.tokenize(bundle, state)
+        kept = Tape()
+        runs.append(list(_steps(state, pairs, (lambda: kept) if reuse else Tape, (9, 31, 4, 17))))
+    fresh, reused = runs
+    assert len(fresh) == 4 and all(len(f) > 0 for f in fresh)
+    for f, r in zip(fresh, reused):
+        assert f.keys() == r.keys()
+        assert all(np.array_equal(f[k], r[k]) for k in f)
+
+
+def test_two_token_xent_ops_on_one_tape_get_separate_cubes():
+    """Each token cross-entropy keeps its own cube until backward: the
+    gradient of the sum of two is the sum of each one's alone, bit for bit,
+    and the next step with a larger cube reuses neither wrongly."""
+    rng = np.random.default_rng(0)
+    n_pos, vocab = 3, 5
+
+    def grads(pairs_of_ids, batch, tape):
+        logits = nn.Param(rng_logits[: n_pos * vocab, :batch].copy(), "logits")
+        mask = np.ones((n_pos, batch))
+        xents = [tape.token_xent(logits, ids[:, :batch], mask, n_pos, vocab) for ids in pairs_of_ids]
+        total = xents[0] if len(xents) == 1 else tape.add(*xents)
+        return tape.backward(tape.sum_all(total))[logits]
+
+    rng_logits = rng.standard_normal((n_pos * vocab, 8))
+    a, b = rng.integers(0, vocab, (2, n_pos, 8))
+    tape = Tape()
+    for batch in (4, 8):  # the second step needs larger cubes
+        both = grads((a, b), batch, tape)
+        assert np.array_equal(both, grads((a,), batch, Tape()) + grads((b,), batch, Tape()))
+
+
+def _desk_step_setup():
+    """A model and minibatch of the train-desk-dta benchmark's dims: hidden
+    32, output 16, latent 8, 24 token positions, a 24-d pocket branch and
+    32 pairs a step, in regression mode."""
+    data = gen_synthetic(
+        SyntheticConfig(
+            n_drugs=60, n_targets=8, drug_dim=64, protein_dim=64, pocket_dim=24,
+            n_latent_factors=2, noise=0.05, smiles_len=22, task="dta", seed=4,
+        )
+    )
+    bundle = DatasetBundle(
+        drugs=data.drugs, proteins=data.proteins, pockets=data.pockets, interactions=data.interactions, smiles=data.smiles
+    )
+    cfg = ModelConfig(
+        drug_dim=64, protein_dim=64, pocket_dim=24, hidden_dim=32, output_dim=16, latent_dim=8, max_len=24,
+        mode="regression",
+    )
+    state = M.init_model(cfg, seed=1)
+    pairs = T._Pairs(bundle, bundle.interactions, state)
+    pairs.tokenize(bundle, state)
+    return state, pairs
+
+
+def test_warm_desk_step_allocates_no_cross_entropy_cube(monkeypatch):
+    """After a first step on a kept tape, neither the token cross-entropy
+    nor backward allocates an array the size of the (positions, vocab,
+    unique drugs) cube: the tape lends its cube and gradient buffer again."""
+    state, pairs = _desk_step_setup()
+    idx = np.random.default_rng(0).choice(len(pairs.drug_idx), size=32, replace=False)
+    drugs = np.unique(pairs.drug_idx[idx])
+    cube_bytes = 8 * M.scorable_prefix(pairs.pad_mask[:, drugs]) * state.config.vocab_size * drugs.size
+    peaks = {}
+
+    def traced(name, fn):
+        def run(*args, **kw):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = fn(*args, **kw)
+            peaks[name] = tracemalloc.get_traced_memory()[1] - before
+            return out
+        return run
+
+    tape, adam = Tape(), nn.AdamState(lr=1e-3)
+
+    def step():
+        total, _ = losses.composite_loss(tape, T._forward_losses(state, pairs, idx, tape, None), state.config)
+        nn.adam_step(adam, state.parameters(), tape.backward(total))
+
+    step()  # makes the tape's buffers
+    monkeypatch.setattr(tape, "token_xent", traced("token_xent", tape.token_xent))
+    monkeypatch.setattr(tape, "backward", traced("backward", tape.backward))
+    tracemalloc.start()
+    try:
+        step()
+    finally:
+        tracemalloc.stop()
+    assert cube_bytes > 100_000 and set(peaks) == {"token_xent", "backward"}
+    assert all(peak < cube_bytes / 2 for peak in peaks.values()), (peaks, cube_bytes)
+
+
+@pytest.mark.parametrize("task, kw", [("dti", {}), ("dta", dict(pocket_dim=6, mode="regression"))])
+def test_train_checkpoint_matches_a_fresh_tape_per_step(monkeypatch, tmp_path, task, kw):
+    """Training on one tape per run writes the same checkpoint bytes and
+    report as training on a new tape (new buffers) every step."""
+    if kw:
+        bundle = pocket_bundle(task)
+        bundle.interactions = split(bundle.interactions, SplitSpec(seed=2))
+    else:
+        bundle = make_bundle(task)
+    out = []
+    for tape_cls in (Tape, FreshEachStep):
+        monkeypatch.setattr(T, "Tape", tape_cls)
+        state, report = train(model_cfg(**kw), bundle, train_cfg(max_epochs=3, batch_size=16))
+        M.save_checkpoint(state, tmp_path / "m.ckpt")
+        out.append(((tmp_path / "m.ckpt").read_bytes(), report.to_json()))
+    assert out[0] == out[1]
