@@ -12,7 +12,6 @@ environment variable controls verbosity (debug | info | quiet).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import math
@@ -147,25 +146,6 @@ def environment() -> dict:
     }
 
 
-@dataclasses.dataclass
-class RunManifest:
-    command: str
-    config_hash: str
-    seeds: list[int]
-    inputs: dict[str, str]
-    artifacts: list[str]
-    wall_time_s: float
-    peak_rss_mb: float  # ru_maxrss (KiB on Linux) / 1024; counts the launching process's high-water mark too
-    minor_faults: int
-    environment: dict
-
-    def write(self, outdir: Path) -> None:
-        payload = dataclasses.asdict(self)
-        (outdir / "manifest.json").write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
-
-
 class _Run:
     """Collects inputs/outputs for the manifest while a command executes."""
 
@@ -194,17 +174,21 @@ class _Run:
     def finish(self) -> None:
         cfg = json.dumps(self.config, sort_keys=True, default=str)
         usage = resource.getrusage(resource.RUSAGE_SELF)
-        RunManifest(
-            command=self.command,
-            config_hash=sha256_bytes(cfg.encode("utf-8")),
-            seeds=self.seeds,
-            inputs=self.inputs,
-            artifacts=sorted(self.artifacts),
-            wall_time_s=round(time.monotonic() - self.t0, 3),
-            peak_rss_mb=round(usage.ru_maxrss / 1024, 1),
-            minor_faults=usage.ru_minflt,
-            environment=environment(),
-        ).write(self.outdir)
+        manifest = {
+            "command": self.command,
+            "config_hash": sha256_bytes(cfg.encode("utf-8")),
+            "seeds": self.seeds,
+            "inputs": self.inputs,
+            "artifacts": sorted(self.artifacts),
+            "wall_time_s": round(time.monotonic() - self.t0, 3),
+            # ru_maxrss (KiB on Linux) / 1024; counts the launching process's high-water mark too
+            "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
+            "minor_faults": usage.ru_minflt,
+            "environment": environment(),
+        }
+        (self.outdir / "manifest.json").write_text(
+            json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        )
 
 
 def _load_bundle(run: _Run, data_dir: str, interactions: str | None = None, embeddings_dir: str | None = None):
@@ -347,7 +331,7 @@ def cmd_rank(args, config: dict) -> int:
     return 0
 
 
-def _load_ranked(path: Path, criterion: str) -> screening.RankedLibrary:
+def _load_ranked(path: Path) -> screening.RankedLibrary:
     """TSV `rank compound_id` with rank 1..N in line order and unique ids."""
     rows = read_tsv(path)
     header = next(rows)
@@ -362,7 +346,7 @@ def _load_ranked(path: Path, criterion: str) -> screening.RankedLibrary:
             raise DataError(f"{where}: duplicate compound id {cid!r}")
         seen.add(cid)
         ids.append(cid)
-    return screening.RankedLibrary(criterion=criterion, ids=ids)
+    return screening.RankedLibrary(ids)
 
 
 def _parse_k_grid(text: str) -> tuple[float, ...]:
@@ -391,7 +375,7 @@ def cmd_enrich(args, config: dict) -> int:
         if "=" not in spec:
             raise UsageError(f"--ranked expects name=path, got {spec!r}")
         name, path = spec.split("=", 1)
-        rankings[claim(name)] = _load_ranked(run.track_input(path), "external")
+        rankings[claim(name)] = _load_ranked(run.track_input(path))
     if args.scores:
         rows = load_scores(run.track_input(args.scores))
         criterion = RANKING_ALIASES[args.ranking]

@@ -9,8 +9,6 @@ arrays are accepted for convenience and treated as constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
@@ -70,10 +68,8 @@ def confidence_loss(tape: Tape, conf, labels, probs) -> Node:
     """(c - |y - p|)^2, batch mean. The target |y - p| is a constant, so no
     gradient reaches the classifier through this loss."""
     conf = _as_node(tape, conf)
-    y = _as_row(labels, conf.value.shape[1])
-    p = _as_row(probs, conf.value.shape[1])
-    err = tape.sub(conf, tape.constant(np.abs(y - p)))
-    return tape.mean_all(tape.mul(err, err))
+    n = conf.value.shape[1]
+    return mse_loss(tape, conf, np.abs(_as_row(labels, n) - _as_row(probs, n)))
 
 
 def reconstruction_loss(tape: Tape, logits, token_ids, pad_mask, n_positions: int, vocab_size: int, weights=None) -> Node:
@@ -92,63 +88,27 @@ def mse_loss(tape: Tape, pred, target) -> Node:
     return tape.mean_all(tape.mul(diff, diff))
 
 
-@dataclass
-class LossTerms:
-    """Scalar nodes from one forward pass; None where a head was not run."""
+def composite_loss(tape: Tape, terms: dict[str, Node], config) -> tuple[Node, dict[str, float]]:
+    """alpha_cls*L_cls + alpha_con*L_con + alpha_conf*L_conf + alpha_recon*L_recon
+    over the named terms of one forward pass, with the weights and the mode
+    read from a ModelConfig (which has already checked that the weights are
+    >= 0).
 
-    bce: Node | None = None
-    con: Node | None = None
-    conf: Node | None = None
-    recon: Node | None = None
-    mse: Node | None = None
-
-
-@dataclass
-class LossBreakdown:
-    l_bce: float
-    l_con: float
-    l_conf: float
-    l_recon: float
-    l_total: float
-    l_mse: float | None = None
-
-
-def composite_loss(tape: Tape, terms: LossTerms, config) -> tuple[Node, LossBreakdown]:
-    """alpha_cls*L_cls + alpha_con*L_con + alpha_conf*L_conf + alpha_recon*L_recon,
-    with the weights and the mode read from a ModelConfig (which has already
-    checked that the weights are >= 0).
-
-    In regression mode the classification term is the MSE and the
-    contrastive term is zeroed.
+    L_cls is "bce" in classification and "mse" in regression, which has no
+    contrastive term. Returns the total and the value of each of the mode's
+    terms that `terms` holds, plus "total".
     """
-    regression = config.mode == "regression"
-
-    head = terms.mse if regression else terms.bce
-    pairs = [
-        (config.alpha_cls, head, "classification"),
-        (0.0 if regression else config.alpha_con, terms.con, "contrastive"),
-        (config.alpha_conf, terms.conf, "confidence"),
-        (config.alpha_recon, terms.recon, "reconstruction"),
-    ]
+    head = {"mse": config.alpha_cls} if config.mode == "regression" else {"bce": config.alpha_cls, "con": config.alpha_con}
+    weights = {**head, "conf": config.alpha_conf, "recon": config.alpha_recon}
     total: Node | None = None
-    for w, term, name in pairs:
+    for name, w in weights.items():
         if w == 0.0:
             continue
-        if term is None:
+        if name not in terms:
             raise ConfigError(f"{name} loss weighted {w} but its term is missing")
-        scaled = tape.affine(term, w)
+        scaled = tape.affine(terms[name], w)
         total = scaled if total is None else tape.add(total, scaled)
     if total is None:
         total = tape.constant(0.0)
-
-    def val(node):
-        return 0.0 if node is None else node.item()
-
-    return total, LossBreakdown(
-        l_bce=0.0 if regression else val(terms.bce),
-        l_con=0.0 if regression else val(terms.con),
-        l_conf=val(terms.conf),
-        l_recon=val(terms.recon),
-        l_total=total.item(),
-        l_mse=val(terms.mse) if regression else None,
-    )
+    values = {name: terms[name].item() for name in weights if name in terms}
+    return total, {**values, "total": total.item()}

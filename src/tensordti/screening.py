@@ -110,7 +110,6 @@ def load_predictions(path: str | Path) -> dict[str, list]:
 
 @dataclass
 class RankedLibrary:
-    criterion: str
     ids: list[str]
 
     @property
@@ -161,7 +160,7 @@ def rank(rows: list[ScoreRow], criterion: str) -> RankedLibrary:
             if r.score is None:
                 raise MissingColumnError(f"{criterion} needs a score for {r.compound_id!r}")
         ordered = sorted(rows, key=lambda r: (r.score, r.compound_id))
-    return RankedLibrary(criterion=criterion, ids=[r.compound_id for r in ordered])
+    return RankedLibrary([r.compound_id for r in ordered])
 
 
 def _active_positions(ranked: RankedLibrary, actives: ActiveSet) -> list[int]:

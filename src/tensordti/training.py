@@ -54,13 +54,16 @@ class DatasetBundle:
 
 @dataclass
 class EpochStats:
+    """One epoch's validation metric and mean loss terms, `l_<name>` per
+    name of composite_loss; a term not computed reads 0.0, l_mse None."""
+
     epoch: int
-    l_bce: float
-    l_con: float
-    l_conf: float
-    l_recon: float
-    l_total: float
     val_metric: float
+    l_total: float
+    l_bce: float = 0.0
+    l_con: float = 0.0
+    l_conf: float = 0.0
+    l_recon: float = 0.0
     l_mse: float | None = None
 
 
@@ -131,34 +134,36 @@ class _Pairs:
 
 
 def _forward_losses(state: ModelState, pairs: _Pairs, idx: np.ndarray, tape: Tape, trip_rng: np.random.Generator | None):
-    """Loss terms of the minibatch of pairs at idx, per entity: each unique
-    drug and (target, pocket) key goes through its tower, and each unique
-    drug through the autoencoder, once; the pairs gather the embeddings and
-    the head partials by their per-pair inverse indices."""
+    """Loss terms of the minibatch of pairs at idx by composite_loss's
+    names, computed per entity: each unique drug and (target, pocket) key
+    goes through its tower, and each unique drug through the autoencoder,
+    once; the pairs gather the embeddings and the head partials by their
+    per-pair inverse indices."""
     c = state.config
     drugs, d_of = np.unique(pairs.drug_idx[idx], return_inverse=True)
     targets, t_of = np.unique(pairs.target_idx[idx], return_inverse=True)
-    e_d = model_mod.encode_drug(state, pairs.x_drug[:, drugs], tape)
+    x_drug = pairs.x_drug[:, drugs]
+    e_d = model_mod.encode_drug(state, x_drug, tape)
     pocket = None if pairs.x_pocket is None else pairs.x_pocket[:, targets]
     e_p = model_mod.encode_protein_with_pocket(state, pairs.x_protein[:, targets], pocket, tape)
     logit, conf = model_mod.pair_heads(state, model_mod.head_partials(state, e_d, e_p, tape), d_of, t_of, tape)
 
-    terms = losses.LossTerms()
+    terms = {}
     if c.mode == "classification":
         y = pairs.labels[idx]
         probs = stable_sigmoid(logit.value).reshape(-1)
-        terms.bce = losses.bce_with_logits(tape, logit, y)
-        terms.conf = losses.confidence_loss(tape, conf, y, probs)
+        terms["bce"] = losses.bce_with_logits(tape, logit, y)
+        terms["conf"] = losses.confidence_loss(tape, conf, y, probs)
         if c.alpha_con > 0:
             if c.contrastive == "cosine_margin":
-                terms.con = losses.contrastive_cosine(tape, tape.take_cols(e_d, d_of), tape.take_cols(e_p, t_of), y, c.margin)
+                terms["con"] = losses.contrastive_cosine(tape, tape.take_cols(e_d, d_of), tape.take_cols(e_p, t_of), y, c.margin)
             else:
                 pos = np.where(y == 1)[0]
                 if pos.size == 0:
-                    terms.con = tape.affine(tape.constant(0.0), 1.0)
+                    terms["con"] = tape.affine(tape.constant(0.0), 1.0)
                 else:
                     perm = trip_rng.permutation(idx.size) if trip_rng is not None else np.roll(np.arange(idx.size), 1)
-                    terms.con = losses.contrastive_triplet(
+                    terms["con"] = losses.contrastive_triplet(
                         tape,
                         tape.take_cols(e_d, d_of[pos]),
                         tape.take_cols(e_p, t_of[pos]),
@@ -167,9 +172,9 @@ def _forward_losses(state: ModelState, pairs: _Pairs, idx: np.ndarray, tape: Tap
                     )
     else:
         target = pairs.affinity[idx]
-        terms.mse = losses.mse_loss(tape, logit, tape.constant(target.reshape(1, -1)))
+        terms["mse"] = losses.mse_loss(tape, logit, tape.constant(target.reshape(1, -1)))
         err = np.minimum(1.0, np.abs(target - logit.value.reshape(-1)) / c.error_scale)
-        terms.conf = losses.mse_loss(tape, conf, err.reshape(1, -1))
+        terms["conf"] = losses.mse_loss(tape, conf, err.reshape(1, -1))
 
     if c.alpha_recon > 0:
         # positions past the batch's longest scorable prefix are masked, so
@@ -177,8 +182,8 @@ def _forward_losses(state: ModelState, pairs: _Pairs, idx: np.ndarray, tape: Tap
         # count / batch size, which is the mean over the batch's pairs
         mask = pairs.pad_mask[:, drugs]
         n_pos = model_mod.scorable_prefix(mask)
-        recon_logits = model_mod.reconstruct(state, pairs.x_drug[:, drugs], tape, n_pos)
-        terms.recon = losses.reconstruction_loss(
+        recon_logits = model_mod.reconstruct(state, x_drug, tape, n_pos)
+        terms["recon"] = losses.reconstruction_loss(
             tape, recon_logits, pairs.token_ids[:n_pos, drugs], mask[:n_pos], n_pos, c.vocab_size,
             np.bincount(d_of) / idx.size,
         )
@@ -233,29 +238,30 @@ def _train_single(model_config: ModelConfig, data: DatasetBundle, config: TrainC
         shuffle_rng = np.random.default_rng(splitmix64(seed, 1000 + epoch))
         trip_rng = np.random.default_rng(splitmix64(seed, 500_000 + epoch))
         order = shuffle_rng.permutation(n)
-        sums = np.zeros(6)  # bce, con, conf, recon, total, mse
+        sums: dict[str, float] = {}
         n_batches = 0
         for lo in range(0, n, config.batch_size):
             idx = order[lo : lo + config.batch_size]
             terms = _forward_losses(state, train, idx, tape, trip_rng)
-            total, bd = losses.composite_loss(tape, terms, model_config)
-            if not np.isfinite(bd.l_total):
+            total, values = losses.composite_loss(tape, terms, model_config)
+            if not np.isfinite(values["total"]):
                 raise DataError(
-                    f"non-finite training loss {bd.l_total} at epoch {epoch}, "
+                    f"non-finite training loss {values['total']} at epoch {epoch}, "
                     f"batch {n_batches} (seed {seed})"
                 )
             grads = tape.backward(total)
             adam_step(adam, params, grads)
-            sums += (bd.l_bce, bd.l_con, bd.l_conf, bd.l_recon, bd.l_total, bd.l_mse or 0.0)
+            for name, value in values.items():
+                sums[name] = sums.get(name, 0.0) + value
             n_batches += 1
 
         val_metric = _validation_metric(state, valid)
-        means = sums / n_batches
-        l_mse = means[5] if model_config.mode == "regression" else None
-        stats.append(EpochStats(epoch, *means[:5], val_metric=val_metric, l_mse=l_mse))
+        means = {name: s / n_batches for name, s in sums.items()}
+        stats.append(EpochStats(epoch, val_metric, **{f"l_{name}": m for name, m in means.items()}))
+        terms_text = ", ".join(f"{name} {m:.6g}" for name, m in means.items() if name != "total")
         log.info(
-            "seed %d epoch %d: loss %.6g (bce %.6g, con %.6g, conf %.6g, recon %.6g, mse %.6g), val %s %.6g, %.2f s",
-            seed, epoch, means[4], *means[:4], means[5],
+            "seed %d epoch %d: loss %.6g (%s), val %s %.6g, %.2f s",
+            seed, epoch, means["total"], terms_text,
             "aupr" if model_config.mode == "classification" else "pcc", val_metric, time.perf_counter() - t0,
         )
         if val_metric > best_metric:

@@ -15,7 +15,6 @@ import time
 import numpy as np
 
 from tensordti import losses, model as M
-from tensordti.losses import LossTerms
 from tensordti.metrics import aupr, f1, pcc, rmse
 from tensordti.model import ModelConfig
 from tensordti.nn import Tape, grad_check, stable_sigmoid, token_nll
@@ -124,14 +123,14 @@ def test_criterion_1_gradient_correctness():
                 state, tape.constant(frozen_e_d), tape.constant(frozen_e_p),
                 tape.constant(frozen_logit), tape,
             )
-            terms = LossTerms(
-                bce=losses.bce_with_logits(tape, logit, y),
-                con=losses.contrastive_cosine(tape, e_d, e_p, y, cfg.margin),
-                conf=losses.confidence_loss(tape, conf, y, frozen_probs),
-                recon=losses.reconstruction_loss(
+            terms = {
+                "bce": losses.bce_with_logits(tape, logit, y),
+                "con": losses.contrastive_cosine(tape, e_d, e_p, y, cfg.margin),
+                "conf": losses.confidence_loss(tape, conf, y, frozen_probs),
+                "recon": losses.reconstruction_loss(
                     tape, M.reconstruct(state, xd, tape), ids, mask, cfg.max_len, cfg.vocab_size
                 ),
-            )
+            }
             total, _ = losses.composite_loss(tape, terms, cfg)
             return tape, total
 
@@ -193,14 +192,14 @@ def test_criterion_2_loss_closed_forms():
     czero = ModelConfig(drug_dim=2, protein_dim=2, alpha_cls=0, alpha_con=0, alpha_conf=0, alpha_recon=0)
     tape = Tape()
     total, _ = losses.composite_loss(
-        tape, LossTerms(bce=tape.constant(1.0), con=tape.constant(1.0),
-                        conf=tape.constant(1.0), recon=tape.constant(1.0)), czero)
+        tape, {"bce": tape.constant(1.0), "con": tape.constant(1.0),
+               "conf": tape.constant(1.0), "recon": tape.constant(1.0)}, czero)
     assert abs(v(total)) < TOL
     cdef = ModelConfig(drug_dim=2, protein_dim=2)
     tape = Tape()
     total, _ = losses.composite_loss(
-        tape, LossTerms(bce=tape.constant(1.0), con=tape.constant(0.5),
-                        conf=tape.constant(0.5), recon=tape.constant(0.5)), cdef)
+        tape, {"bce": tape.constant(1.0), "con": tape.constant(0.5),
+               "conf": tape.constant(0.5), "recon": tape.constant(0.5)}, cdef)
     assert abs(v(total) - 0.7) < TOL
 
 
@@ -342,7 +341,7 @@ def test_criterion_8_enrichment_identities():
     for _ in range(1000):
         n = int(rng.integers(2, 40))
         ids = [f"c{i:02d}" for i in range(n)]
-        ranked = RankedLibrary("external", rng.permutation(ids).tolist())
+        ranked = RankedLibrary(rng.permutation(ids).tolist())
         a = int(rng.integers(1, n + 1))
         act = ActiveSet(frozenset(rng.choice(ids, a, replace=False).tolist()))
         k = int(rng.integers(1, n + 1))
@@ -367,7 +366,7 @@ def test_criterion_8_enrichment_identities():
     act_ids = {"b", "e", "g"}
     act = ActiveSet(frozenset(act_ids), potency={"b": 3.0, "e": 1.0, "g": 2.0})
     for perm in itertools.permutations(ids8):
-        ranked = RankedLibrary("external", list(perm))
+        ranked = RankedLibrary(list(perm))
         for k in (33.4, 100.0):
             assert kpct_actives_budget(ranked, act, k) == budget_oracle(list(perm), act_ids, k)
             assert topk_potency_budget(ranked, act, k) == topk_oracle(list(perm), act_ids, act.potency, k)
@@ -375,7 +374,7 @@ def test_criterion_8_enrichment_identities():
     for _ in range(200):
         n = int(rng.integers(9, 13))
         ids = [f"c{i:02d}" for i in range(n)]
-        ranked = RankedLibrary("external", rng.permutation(ids).tolist())
+        ranked = RankedLibrary(rng.permutation(ids).tolist())
         a = int(rng.integers(1, n))
         chosen = rng.choice(ids, a, replace=False).tolist()
         pot = {c: float(rng.standard_normal()) for c in chosen}

@@ -5,7 +5,6 @@ import pytest
 
 from tensordti import losses
 from tensordti.errors import ConfigError, DataError, ShapeError
-from tensordti.losses import LossTerms
 from tensordti.model import ModelConfig
 from tensordti.nn import Tape
 
@@ -208,42 +207,52 @@ def test_mse_single_pair():
 # -- composite -----------------------------------------------------------------
 
 
-def _terms(tape, bce=None, con=None, conf=None, recon=None, mse=None):
-    def wrap(v):
-        return None if v is None else tape.constant(float(v))
+def _terms(tape, **values):
+    return {name: tape.constant(float(v)) for name, v in values.items()}
 
-    return LossTerms(bce=wrap(bce), con=wrap(con), conf=wrap(conf), recon=wrap(recon), mse=wrap(mse))
+
+HEAD = {"classification": "bce", "regression": "mse"}
 
 
 def test_composite_all_zero_weights():
-    cfg = ModelConfig(drug_dim=2, protein_dim=2, alpha_cls=0, alpha_con=0, alpha_conf=0, alpha_recon=0)
-    tape = Tape()
-    total, bd = losses.composite_loss(tape, _terms(tape, bce=1, con=1, conf=1, recon=1), cfg)
-    assert val(total) == pytest.approx(0.0, abs=TOL)
-    assert bd.l_total == pytest.approx(0.0, abs=TOL)
+    for mode in HEAD:
+        cfg = ModelConfig(
+            drug_dim=2, protein_dim=2, mode=mode, alpha_cls=0, alpha_con=0, alpha_conf=0, alpha_recon=0
+        )
+        tape = Tape()
+        total, values = losses.composite_loss(tape, _terms(tape, bce=1, mse=1, con=1, conf=1, recon=1), cfg)
+        assert val(total) == pytest.approx(0.0, abs=TOL)
+        assert values["total"] == pytest.approx(0.0, abs=TOL)
 
 
 def test_composite_default_weights_closed_form():
-    cfg = ModelConfig(drug_dim=2, protein_dim=2)  # 0.4 / 0.2 / 0.2 / 0.2
-    tape = Tape()
-    total, bd = losses.composite_loss(tape, _terms(tape, bce=1.0, con=0.5, conf=0.5, recon=0.5), cfg)
-    assert val(total) == pytest.approx(0.7, abs=TOL)
-    assert bd.l_total == pytest.approx(
-        0.4 * bd.l_bce + 0.2 * bd.l_con + 0.2 * bd.l_conf + 0.2 * bd.l_recon, abs=TOL
-    )
+    for mode, expected in (("classification", 0.7), ("regression", 0.6)):  # regression has no contrastive term
+        cfg = ModelConfig(drug_dim=2, protein_dim=2, mode=mode)  # 0.4 / 0.2 / 0.2 / 0.2
+        tape = Tape()
+        terms = _terms(tape, **{HEAD[mode]: 1.0}, con=0.5, conf=0.5, recon=0.5)
+        total, values = losses.composite_loss(tape, terms, cfg)
+        assert val(total) == pytest.approx(expected, abs=TOL)
+        assert values["total"] == pytest.approx(
+            0.4 * values[HEAD[mode]] + 0.2 * values.get("con", 0.0) + 0.2 * values["conf"] + 0.2 * values["recon"],
+            abs=TOL,
+        )
 
 
 def test_composite_linear_in_weights():
     rng = np.random.default_rng(4)
     t = rng.random(4)
-    for _ in range(5):
-        w = rng.random(4)
-        cfg = ModelConfig(
-            drug_dim=2, protein_dim=2, alpha_cls=w[0], alpha_con=w[1], alpha_conf=w[2], alpha_recon=w[3]
-        )
-        tape = Tape()
-        total, _ = losses.composite_loss(tape, _terms(tape, bce=t[0], con=t[1], conf=t[2], recon=t[3]), cfg)
-        assert val(total) == pytest.approx(float(w @ t), abs=1e-12)
+    for mode in HEAD:
+        for _ in range(5):
+            w = rng.random(4)
+            cfg = ModelConfig(
+                drug_dim=2, protein_dim=2, mode=mode,
+                alpha_cls=w[0], alpha_con=w[1], alpha_conf=w[2], alpha_recon=w[3],
+            )
+            tape = Tape()
+            terms = _terms(tape, **{HEAD[mode]: t[0]}, con=t[1], conf=t[2], recon=t[3])
+            total, _ = losses.composite_loss(tape, terms, cfg)
+            applied = w * [1.0, mode == "classification", 1.0, 1.0]  # regression has no contrastive term
+            assert val(total) == pytest.approx(float(applied @ t), abs=1e-12)
 
 
 def test_composite_negative_weight_rejected():
@@ -254,17 +263,46 @@ def test_composite_negative_weight_rejected():
 def test_composite_regression_substitutes_mse_and_zeroes_contrastive():
     cfg = ModelConfig(drug_dim=2, protein_dim=2, mode="regression")
     tape = Tape()
-    total, bd = losses.composite_loss(tape, _terms(tape, mse=2.0, con=9.0, conf=0.5, recon=0.5), cfg)
-    assert bd.l_mse == pytest.approx(2.0, abs=TOL)
-    assert bd.l_con == 0.0
+    total, values = losses.composite_loss(tape, _terms(tape, mse=2.0, con=9.0, conf=0.5, recon=0.5), cfg)
+    assert values["mse"] == pytest.approx(2.0, abs=TOL)
+    assert "con" not in values
     assert val(total) == pytest.approx(0.4 * 2.0 + 0.2 * 0.5 + 0.2 * 0.5, abs=TOL)
 
 
-def test_composite_missing_weighted_term_rejected():
-    cfg = ModelConfig(drug_dim=2, protein_dim=2)
+@pytest.mark.parametrize(
+    "mode, given, keys",
+    [
+        ("classification", dict(bce=1.0, conf=0.5), ["bce", "conf", "total"]),
+        ("classification", dict(bce=1.0, conf=0.5, recon=0.25), ["bce", "conf", "recon", "total"]),
+        ("classification", dict(bce=1.0, con=0.75, conf=0.5), ["bce", "con", "conf", "total"]),
+        ("classification", dict(bce=1.0, con=0.75, conf=0.5, recon=0.25), ["bce", "con", "conf", "recon", "total"]),
+        ("regression", dict(mse=2.0, conf=0.5, recon=0.25), ["mse", "conf", "recon", "total"]),
+        ("regression", dict(bce=7.0, mse=2.0, con=9.0, conf=0.5, recon=0.25), ["mse", "conf", "recon", "total"]),
+    ],
+)
+def test_composite_returns_the_modes_terms_by_name(mode, given, keys):
+    """Each of the mode's terms it was given, in weighting order, then the
+    total; regression ignores a bce or con term."""
+    cfg = ModelConfig(
+        drug_dim=2, protein_dim=2, mode=mode, alpha_con=0.2 * ("con" in given), alpha_recon=0.2 * ("recon" in given)
+    )
     tape = Tape()
-    with pytest.raises(ConfigError, match="missing"):
-        losses.composite_loss(tape, _terms(tape, bce=1.0), cfg)
+    total, values = losses.composite_loss(tape, _terms(tape, **given), cfg)
+    assert list(values) == keys
+    assert all(values[name] == given[name] for name in keys[:-1])
+    assert values["total"] == val(total)
+    expected = 0.4 * given[HEAD[mode]] + 0.2 * given["conf"] + 0.2 * given.get("recon", 0.0)
+    if mode == "classification":
+        expected += 0.2 * given.get("con", 0.0)
+    assert values["total"] == pytest.approx(expected, abs=TOL)
+
+
+def test_composite_missing_weighted_term_rejected():
+    for mode, given in (("classification", dict(bce=1.0)), ("regression", dict(mse=1.0))):
+        cfg = ModelConfig(drug_dim=2, protein_dim=2, mode=mode)
+        tape = Tape()
+        with pytest.raises(ConfigError, match="missing"):
+            losses.composite_loss(tape, _terms(tape, **given), cfg)
 
 
 def test_every_loss_gradient_matches_finite_differences():

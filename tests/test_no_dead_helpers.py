@@ -9,6 +9,17 @@ import tensordti
 
 SRC = Path(tensordti.__file__).parent
 BENCH_CHECKS = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
+BENCH_TRACER = BENCH_CHECKS.with_name("tracer.py")
+
+# traced names that no longer resolve, each waiting on a benchmark mend:
+# the predictions table moved to `screening`, and the exact baselines
+# replaced the Monte-Carlo ones
+STALE_TRACED = {
+    "training.load_predictions",
+    "training.save_predictions",
+    "screening.random_baseline",
+    "screening.random_topk_baseline",
+}
 
 # kept for the tests alone: each is the reference a tested path is checked against
 TEST_ORACLES = {
@@ -85,3 +96,31 @@ def test_every_model_function_the_benchmark_checks_call_exists():
     assert {"interaction_logit", "confidence", "load_checkpoint"} <= called
     model = importlib.import_module("tensordti.model")
     assert sorted(name for name in called if not callable(getattr(model, name, None))) == []
+
+
+def test_every_name_the_benchmark_traces_resolves_but_the_known_stale_ones():
+    """perfbench/tracer.py wraps `module.qualname` targets and reports a
+    name that does not resolve as `absent`; a rename in `src/` must not
+    add another."""
+    tree = ast.parse(BENCH_TRACER.read_text(encoding="utf-8"), str(BENCH_TRACER))
+    lists = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and {getattr(t, "id", None) for t in node.targets} & {"TARGETS", "SETUP_TARGETS"}
+    ]
+    assert len(lists) == 2
+    targets = [(entry.elts[0].value, entry.elts[1].value) for block in lists for entry in block.elts]
+    assert targets
+
+    def resolves(module_name, qualname):
+        owner = importlib.import_module(module_name)
+        for part in qualname.split("."):
+            owner = getattr(owner, part, None)
+        return owner is not None
+
+    unresolved = {
+        f"{module.removeprefix('tensordti.')}.{qualname}"
+        for module, qualname in targets
+        if not resolves(module, qualname)
+    }
+    assert sorted(unresolved - STALE_TRACED) == []

@@ -27,7 +27,7 @@ from tensordti.screening import (
 
 
 def lib(ids):
-    return RankedLibrary(criterion="external", ids=list(ids))
+    return RankedLibrary(list(ids))
 
 
 def actives(ids, potency=None):

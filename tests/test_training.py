@@ -308,29 +308,29 @@ def _per_pair_losses(state, pairs, idx, tape):
     reconstruction loss is the mean over pairs."""
     c = state.config
     e_d, e_p, logit, conf = _pair_forward(state, pairs, idx, tape)
-    terms = losses.LossTerms()
+    terms = {}
     if c.mode == "classification":
         y = pairs.labels[idx]
-        terms.bce = losses.bce_with_logits(tape, logit, y)
-        terms.conf = losses.confidence_loss(tape, conf, y, stable_sigmoid(logit.value).reshape(-1))
+        terms["bce"] = losses.bce_with_logits(tape, logit, y)
+        terms["conf"] = losses.confidence_loss(tape, conf, y, stable_sigmoid(logit.value).reshape(-1))
         if c.contrastive == "cosine_margin":
-            terms.con = losses.contrastive_cosine(tape, e_d, e_p, y, c.margin)
+            terms["con"] = losses.contrastive_cosine(tape, e_d, e_p, y, c.margin)
         else:
             pos = np.where(y == 1)[0]
             neg = np.roll(np.arange(idx.size), 1)[pos]
-            terms.con = losses.contrastive_triplet(
+            terms["con"] = losses.contrastive_triplet(
                 tape, tape.take_cols(e_d, pos), tape.take_cols(e_p, pos), tape.take_cols(e_p, neg), c.triplet_margin
             )
     else:
         target = pairs.affinity[idx]
-        terms.mse = losses.mse_loss(tape, logit, target.reshape(1, -1))
+        terms["mse"] = losses.mse_loss(tape, logit, target.reshape(1, -1))
         err = np.minimum(1.0, np.abs(target - logit.value.reshape(-1)) / c.error_scale)
-        terms.conf = losses.mse_loss(tape, conf, err.reshape(1, -1))
+        terms["conf"] = losses.mse_loss(tape, conf, err.reshape(1, -1))
     drugs = pairs.drug_idx[idx]
     mask = pairs.pad_mask[:, drugs]
     n_pos = M.scorable_prefix(mask)
     recon_logits = M.reconstruct(state, pairs.x_drug[:, drugs], tape, n_pos)
-    terms.recon = losses.reconstruction_loss(
+    terms["recon"] = losses.reconstruction_loss(
         tape, recon_logits, pairs.token_ids[:n_pos, drugs], mask[:n_pos], n_pos, c.vocab_size
     )
     return terms

@@ -28,7 +28,7 @@ READERS = {
         list(PREDICTION_COLUMNS),
         [["D0", "T0", "1.5", "0.8", "1", "", "0.1", "0.2"], ["D1", "T0", "-2", "0.1", "0", "", "0.3", ""]],
     ),
-    "ranked": (lambda path: _load_ranked(path, "external"), ["rank", "compound_id"], [["1", "c1"], ["2", "c2"]]),
+    "ranked": (_load_ranked, ["rank", "compound_id"], [["1", "c1"], ["2", "c2"]]),
     "scores": (load_scores, ["compound_id", "method", "score"], [["c1", "glide", "-9.1"], ["c2", "glide", "-8"]]),
     "actives": (load_actives, ["compound_id", "potency"], [["c1", "7.5"], ["c2", "6"]]),
 }
