@@ -197,11 +197,17 @@ def _load_bundle(run: _Run, data_dir: str, interactions: str | None = None, embe
 
     d = Path(data_dir)
     e = Path(embeddings_dir) if embeddings_dir else d
-    drugs = load_embeddings(run.track_input(e / "drugs.jsonl"), "drug")
-    proteins = load_embeddings(run.track_input(e / "proteins.jsonl"), "protein")
-    pockets = None
-    if (e / "pockets.jsonl").is_file():
-        pockets = load_embeddings(run.track_input(e / "pockets.jsonl"), "pocket")
+
+    def store(name: str, modality: str, required: bool = True):
+        """`<name>.bin` when present, else `<name>.jsonl`; None for an absent optional store."""
+        binary, jsonl = e / f"{name}.bin", e / f"{name}.jsonl"
+        if binary.is_file() and jsonl.is_file():
+            raise DataError(f"both {binary} and {jsonl} hold the {modality} embeddings; keep one")
+        path = binary if binary.is_file() else jsonl
+        return load_embeddings(run.track_input(path), modality) if required or path.is_file() else None
+
+    drugs, proteins = store("drugs", "drug"), store("proteins", "protein")
+    pockets = store("pockets", "pocket", required=False)
     smiles = None
     if (d / "smiles.tsv").is_file():
         smiles = load_smiles(run.track_input(d / "smiles.tsv"))

@@ -1,9 +1,10 @@
 """Embedding stores, interaction tables, and their on-disk formats.
 
 Two embedding formats are supported and sniffed by magic:
-  * JSON Lines, one ``{"id":…, "kind":…, "vec":[…]}`` object per line;
+  * JSON Lines, one ``{"id":…, "kind":…, "vec":[…]}`` object per line,
+    the interchange format;
   * binary, magic ``TDTIEMB1`` + u32-LE width + records of
-    (u16-LE id length, UTF-8 id, width x f32-LE).
+    (u16-LE id length, UTF-8 id, width x f32-LE), which ``gen-synth`` writes.
 
 Interactions travel as TSV with header
 ``drug_id target_id pocket_id label affinity split`` (empty field = absent).
@@ -29,47 +30,62 @@ INTERACTION_COLUMNS = ("drug_id", "target_id", "pocket_id", "label", "affinity",
 
 
 class EmbeddingStore:
-    """Immutable after load: id -> fixed-width float64 vector, one modality."""
+    """Immutable after load: id -> fixed-width float64 vector, one modality, held as
+    one read-only (width, n) matrix (given as `matrix`, then the store's) and an id -> column dict."""
 
-    def __init__(self, modality: str):
+    def __init__(self, modality: str, ids=(), matrix=None):
         if modality not in MODALITIES:
             raise DataError(f"unknown modality {modality!r}")
         self.modality = modality
         self.width: int | None = None
-        self._vecs: dict[str, np.ndarray] = {}
+        self._cols: dict[str, int] = {}
+        self._matrix = np.empty((0, 0))
+        if matrix is not None:
+            self._hold(list(ids), matrix)
+
+    def _hold(self, ids: list[str], matrix) -> None:
+        """Check the store once, every value finite and every id distinct, then keep it."""
+        m = np.ascontiguousarray(matrix, dtype=np.float64)
+        finite = np.isfinite(m).all(axis=0)
+        if not finite.all():
+            raise FormatError(f"embedding {ids[int(np.argmin(finite))]!r}: non-finite entry")
+        cols = dict(zip(ids, range(len(ids))))
+        if len(cols) != len(ids):  # a repeated id's column is its last; name the first id that is off
+            raise FormatError(f"duplicate embedding id {next(i for k, i in enumerate(ids) if cols[i] != k)!r}")
+        m.flags.writeable = False
+        self.width, self._cols, self._matrix = m.shape[0], cols, m
 
     def add(self, rec_id: str, vec) -> None:
-        v = np.asarray(vec, dtype=np.float64).reshape(-1)
+        """Append one vector; copies the matrix, so readers build their store in one call."""
+        v = np.asarray(vec, dtype=np.float64).reshape(-1, 1)
         if not np.all(np.isfinite(v)):
             raise FormatError(f"embedding {rec_id!r}: non-finite entry")
-        if self.width is None:
-            self.width = v.size
-        elif v.size != self.width:
-            raise FormatError(
-                f"embedding {rec_id!r}: width {v.size} != store width {self.width}"
-            )
-        if rec_id in self._vecs:
-            raise FormatError(f"duplicate embedding id {rec_id!r}")
-        self._vecs[rec_id] = v
+        if self.width is not None and v.size != self.width:
+            raise FormatError(f"embedding {rec_id!r}: width {v.size} != store width {self.width}")
+        self._hold([*self._cols, rec_id], v if self.width is None else np.hstack([self._matrix, v]))
 
     def __len__(self):
-        return len(self._vecs)
+        return len(self._cols)
 
     def __contains__(self, rec_id):
-        return rec_id in self._vecs
+        return rec_id in self._cols
 
     def ids(self) -> list[str]:
-        return list(self._vecs)
+        return list(self._cols)
+
+    def _columns(self, ids) -> list[int]:
+        try:
+            return [self._cols[i] for i in ids]
+        except KeyError as exc:
+            raise DataError(f"unknown {self.modality} id {exc.args[0]!r}") from None
 
     def get(self, rec_id: str) -> np.ndarray:
-        try:
-            return self._vecs[rec_id]
-        except KeyError:
-            raise DataError(f"unknown {self.modality} id {rec_id!r}") from None
+        """The id's column, a read-only view."""
+        return self._matrix[:, self._columns([rec_id])[0]]
 
     def matrix(self, ids: list[str]) -> np.ndarray:
-        """Column matrix (width, len(ids)) in the given order."""
-        return np.stack([self.get(i) for i in ids], axis=1)
+        """Column matrix (width, len(ids)) in the given order: a new C-contiguous array."""
+        return self._matrix.take(self._columns(ids), axis=1)
 
 
 def load_embeddings(path: str | Path, modality: str) -> EmbeddingStore:
@@ -82,38 +98,53 @@ def load_embeddings(path: str | Path, modality: str) -> EmbeddingStore:
 
 
 def _load_jsonl(path: Path, modality: str) -> EmbeddingStore:
-    store = EmbeddingStore(modality)
-    with open(path, "rb") as f:
-        for lineno, raw in enumerate(f, 1):
-            where = f"{path}:{lineno}"
+    """Each line is checked as it is read; the values are checked once, in
+    the built matrix, and the first fault in file order is reported at its
+    line."""
+    lines: dict[str, int] = {}  # id -> line number
+    vecs: list[list] = []
+    try:
+        with open(path, "rb") as f:
+            for lineno, raw in enumerate(f, 1):
+                where = f"{path}:{lineno}"
+                try:
+                    line = raw.decode("utf-8").strip()
+                except UnicodeDecodeError as exc:
+                    raise FormatError(f"{where}: not UTF-8 text: {exc}") from None
+                if not line:
+                    continue
+                try:
+                    rec = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    raise FormatError(f"{where}: bad JSON: {exc}") from None
+                if not isinstance(rec, dict):
+                    raise FormatError(f"{where}: expected a JSON object")
+                for key in ("id", "kind", "vec"):
+                    if key not in rec:
+                        raise FormatError(f"{where}: missing field {key!r}")
+                rec_id, vec = rec["id"], rec["vec"]
+                if not isinstance(rec_id, str):
+                    raise FormatError(f"{where}: id {rec_id!r} is not a string")
+                if rec["kind"] != modality:
+                    raise FormatError(f"{where}: record {rec_id!r} has kind {rec['kind']!r}, expected {modality!r}")
+                # a flat list of JSON numbers; a bool is an int subclass, so compare types exactly
+                if not isinstance(vec, list) or not vec or not set(map(type, vec)) <= {int, float}:
+                    raise FormatError(f"{where}: vec of {rec_id!r} is not a list of numbers, or is empty")
+                if vecs and len(vec) != len(vecs[0]):
+                    raise FormatError(f"{where}: embedding {rec_id!r}: width {len(vec)} != store width {len(vecs[0])}")
+                if rec_id in lines:
+                    raise FormatError(f"{where}: duplicate embedding id {rec_id!r}")
+                lines[rec_id] = lineno
+                vecs.append(vec)
+        return EmbeddingStore(modality, lines, np.array(vecs, dtype=np.float64).T if vecs else None)
+    except (FormatError, OverflowError):  # OverflowError: an int past float64
+        # a bad value on a line before the fault raised is the first fault
+        for rec_id, vec in zip(lines, vecs):
             try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"{where}: not UTF-8 text: {exc}") from None
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise FormatError(f"{where}: bad JSON: {exc}") from None
-            if not isinstance(rec, dict):
-                raise FormatError(f"{where}: expected a JSON object")
-            for key in ("id", "kind", "vec"):
-                if key not in rec:
-                    raise FormatError(f"{where}: missing field {key!r}")
-            if not isinstance(rec["id"], str):
-                raise FormatError(f"{where}: id {rec['id']!r} is not a string")
-            if rec["kind"] != modality:
-                raise FormatError(f"{where}: record {rec['id']!r} has kind {rec['kind']!r}, expected {modality!r}")
-            vec = rec["vec"]
-            # a flat list of JSON numbers; a bool is an int subclass, so compare types exactly
-            if not isinstance(vec, list) or not vec or not set(map(type, vec)) <= {int, float}:
-                raise FormatError(f"{where}: vec of {rec['id']!r} is not a list of numbers, or is empty")
-            try:
-                store.add(rec["id"], vec)
-            except (FormatError, OverflowError) as exc:  # OverflowError: an int past float64
-                raise FormatError(f"{where}: {exc}") from None
-    return store
+                EmbeddingStore(modality, [rec_id], np.array(vec, dtype=np.float64)[:, None])
+            except (FormatError, OverflowError) as exc:
+                raise FormatError(f"{path}:{lines[rec_id]}: {exc}") from None
+        raise
 
 
 def _load_binary(path: Path, modality: str) -> EmbeddingStore:
@@ -125,7 +156,7 @@ def _load_binary(path: Path, modality: str) -> EmbeddingStore:
     (width,) = struct.unpack_from("<I", data, 8)
     if width == 0:
         raise FormatError(f"{path}: header width 0")
-    store = EmbeddingStore(modality)
+    ids, values = [], []
     off = 12
     while off < len(data):
         if off + 2 > len(data):
@@ -135,17 +166,17 @@ def _load_binary(path: Path, modality: str) -> EmbeddingStore:
         if off + id_len + 4 * width > len(data):
             raise FormatError(f"{path}: truncated record body")
         try:
-            rec_id = data[off : off + id_len].decode("utf-8")
+            ids.append(data[off : off + id_len].decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: record id at byte {off} is not UTF-8: {exc}") from None
         off += id_len
-        vec = np.frombuffer(data[off : off + 4 * width], dtype="<f4").astype(np.float64)
+        values.append(data[off : off + 4 * width])
         off += 4 * width
-        try:
-            store.add(rec_id, vec)
-        except FormatError as exc:
-            raise FormatError(f"{path}: {exc}") from None
-    return store
+    matrix = np.frombuffer(b"".join(values), dtype="<f4").reshape(len(ids), width).T
+    try:
+        return EmbeddingStore(modality, ids, matrix if ids else None)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def save_embeddings_jsonl(store: EmbeddingStore, path: str | Path) -> None:
@@ -156,19 +187,18 @@ def save_embeddings_jsonl(store: EmbeddingStore, path: str | Path) -> None:
 
 
 def save_embeddings_binary(store: EmbeddingStore, path: str | Path) -> None:
-    """f32 on disk; values created by this package are f32-quantized, so the
-    round trip is bit-exact."""
+    """f32 on disk, written a record at a time; values created by this package
+    are f32-quantized, so the round trip is bit-exact."""
     if store.width is None:
         raise DataError("cannot write an empty store")
-    chunks = [EMBEDDING_MAGIC, struct.pack("<I", store.width)]
-    for rec_id in store.ids():
-        raw = rec_id.encode("utf-8")
-        if len(raw) > 0xFFFF:
-            raise DataError(f"id of {len(raw)} UTF-8 bytes exceeds the binary format's 65535")
-        chunks.append(struct.pack("<H", len(raw)))
-        chunks.append(raw)
-        chunks.append(store.get(rec_id).astype("<f4").tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    raws = [rec_id.encode("utf-8") for rec_id in store.ids()]
+    longest = max(map(len, raws), default=0)
+    if longest > 0xFFFF:
+        raise DataError(f"id of {longest} UTF-8 bytes exceeds the binary format's 65535")
+    with open(path, "wb") as f:
+        f.write(EMBEDDING_MAGIC + struct.pack("<I", store.width))
+        for rec_id, raw in zip(store.ids(), raws):
+            f.write(struct.pack("<H", len(raw)) + raw + store.get(rec_id).astype("<f4").tobytes())
 
 
 # -- interaction records --------------------------------------------------

@@ -75,13 +75,6 @@ class ModelConfig:
         return N_SPECIALS + len(self.vocab)
 
 
-def _two_layer(rng, in_dim, hidden, out_dim, name, final_act="identity") -> list[DenseLayer]:
-    return [
-        init_dense(rng, in_dim, hidden, "relu", f"{name}.0"),
-        init_dense(rng, hidden, out_dim, final_act, f"{name}.1"),
-    ]
-
-
 @dataclass
 class ModelState:
     config: ModelConfig
@@ -93,11 +86,11 @@ class ModelState:
     ae_encoder: DenseLayer
     ae_decoder: DenseLayer
     tokenizer: SmilesTokenizer = field(init=False)
-    flat: np.ndarray = field(init=False, repr=False)  # every parameter's values; each Param.value is a view
+    flat: np.ndarray | None = field(default=None, repr=False)  # every parameter's values; each Param.value is a view
 
     def __post_init__(self):
         self.tokenizer = SmilesTokenizer(self.config.vocab, self.config.max_len)
-        self.flat = pack(self.parameters())
+        self.flat = pack(self.parameters()) if self.flat is None else self.flat  # given: they lie over it already
 
     def parameters(self) -> list[Param]:
         layers: list[DenseLayer] = []
@@ -120,24 +113,27 @@ class ModelState:
         self.flat[...] = values
 
 
-def init_model(config: ModelConfig, seed: int | None = 0) -> ModelState:
-    """Scaled-uniform weights drawn from `seed`; with seed None, zeros for a caller to overwrite."""
-    rng = None if seed is None else np.random.default_rng(seed)
-    c = config
-    return ModelState(
-        config=c,
-        encoder_drug=_two_layer(rng, c.drug_dim, c.hidden_dim, c.output_dim, "encoder_drug"),
-        encoder_protein=_two_layer(rng, c.protein_dim, c.hidden_dim, c.output_dim, "encoder_protein"),
-        encoder_pocket=(
-            _two_layer(rng, c.pocket_dim, c.hidden_dim, c.output_dim, "encoder_pocket")
-            if c.pocket_dim is not None
-            else None
-        ),
-        classifier=_two_layer(rng, 2 * c.output_dim, c.hidden_dim, 1, "classifier"),
-        conf_head=_two_layer(rng, 2 * c.output_dim + 1, c.hidden_dim, 1, "conf_head", final_act="sigmoid"),
-        ae_encoder=init_dense(rng, c.drug_dim, c.latent_dim, "tanh", "ae_encoder"),
-        ae_decoder=init_dense(rng, c.latent_dim, c.max_len * c.vocab_size, "identity", "ae_decoder"),
+def _layers(c: ModelConfig, dense) -> dict:
+    """ModelState's layer fields, in parameter order, each layer made by dense(in_dim, out_dim, activation, name)."""
+
+    def two(in_dim, out_dim, name, final_act="identity"):
+        return [dense(in_dim, c.hidden_dim, "relu", f"{name}.0"), dense(c.hidden_dim, out_dim, final_act, f"{name}.1")]
+
+    return dict(
+        encoder_drug=two(c.drug_dim, c.output_dim, "encoder_drug"),
+        encoder_protein=two(c.protein_dim, c.output_dim, "encoder_protein"),
+        encoder_pocket=two(c.pocket_dim, c.output_dim, "encoder_pocket") if c.pocket_dim is not None else None,
+        classifier=two(2 * c.output_dim, 1, "classifier"),
+        conf_head=two(2 * c.output_dim + 1, 1, "conf_head", final_act="sigmoid"),
+        ae_encoder=dense(c.drug_dim, c.latent_dim, "tanh", "ae_encoder"),
+        ae_decoder=dense(c.latent_dim, c.max_len * c.vocab_size, "identity", "ae_decoder"),
     )
+
+
+def init_model(config: ModelConfig, seed: int = 0) -> ModelState:
+    """Scaled-uniform weights drawn from `seed`."""
+    rng = np.random.default_rng(seed)
+    return ModelState(config, **_layers(config, lambda *layer: init_dense(rng, *layer)))
 
 
 def _run(layers: list[DenseLayer], x: Node, tape: Tape) -> Node:
@@ -333,6 +329,7 @@ def save_checkpoint(state: ModelState, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ModelState:
+    """Values go straight into one buffer laid out from the config, then one scan for non-finite ones."""
     data = Path(path).read_bytes()
     if data[:8] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: bad checkpoint magic {data[:8]!r}")
@@ -343,23 +340,29 @@ def load_checkpoint(path: str | Path) -> ModelState:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
     off = 16
     try:
-        raw = json.loads(data[off : off + cfg_len].decode("utf-8"))
-        state = init_model(ModelConfig(**raw), seed=None)
+        config = ModelConfig(**json.loads(data[off : off + cfg_len].decode("utf-8")))
+        SmilesTokenizer(config.vocab, config.max_len)  # the state builds one from the config
     except (ValueError, TypeError, ConfigError, DataError) as exc:
         raise FormatError(f"{path}: unreadable config block: {exc}") from exc
     off += cfg_len
-    params = state.parameters()
-    end = off + sum(8 + 8 * p.value.size for p in params)
+    slots: list[tuple[str, tuple[int, int]]] = []  # (name, shape) of every parameter, in order
+    _layers(config, lambda i, o, act, name: slots.extend([(f"{name}.weight", (o, i)), (f"{name}.bias", (o, 1))]))
+    size = sum(rows * cols for _, (rows, cols) in slots)
+    end = off + 8 * len(slots) + 8 * size
     if len(data) != end:
         what = "truncated" if len(data) < end else "trailing bytes"
         raise FormatError(f"{path}: {what}: {len(data)} bytes where its config implies {end}")
-    for p in params:
+    flat = np.empty(size)
+    params, lo = [], 0
+    for name, (rows, cols) in slots:
         declared = struct.unpack_from("<II", data, off)
-        if declared != p.value.shape:
-            raise FormatError(f"{path}: parameter {p.name!r} declared {declared}, config implies {p.value.shape}")
-        state.flat[p.lo : p.lo + p.value.size] = np.frombuffer(data, dtype="<f8", count=p.value.size, offset=off + 8)
-        off += 8 + 8 * p.value.size
-    bad = first_non_finite(params, state.flat)
+        if declared != (rows, cols):
+            raise FormatError(f"{path}: parameter {name!r} declared {declared}, config implies {(rows, cols)}")
+        flat[lo : lo + rows * cols] = np.frombuffer(data, dtype="<f8", count=rows * cols, offset=off + 8)
+        params.append(Param(flat[lo : lo + rows * cols].reshape(rows, cols), name, flat, lo))
+        off, lo = off + 8 + 8 * rows * cols, lo + rows * cols
+    bad = first_non_finite(params, flat)
     if bad is not None:
         raise FormatError(f"{path}: parameter {bad.name!r} has non-finite values")
-    return state
+    pairs = iter(zip(params[::2], params[1::2]))
+    return ModelState(config, **_layers(config, lambda i, o, act, name: DenseLayer(*next(pairs), act)), flat=flat)

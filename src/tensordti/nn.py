@@ -107,16 +107,17 @@ class Node:
 
 class Param(Node):
     """A learnable leaf; identity is stable across forward passes. `value`
-    is a view of `flat[lo:]`, the buffer `pack` put it in (until then, the
-    array given): write into it, since Adam and checkpoints use `flat`."""
+    is a view of `flat[lo:]`: of the buffer given with it, taken unchecked
+    (its filler scans it), else of the one `pack` put it in (until then, the
+    array given). Write into it, since Adam and checkpoints use `flat`."""
 
     __slots__ = ("name", "flat", "lo")
 
-    def __init__(self, value, name: str):
-        super().__init__(as_matrix(value, name))
+    def __init__(self, value, name: str, flat: np.ndarray | None = None, lo: int = 0):
+        super().__init__(as_matrix(value, name) if flat is None else value)
         self.needs_grad = True
         self.name = name
-        self.flat, self.lo = self.value.reshape(-1), 0
+        self.flat, self.lo = (self.value.reshape(-1), 0) if flat is None else (flat, lo)
 
 
 def pack(params: list[Param]) -> np.ndarray:
@@ -156,12 +157,11 @@ class DenseLayer:
             )
 
 
-def init_dense(rng: np.random.Generator | None, in_dim: int, out_dim: int, activation: str, name: str) -> DenseLayer:
-    """Scaled-uniform init in +-sqrt(6/(fan_in+fan_out)), or zeros with no rng; zero bias."""
+def init_dense(rng: np.random.Generator, in_dim: int, out_dim: int, activation: str, name: str) -> DenseLayer:
+    """Scaled-uniform init in +-sqrt(6/(fan_in+fan_out)); zero bias."""
     bound = np.sqrt(6.0 / (in_dim + out_dim))
-    w = np.zeros((out_dim, in_dim)) if rng is None else rng.uniform(-bound, bound, size=(out_dim, in_dim))
     return DenseLayer(
-        weight=Param(w, f"{name}.weight"),
+        weight=Param(rng.uniform(-bound, bound, size=(out_dim, in_dim)), f"{name}.weight"),
         bias=Param(np.zeros((out_dim, 1)), f"{name}.bias"),
         activation=activation,
     )

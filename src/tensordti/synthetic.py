@@ -22,7 +22,7 @@ from ._util import check_floats, splitmix64
 from .embeddings import (
     EmbeddingStore,
     InteractionRecord,
-    save_embeddings_jsonl,
+    save_embeddings_binary,
     save_interactions,
     save_smiles,
 )
@@ -72,12 +72,10 @@ class SyntheticData:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         written = []
-        for name, store in (("drugs.jsonl", self.drugs), ("proteins.jsonl", self.proteins)):
-            save_embeddings_jsonl(store, outdir / name)
-            written.append(outdir / name)
-        if self.pockets is not None:
-            save_embeddings_jsonl(self.pockets, outdir / "pockets.jsonl")
-            written.append(outdir / "pockets.jsonl")
+        for name, store in (("drugs.bin", self.drugs), ("proteins.bin", self.proteins), ("pockets.bin", self.pockets)):
+            if store is not None:
+                save_embeddings_binary(store, outdir / name)
+                written.append(outdir / name)
         save_interactions(self.interactions, outdir / "interactions.tsv")
         written.append(outdir / "interactions.tsv")
         save_smiles(self.smiles, outdir / "smiles.tsv")
@@ -87,13 +85,6 @@ class SyntheticData:
 
 def _f32(x: np.ndarray) -> np.ndarray:
     return x.astype(np.float32).astype(np.float64)
-
-
-def _make_store(modality: str, ids, matrix) -> EmbeddingStore:
-    store = EmbeddingStore(modality)
-    for i, rec_id in enumerate(ids):
-        store.add(rec_id, matrix[:, i])
-    return store
 
 
 def gen_synthetic(config: SyntheticConfig) -> SyntheticData:
@@ -135,7 +126,7 @@ def _generate(config: SyntheticConfig, rng: np.random.Generator) -> SyntheticDat
     if c.pocket_dim is not None:
         e_pocket = embed(c.pocket_dim, f_target)
         pocket_ids = [f"K{j:04d}" for j in range(c.n_targets)]
-        pockets = _make_store("pocket", pocket_ids, e_pocket)
+        pockets = EmbeddingStore("pocket", pocket_ids, e_pocket)
         pocket_by_target = dict(zip(target_ids, pocket_ids))
 
     gram = f_drug.T @ f_target  # (n_drugs, n_targets)
@@ -174,8 +165,8 @@ def _generate(config: SyntheticConfig, rng: np.random.Generator) -> SyntheticDat
 
     return SyntheticData(
         config=c,
-        drugs=_make_store("drug", drug_ids, e_drug),
-        proteins=_make_store("protein", target_ids, e_target),
+        drugs=EmbeddingStore("drug", drug_ids, e_drug),
+        proteins=EmbeddingStore("protein", target_ids, e_target),
         pockets=pockets,
         interactions=interactions,
         smiles=smiles,

@@ -4,6 +4,7 @@ import json
 import logging
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensordti.cli import _parse_config_file, _split_fields, main
-from tensordti.embeddings import load_interactions
+from tensordti.embeddings import load_embeddings, load_interactions, save_embeddings_jsonl
 from tensordti.errors import ConfigError, TdtiError
 from tensordti.model import ModelConfig
 from tensordti.pipeline import SplitSpec
@@ -296,7 +297,7 @@ def test_embeddings_dir_override(tmp_path):
     data = gen(tmp_path, "data", seed=8)
     emb = tmp_path / "emb"
     emb.mkdir()
-    for name in ("drugs.jsonl", "proteins.jsonl"):
+    for name in ("drugs.bin", "proteins.bin"):
         (emb / name).write_bytes((data / name).read_bytes())
     splits = tmp_path / "s"
     assert main(["split", "--data", str(data), "--strategy", "random", "--seed", "8",
@@ -310,6 +311,49 @@ def test_embeddings_dir_override(tmp_path):
                  "--config", str(cfg), "--seed", "8", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert any("emb" in k for k in manifest["inputs"])
+
+
+STORE_MODALITIES = {"drugs": "drug", "proteins": "protein", "pockets": "pocket"}
+
+
+def test_jsonl_and_binary_stores_train_and_predict_identically(tmp_path):
+    """train then predict on gen-synth's binary stores and on their JSON Lines
+    twins give the same model.tdti and predictions.tsv, byte for byte."""
+    data = gen(tmp_path, "data", seed=5, pocket_dim=4)
+    twin = tmp_path / "twin"
+    twin.mkdir()
+    for f in data.iterdir():
+        if f.suffix == ".bin":
+            save_embeddings_jsonl(load_embeddings(f, STORE_MODALITIES[f.stem]), twin / f"{f.stem}.jsonl")
+        elif f.name != "manifest.json":
+            shutil.copy(f, twin / f.name)
+    assert sorted(f.name for f in twin.iterdir()) == [
+        "drugs.jsonl", "interactions.tsv", "pockets.jsonl", "proteins.jsonl", "smiles.tsv"
+    ]
+    splits = tmp_path / "s"
+    assert main(["split", "--data", str(data), "--strategy", "random", "--seed", "5", "--out", str(splits)]) == 0
+    cfg = write_config(tmp_path / "t.cfg", hidden_dim=16, output_dim=8, latent_dim=8, max_len=10,
+                       vocab="CNOPSFclnos=", lr=3e-3, max_epochs=2, patience=2, batch_size=64)
+    outputs = []
+    for d in (data, twin):
+        model, preds = tmp_path / f"{d.name}-model", tmp_path / f"{d.name}-preds"
+        inter = ["--interactions", str(splits / "interactions.tsv")]
+        assert main(["train", "--mode", "dti", "--data", str(d), *inter, "--config", str(cfg), "--seed", "5",
+                     "--out", str(model)]) == 0
+        assert main(["predict", "--data", str(d), *inter, "--model", str(model / "model.tdti"), "--out", str(preds)]) == 0
+        outputs.append([(model / "model.tdti").read_bytes(), (preds / "predictions.tsv").read_bytes()])
+    assert outputs[0] == outputs[1]
+
+
+def test_both_forms_of_one_store_is_a_data_error(tmp_path, capsys):
+    """A directory holding `<store>.bin` and `<store>.jsonl` is refused,
+    naming both: the CLI never picks one silently."""
+    data = gen(tmp_path, "data", seed=5)
+    save_embeddings_jsonl(load_embeddings(data / "proteins.bin", "protein"), data / "proteins.jsonl")
+    assert main(["train", "--mode", "dti", "--data", str(data), "--out", str(tmp_path / "m")]) == 1
+    assert capsys.readouterr().err == (
+        f"ERROR DATA: both {data / 'proteins.bin'} and {data / 'proteins.jsonl'} hold the protein embeddings; keep one\n"
+    )
 
 
 def test_entry_point_subprocess(tmp_path):

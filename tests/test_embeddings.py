@@ -22,7 +22,7 @@ from tensordti.embeddings import (
     save_smiles,
     validate_interactions,
 )
-from tensordti.errors import DataError, FormatError, TdtiError
+from tensordti.errors import DataError, FormatError
 
 
 def make_store(modality="drug", n=3, width=4, seed=0):
@@ -144,6 +144,35 @@ EMBEDDING_FAULTS = {
         b'{"id": "a", "kind": "drug", "vec": [1, 2]}\n{"id": "\xff", "kind": "drug", "vec": [1, 2]}\n',
         ":2: not UTF-8",
     ),
+    # values are checked once per store, yet the first fault in file order is the one named
+    "jsonl_non_finite_on_a_later_line": (
+        b'{"id": "a", "kind": "drug", "vec": [1, 2]}\n{"id": "b", "kind": "drug", "vec": [1, Infinity]}\n',
+        ":2: embedding 'b': non-finite entry",
+    ),
+    "jsonl_non_finite_before_a_duplicate": (
+        b'{"id": "a", "kind": "drug", "vec": [NaN, 2]}\n{"id": "b", "kind": "drug", "vec": [1, 2]}\n'
+        b'{"id": "a", "kind": "drug", "vec": [1, 2]}\n',
+        ":1: embedding 'a': non-finite entry",
+    ),
+    "jsonl_duplicate_before_a_non_finite": (
+        b'{"id": "a", "kind": "drug", "vec": [1, 2]}\n{"id": "a", "kind": "drug", "vec": [1, 2]}\n'
+        b'{"id": "b", "kind": "drug", "vec": [1, NaN]}\n',
+        ":2: duplicate embedding id 'a'",
+    ),
+    "jsonl_int_past_float64_before_a_bad_line": (
+        b'{"id": "a", "kind": "drug", "vec": [1, 2' + b"0" * 400 + b']}\n{"id": "b"}\n',
+        ":1: int too large to convert to float",
+    ),
+    "binary_non_finite": (
+        EMBEDDING_MAGIC + struct.pack("<IH", 1, 1) + b"a" + struct.pack("<f", 1.0) + struct.pack("<H", 1) + b"b"
+        + struct.pack("<f", float("nan")),
+        ": embedding 'b': non-finite entry",
+    ),
+    "binary_duplicate_id": (
+        EMBEDDING_MAGIC + struct.pack("<IH", 1, 1) + b"a" + struct.pack("<f", 1.0) + struct.pack("<H", 1) + b"a"
+        + struct.pack("<f", 2.0),
+        ": duplicate embedding id 'a'",
+    ),
 }
 
 
@@ -224,8 +253,14 @@ JSON_VALUE = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=12,
 )
+# vectors that pass the per-line checks, so the store's one value check runs: nan, inf, and ints past float64
+NUMBERS = st.lists(st.floats() | st.integers(-(2**1100), 2**1100), min_size=1, max_size=3)
 RECORD = st.fixed_dictionaries(
-    {"id": st.text(max_size=4) | JSON_VALUE, "kind": st.sampled_from(["drug", "protein"]) | JSON_VALUE, "vec": JSON_VALUE}
+    {
+        "id": st.sampled_from(["a", "b"]) | st.text(max_size=4) | JSON_VALUE,
+        "kind": st.sampled_from(["drug", "protein"]) | JSON_VALUE,
+        "vec": NUMBERS | JSON_VALUE,
+    }
 )
 JSONL_BYTES = st.lists(RECORD | JSON_VALUE, max_size=4).map(lambda recs: "\n".join(map(json.dumps, recs)).encode("utf-8"))
 # a header width of 0-3, then records of (u16 id length, id, vector bytes) whose vectors may not match it
@@ -241,7 +276,8 @@ EMBEDDING_BYTES = st.binary(max_size=96) | st.binary(max_size=64).map(EMBEDDING_
 @given(EMBEDDING_BYTES, st.sampled_from(["", "bitflip"]), st.integers(0, 10**6))
 def test_embedding_readers_on_arbitrary_bytes_load_or_raise_a_typed_error(data, damage, where):
     """Either format, raw or damaged: the store loads with one positive
-    width and finite vectors, or the reader raises a TdtiError."""
+    width and finite vectors, held as one read-only matrix, or the reader
+    raises a FormatError."""
     if damage and data:
         data = bytearray(data)
         data[where % len(data)] ^= 1 << (where % 8)
@@ -251,8 +287,13 @@ def test_embedding_readers_on_arbitrary_bytes_load_or_raise_a_typed_error(data, 
         path.write_bytes(data)
         try:
             store = load_embeddings(path, "drug")
-        except TdtiError:
+        except FormatError:
             return
-    vecs = [store.get(i) for i in store.ids()]
+    ids = store.ids()
+    vecs = [store.get(i) for i in ids]
     assert store.width is None if not vecs else store.width > 0
-    assert all(v.shape == (store.width,) and np.all(np.isfinite(v)) for v in vecs)
+    assert all(v.shape == (store.width,) and np.all(np.isfinite(v)) and not v.flags.writeable for v in vecs)
+    if vecs:
+        m = store.matrix(ids)
+        assert m.flags.c_contiguous and m.dtype == np.float64
+        assert np.array_equal(m, np.stack(vecs, axis=1))

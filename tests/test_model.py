@@ -543,6 +543,48 @@ def test_checkpoint_non_finite_parameter_refused(tmp_path):
     assert not q.exists()
 
 
+def test_every_parameter_flipped_to_nan_is_a_format_error_naming_it(tmp_path):
+    """The one finite scan of the loaded buffer names the parameter that
+    holds the bad value, up to the last value of each."""
+    import struct
+
+    state = init_model(tiny_config(), seed=0)
+    p = tmp_path / "n.tdti"
+    save_checkpoint(state, p)
+    raw = p.read_bytes()
+    (cfg_len,) = struct.unpack_from("<I", raw, 12)
+    off = 16 + cfg_len
+    for param in state.parameters():
+        bad = bytearray(raw)
+        struct.pack_into("<d", bad, off + 8 * param.value.size, float("nan"))  # its last value
+        p.write_bytes(bytes(bad))
+        with pytest.raises(FormatError, match=re.escape(f"parameter {param.name!r} has non-finite values")):
+            load_checkpoint(p)
+        off += 8 + 8 * param.value.size
+
+
+def test_loaded_buffer_holds_the_files_values_bit_for_bit(tmp_path):
+    """load_checkpoint fills `flat` straight from the file: the saved state's
+    buffer bit for bit (a negative zero and subnormals too), which is the
+    file's f64 words in parameter order."""
+    import struct
+
+    state = init_model(tiny_config(), seed=4)
+    state.flat[:4] = [-0.0, 5e-324, -1.7976931348623157e308, 2.2250738585072014e-308 / 3]
+    p = tmp_path / "b.tdti"
+    save_checkpoint(state, p)
+    loaded = load_checkpoint(p)
+    assert loaded.flat.dtype == np.float64 and loaded.flat.tobytes() == state.flat.tobytes()
+    raw = p.read_bytes()
+    (cfg_len,) = struct.unpack_from("<I", raw, 12)
+    off, words = 16 + cfg_len, []
+    for param in loaded.parameters():
+        assert struct.unpack_from("<II", raw, off) == param.value.shape
+        words.append(raw[off + 8 : off + 8 + 8 * param.value.size])
+        off += 8 + 8 * param.value.size
+    assert off == len(raw) and b"".join(words) == loaded.flat.astype("<f8").tobytes()
+
+
 def test_concurrent_inference_on_frozen_state():
     """Read-only parameters: many threads scoring at once agree with the
     serial result."""

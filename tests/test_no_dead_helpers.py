@@ -27,7 +27,10 @@ TEST_ORACLES = {
     "nn.Tape.sum_all",
     "tokenizer.SmilesTokenizer.detokenize",
     "model.run_encoder",
-    "embeddings.save_embeddings_binary",
+    # the JSONL writer: JSONL is the interchange format, tests write JSONL
+    # twins of binary stores with it, and perfbench's screening set-up writes
+    # its fit data with it
+    "embeddings.save_embeddings_jsonl",
     # the per-pair heads: perfbench's prediction check calls them as its oracle
     "model.interaction_logit",
     "model.confidence",

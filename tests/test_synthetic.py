@@ -18,7 +18,7 @@ def test_same_seed_identical_bytes(tmp_path):
     b = tmp_path / "b"
     gen_synthetic(small()).write(a)
     gen_synthetic(small()).write(b)
-    for name in ("drugs.jsonl", "proteins.jsonl", "interactions.tsv", "smiles.tsv"):
+    for name in ("drugs.bin", "proteins.bin", "interactions.tsv", "smiles.tsv"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
@@ -108,5 +108,5 @@ def test_write_is_pure_function_of_config(tmp_path):
     assert isinstance(data, SyntheticData)
     files = data.write(tmp_path / "x")
     assert {p.name for p in files} == {
-        "drugs.jsonl", "proteins.jsonl", "pockets.jsonl", "interactions.tsv", "smiles.tsv"
+        "drugs.bin", "proteins.bin", "pockets.bin", "interactions.tsv", "smiles.tsv"
     }
