@@ -98,53 +98,49 @@ def load_embeddings(path: str | Path, modality: str) -> EmbeddingStore:
 
 
 def _load_jsonl(path: Path, modality: str) -> EmbeddingStore:
-    """Each line is checked as it is read; the values are checked once, in
-    the built matrix, and the first fault in file order is reported at its
-    line."""
-    lines: dict[str, int] = {}  # id -> line number
-    vecs: list[list] = []
-    try:
-        with open(path, "rb") as f:
-            for lineno, raw in enumerate(f, 1):
-                where = f"{path}:{lineno}"
-                try:
-                    line = raw.decode("utf-8").strip()
-                except UnicodeDecodeError as exc:
-                    raise FormatError(f"{where}: not UTF-8 text: {exc}") from None
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except (ValueError, RecursionError) as exc:
-                    raise FormatError(f"{where}: bad JSON: {exc}") from None
-                if not isinstance(rec, dict):
-                    raise FormatError(f"{where}: expected a JSON object")
-                for key in ("id", "kind", "vec"):
-                    if key not in rec:
-                        raise FormatError(f"{where}: missing field {key!r}")
-                rec_id, vec = rec["id"], rec["vec"]
-                if not isinstance(rec_id, str):
-                    raise FormatError(f"{where}: id {rec_id!r} is not a string")
-                if rec["kind"] != modality:
-                    raise FormatError(f"{where}: record {rec_id!r} has kind {rec['kind']!r}, expected {modality!r}")
-                # a flat list of JSON numbers; a bool is an int subclass, so compare types exactly
-                if not isinstance(vec, list) or not vec or not set(map(type, vec)) <= {int, float}:
-                    raise FormatError(f"{where}: vec of {rec_id!r} is not a list of numbers, or is empty")
-                if vecs and len(vec) != len(vecs[0]):
-                    raise FormatError(f"{where}: embedding {rec_id!r}: width {len(vec)} != store width {len(vecs[0])}")
-                if rec_id in lines:
-                    raise FormatError(f"{where}: duplicate embedding id {rec_id!r}")
-                lines[rec_id] = lineno
-                vecs.append(vec)
-        return EmbeddingStore(modality, lines, np.array(vecs, dtype=np.float64).T if vecs else None)
-    except (FormatError, OverflowError):  # OverflowError: an int past float64
-        # a bad value on a line before the fault raised is the first fault
-        for rec_id, vec in zip(lines, vecs):
+    """Each line is checked, its values too, as it is read; the matrix is
+    built once, from the lines' vectors."""
+    ids: dict[str, None] = {}
+    vecs: list[np.ndarray] = []
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, 1):
+            where = f"{path}:{lineno}"
             try:
-                EmbeddingStore(modality, [rec_id], np.array(vec, dtype=np.float64)[:, None])
-            except (FormatError, OverflowError) as exc:
-                raise FormatError(f"{path}:{lines[rec_id]}: {exc}") from None
-        raise
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{where}: not UTF-8 text: {exc}") from None
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise FormatError(f"{where}: bad JSON: {exc}") from None
+            if not isinstance(rec, dict):
+                raise FormatError(f"{where}: expected a JSON object")
+            for key in ("id", "kind", "vec"):
+                if key not in rec:
+                    raise FormatError(f"{where}: missing field {key!r}")
+            rec_id, vec = rec["id"], rec["vec"]
+            if not isinstance(rec_id, str):
+                raise FormatError(f"{where}: id {rec_id!r} is not a string")
+            if rec["kind"] != modality:
+                raise FormatError(f"{where}: record {rec_id!r} has kind {rec['kind']!r}, expected {modality!r}")
+            # a flat list of JSON numbers; a bool is an int subclass, so compare types exactly
+            if not isinstance(vec, list) or not vec or not set(map(type, vec)) <= {int, float}:
+                raise FormatError(f"{where}: vec of {rec_id!r} is not a list of numbers, or is empty")
+            try:
+                v = np.array(vec, dtype=np.float64)
+            except OverflowError as exc:  # an int past float64
+                raise FormatError(f"{where}: {exc}") from None
+            if not np.isfinite(v).all():
+                raise FormatError(f"{where}: embedding {rec_id!r}: non-finite entry")
+            if vecs and v.size != vecs[0].size:
+                raise FormatError(f"{where}: embedding {rec_id!r}: width {v.size} != store width {vecs[0].size}")
+            if rec_id in ids:
+                raise FormatError(f"{where}: duplicate embedding id {rec_id!r}")
+            ids[rec_id] = None
+            vecs.append(v)
+    return EmbeddingStore(modality, ids, np.stack(vecs, axis=1) if vecs else None)
 
 
 def _load_binary(path: Path, modality: str) -> EmbeddingStore:
@@ -156,7 +152,7 @@ def _load_binary(path: Path, modality: str) -> EmbeddingStore:
     (width,) = struct.unpack_from("<I", data, 8)
     if width == 0:
         raise FormatError(f"{path}: header width 0")
-    ids, values = [], []
+    ids, values, view = [], [], memoryview(data)  # the join below makes the only copy of the values
     off = 12
     while off < len(data):
         if off + 2 > len(data):
@@ -170,7 +166,7 @@ def _load_binary(path: Path, modality: str) -> EmbeddingStore:
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: record id at byte {off} is not UTF-8: {exc}") from None
         off += id_len
-        values.append(data[off : off + 4 * width])
+        values.append(view[off : off + 4 * width])
         off += 4 * width
     matrix = np.frombuffer(b"".join(values), dtype="<f4").reshape(len(ids), width).T
     try:

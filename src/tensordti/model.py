@@ -338,31 +338,35 @@ def load_checkpoint(path: str | Path) -> ModelState:
     version, cfg_len = struct.unpack_from("<II", data, 8)
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    off = 16
+    off = 16 + cfg_len
     try:
-        config = ModelConfig(**json.loads(data[off : off + cfg_len].decode("utf-8")))
-        SmilesTokenizer(config.vocab, config.max_len)  # the state builds one from the config
+        config = ModelConfig(**json.loads(data[16:off].decode("utf-8")))
+        SmilesTokenizer(config.vocab, config.max_len)  # one the state cannot build is refused before any tensor
     except (ValueError, TypeError, ConfigError, DataError) as exc:
         raise FormatError(f"{path}: unreadable config block: {exc}") from exc
-    off += cfg_len
-    slots: list[tuple[str, tuple[int, int]]] = []  # (name, shape) of every parameter, in order
-    _layers(config, lambda i, o, act, name: slots.extend([(f"{name}.weight", (o, i)), (f"{name}.bias", (o, 1))]))
-    size = sum(rows * cols for _, (rows, cols) in slots)
-    end = off + 8 * len(slots) + 8 * size
+    sizes: list[int] = []  # each layer's weight and bias values
+    _layers(config, lambda in_dim, out_dim, *_: sizes.append(out_dim * (in_dim + 1)))
+    end = off + 16 * len(sizes) + 8 * sum(sizes)  # a (rows, cols) header before each tensor
     if len(data) != end:
         what = "truncated" if len(data) < end else "trailing bytes"
         raise FormatError(f"{path}: {what}: {len(data)} bytes where its config implies {end}")
-    flat = np.empty(size)
-    params, lo = [], 0
-    for name, (rows, cols) in slots:
-        declared = struct.unpack_from("<II", data, off)
-        if declared != (rows, cols):
-            raise FormatError(f"{path}: parameter {name!r} declared {declared}, config implies {(rows, cols)}")
-        flat[lo : lo + rows * cols] = np.frombuffer(data, dtype="<f8", count=rows * cols, offset=off + 8)
-        params.append(Param(flat[lo : lo + rows * cols].reshape(rows, cols), name, flat, lo))
-        off, lo = off + 8 + 8 * rows * cols, lo + rows * cols
-    bad = first_non_finite(params, flat)
+    flat, lo = np.empty(sum(sizes)), 0
+
+    def dense(in_dim, out_dim, activation, name):
+        """The layer from the file's next two tensors, as views of `flat`."""
+        nonlocal off, lo
+        params = []
+        for pname, shape in ((f"{name}.weight", (out_dim, in_dim)), (f"{name}.bias", (out_dim, 1))):
+            declared, n = struct.unpack_from("<II", data, off), shape[0] * shape[1]
+            if declared != shape:
+                raise FormatError(f"{path}: parameter {pname!r} declared {declared}, config implies {shape}")
+            flat[lo : lo + n] = np.frombuffer(data, dtype="<f8", count=n, offset=off + 8)
+            params.append(Param(flat[lo : lo + n].reshape(shape), pname, flat, lo))
+            off, lo = off + 8 + 8 * n, lo + n
+        return DenseLayer(*params, activation)
+
+    state = ModelState(config, **_layers(config, dense), flat=flat)
+    bad = first_non_finite(state.parameters(), flat)
     if bad is not None:
         raise FormatError(f"{path}: parameter {bad.name!r} has non-finite values")
-    pairs = iter(zip(params[::2], params[1::2]))
-    return ModelState(config, **_layers(config, lambda i, o, act, name: DenseLayer(*next(pairs), act)), flat=flat)
+    return state

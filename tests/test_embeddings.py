@@ -144,7 +144,7 @@ EMBEDDING_FAULTS = {
         b'{"id": "a", "kind": "drug", "vec": [1, 2]}\n{"id": "\xff", "kind": "drug", "vec": [1, 2]}\n',
         ":2: not UTF-8",
     ),
-    # values are checked once per store, yet the first fault in file order is the one named
+    # a line's values are checked on that line, so the first fault in file order is the one named
     "jsonl_non_finite_on_a_later_line": (
         b'{"id": "a", "kind": "drug", "vec": [1, 2]}\n{"id": "b", "kind": "drug", "vec": [1, Infinity]}\n',
         ":2: embedding 'b': non-finite entry",
@@ -167,6 +167,11 @@ EMBEDDING_FAULTS = {
         EMBEDDING_MAGIC + struct.pack("<IH", 1, 1) + b"a" + struct.pack("<f", 1.0) + struct.pack("<H", 1) + b"b"
         + struct.pack("<f", float("nan")),
         ": embedding 'b': non-finite entry",
+    ),
+    # a binary store's values and ids are checked once the records are read, so a bad tail is named first
+    "binary_truncated_after_a_non_finite": (
+        EMBEDDING_MAGIC + struct.pack("<IH", 1, 1) + b"a" + struct.pack("<f", float("nan")) + struct.pack("<H", 1) + b"b",
+        ": truncated record body",
     ),
     "binary_duplicate_id": (
         EMBEDDING_MAGIC + struct.pack("<IH", 1, 1) + b"a" + struct.pack("<f", 1.0) + struct.pack("<H", 1) + b"a"
@@ -253,7 +258,7 @@ JSON_VALUE = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=12,
 )
-# vectors that pass the per-line checks, so the store's one value check runs: nan, inf, and ints past float64
+# vectors that pass the type and shape checks, so the value check runs: nan, inf, and ints past float64
 NUMBERS = st.lists(st.floats() | st.integers(-(2**1100), 2**1100), min_size=1, max_size=3)
 RECORD = st.fixed_dictionaries(
     {
