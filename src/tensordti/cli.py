@@ -4,9 +4,9 @@ enrich, report.
 Every command validates its flags before touching files, writes all outputs
 under --out together with a run manifest, and fails with a single-line
 ``ERROR <CLASS>: message`` on stderr. Each command imports only the modules
-it runs, so `rank` and `enrich` start without numpy or the model. Config
-precedence is flags > config file > built-in defaults. The ``TDTI_LOG``
-environment variable controls verbosity (debug | info | quiet).
+it runs, so `rank` and `enrich` start without numpy or the model. Settings
+come from flags given > config file > values derived from the data >
+defaults. The ``TDTI_LOG`` variable sets verbosity (debug | info | quiet).
 """
 
 from __future__ import annotations
@@ -31,13 +31,6 @@ from .screening import ScoreRow, load_actives, load_scores
 
 log = logging.getLogger("tensordti")
 
-RANKING_ALIASES = {
-    "docking": "docking_score_asc",
-    "affinity": "affinity_asc",
-    "two_key": "two_key_label_then_confidence",
-}
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -61,14 +54,13 @@ def _strip_comment(line: str) -> str:
     return line
 
 
-def _parse_config_file(path: str | Path) -> dict:
-    """TOML-style key = value lines; strings, numbers, booleans and
-    comma-separated tuples."""
+def _parse_config_file(path: str | Path) -> dict[str, str]:
+    """TOML-style key = value lines, as key -> value text."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
-    out: dict = {}
+    out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = _strip_comment(raw).strip()
         if not line:
@@ -76,57 +68,62 @@ def _parse_config_file(path: str | Path) -> dict:
         if "=" not in line:
             raise FormatError(f"{path}:{lineno}: expected key = value")
         key, value = (s.strip() for s in line.split("=", 1))
-        out[key] = _parse_value(value)
+        out[key] = value
     return out
 
 
-def _parse_value(value: str):
-    if value.startswith('"') and value.endswith('"') and len(value) >= 2:
-        return value[1:-1]
-    if value.lower() in ("true", "false"):
-        return value.lower() == "true"
-    if "," in value:
-        return tuple(_parse_value(v.strip()) for v in value.split(","))
-    try:
-        return int(value)
-    except ValueError:
-        pass
-    try:
-        return float(value)
-    except ValueError:
-        return value
-
-
-def _fits(value, hint) -> bool:
-    """Whether a parsed config value has the declared type; an int fits a float."""
-    args = typing.get_args(hint)
+def _parse_setting(key: str, text: str, hint):
+    """A config value's text as `hint`, the declared type of the setting `key`
+    names: str (double quotes optional), bool (true or false in any case), int,
+    float (integer text stays an int), `X | None` as X, tuples comma-separated."""
     if typing.get_origin(hint) is tuple:
-        if not isinstance(value, tuple):
-            return False
+        parts = text.split(",")
+        args = typing.get_args(hint)
         if args[1:] == (Ellipsis,):
-            args = args[:1] * len(value)
-        return len(value) == len(args) and all(map(_fits, value, args))
-    if isinstance(hint, types.UnionType):
-        return any(_fits(value, h) for h in args)
-    if isinstance(value, bool) and hint is not bool:
-        return False
-    return isinstance(value, (int, float) if hint is float else hint)
+            args = args[:1] * len(parts)
+        if len(parts) == len(args):
+            try:
+                return tuple(_parse_setting(key, part.strip(), arg) for part, arg in zip(parts, args))
+            except ConfigError:
+                pass
+    elif isinstance(hint, types.UnionType):
+        return _parse_setting(key, text, next(a for a in typing.get_args(hint) if a is not type(None)))
+    elif hint is str:
+        return text[1:-1] if len(text) >= 2 and text[0] == text[-1] == '"' else text
+    elif hint is bool:
+        if text.lower() in ("true", "false"):
+            return text.lower() == "true"
+    elif hint in (int, float):
+        for parse in (int, float) if hint is float else (int,):
+            try:
+                return parse(text)
+            except ValueError:
+                pass
+    name = hint.__name__ if isinstance(hint, type) else str(hint)
+    raise ConfigError(f"config key {key!r} expects {name}, got {text!r}")
 
 
-def _check_type(key: str, value, hint) -> None:
-    if not _fits(value, hint):
-        name = hint.__name__ if isinstance(hint, type) else str(hint)
-        raise ConfigError(f"config key {key!r} expects {name}, got {value!r}")
+class _Config:
+    """A config file's key -> value text. A value is parsed when a command
+    reads it, as the type of the setting its key names."""
 
+    def __init__(self, text: dict[str, str]):
+        self.text = text
+        self.read: set[str] = set()
 
-def _split_fields(config: dict, cls) -> dict:
-    """The config entries that name a field of `cls`, each checked against
-    the field's declared type."""
-    hints = typing.get_type_hints(cls)
-    fields = {k: v for k, v in config.items() if k in hints}
-    for key, value in fields.items():
-        _check_type(key, value, hints[key])
-    return fields
+    def get(self, key: str, hint, default):
+        if key not in self.text:
+            return default
+        self.read.add(key)
+        return _parse_setting(key, self.text[key], hint)
+
+    def settings(self, cls, given: dict, derived: dict | None = None):
+        """`cls` from, highest first: the flags given (None = not given),
+        this file, values derived from the data, and `cls`'s defaults."""
+        given = {k: v for k, v in given.items() if v is not None}
+        hints = typing.get_type_hints(cls)
+        from_file = {k: self.get(k, hints[k], None) for k in hints if k in self.text and k not in given}
+        return cls(**{**(derived or {}), **from_file, **given})
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -219,13 +216,11 @@ def _load_bundle(run: _Run, data_dir: str, interactions: str | None = None, embe
 # -- commands ---------------------------------------------------------------
 
 
-def cmd_gen_synth(args, config: dict) -> int:
+def cmd_gen_synth(args, config: _Config) -> int:
     from . import synthetic
 
-    fields = _split_fields(config, synthetic.SyntheticConfig)
-    fields["seed"] = args.seed
-    cfg = synthetic.SyntheticConfig(**fields)
-    run = _Run("gen-synth", args.out, {**fields, "seed": args.seed}, [args.seed])
+    cfg = config.settings(synthetic.SyntheticConfig, {"seed": args.seed})
+    run = _Run("gen-synth", args.out, {**config.text, "seed": cfg.seed}, [cfg.seed])
     data = synthetic.gen_synthetic(cfg)
     for path in data.write(run.outdir):
         run.artifacts.append(str(path))
@@ -234,15 +229,12 @@ def cmd_gen_synth(args, config: dict) -> int:
     return 0
 
 
-def cmd_split(args, config: dict) -> int:
+def cmd_split(args, config: _Config) -> int:
     from . import pipeline
     from .embeddings import load_interactions, save_interactions
 
-    fields = _split_fields(config, pipeline.SplitSpec)
-    fields["strategy"] = args.strategy
-    fields["seed"] = args.seed
-    spec = pipeline.SplitSpec(**fields)
-    run = _Run("split", args.out, {**fields}, [args.seed])
+    spec = config.settings(pipeline.SplitSpec, {"strategy": args.strategy, "seed": args.seed})
+    run = _Run("split", args.out, {**config.text, "strategy": spec.strategy, "seed": spec.seed}, [spec.seed])
     records = load_interactions(run.track_input(Path(args.data) / "interactions.tsv"))
     tagged = pipeline.split(records, spec)
     if spec.balance_train:
@@ -252,29 +244,24 @@ def cmd_split(args, config: dict) -> int:
     return 0
 
 
-def cmd_train(args, config: dict) -> int:
+def cmd_train(args, config: _Config) -> int:
     from . import model as model_mod, training
 
-    mode = "classification" if args.mode == "dti" else "regression"
-    run = _Run("train", args.out, {**config, "mode": args.mode}, [args.seed])
+    mode = "regression" if args.mode == "dta" else "classification"
+    run = _Run("train", args.out, {**config.text, "mode": mode}, [args.seed or 0])
     data = _load_bundle(run, args.data, args.interactions, args.embeddings)
 
-    model_fields = _split_fields(config, model_mod.ModelConfig)
-    model_fields.setdefault("drug_dim", data.drugs.width)
-    model_fields.setdefault("protein_dim", data.proteins.width)
+    derived = {"drug_dim": data.drugs.width, "protein_dim": data.proteins.width}
     if data.pockets is not None and any(r.pocket_id for r in data.interactions):
-        model_fields.setdefault("pocket_dim", data.pockets.width)
-    model_fields["mode"] = mode
+        derived["pocket_dim"] = data.pockets.width
     if data.smiles is None:
-        model_fields["alpha_recon"] = 0.0
-    model_config = model_mod.ModelConfig(**model_fields)
+        derived["alpha_recon"] = 0.0
+    model_config = config.settings(model_mod.ModelConfig, {"mode": mode}, derived)
 
-    train_fields = _split_fields(config, training.TrainConfig)
-    train_fields.setdefault("lr", 5e-5 if mode == "classification" else 1e-4)
-    n_seeds = config.get("n_seeds", 1)
-    _check_type("n_seeds", n_seeds, int)
-    train_fields["seeds"] = tuple(splitmix64(args.seed, i) % (2**31) for i in range(n_seeds))
-    train_config = training.TrainConfig(**train_fields)
+    n_seeds = config.get("n_seeds", int, 1)
+    seeds = tuple(splitmix64(args.seed or 0, i) % (2**31) for i in range(n_seeds))
+    lr = 5e-5 if mode == "classification" else 1e-4
+    train_config = config.settings(training.TrainConfig, {"seeds": seeds}, {"lr": lr})
 
     state, report = training.train(model_config, data, train_config)
     model_mod.save_checkpoint(state, run.artifact("model.tdti"))
@@ -285,13 +272,16 @@ def cmd_train(args, config: dict) -> int:
     return 0
 
 
-def cmd_predict(args, config: dict) -> int:
+def cmd_predict(args, config: _Config) -> int:
     from . import model as model_mod, training
+    from .embeddings import SPLITS
 
-    run = _Run("predict", args.out, dict(config), [args.seed])
+    which = config.get("predict_split", str, "test")
+    if which not in (*SPLITS, "all"):
+        raise ConfigError(f"config key 'predict_split' expects one of {(*SPLITS, 'all')}, got {which!r}")
+    run = _Run("predict", args.out, config.text, [args.seed or 0])
     state = model_mod.load_checkpoint(run.track_input(args.model))
     data = _load_bundle(run, args.data, args.interactions, args.embeddings)
-    which = config.get("predict_split", "test")
     records = data.subset(which) if which != "all" else data.interactions
     if not records:
         raise DataError(f"no records in split {which!r} to predict")
@@ -300,9 +290,8 @@ def cmd_predict(args, config: dict) -> int:
     return 0
 
 
-def cmd_rank(args, config: dict) -> int:
-    criterion = RANKING_ALIASES[args.ranking]
-    run = _Run("rank", args.out, {**config, "ranking": args.ranking}, [args.seed])
+def cmd_rank(args, config: _Config) -> int:
+    run = _Run("rank", args.out, {**config.text, "ranking": args.ranking}, [args.seed or 0])
     preds = screening.load_predictions(run.track_input(args.predictions))
     # ascending = better for all criteria: negate our higher-is-stronger
     # outputs, each row's affinity_pred, else prob, else logit
@@ -330,7 +319,7 @@ def cmd_rank(args, config: dict) -> int:
         )
         if not rows:
             raise DataError("no compounds below the unfamiliarity threshold")
-    ranked = screening.rank(rows, criterion)
+    ranked = screening.rank(rows, args.ranking)
     positions = ((str(i), cid) for i, cid in enumerate(ranked.ids, 1))
     write_tsv(run.artifact("ranked.tsv"), ("rank", "compound_id"), positions)
     run.finish()
@@ -362,9 +351,9 @@ def _parse_k_grid(text: str) -> tuple[float, ...]:
         raise UsageError(f"--k-grid expects comma-separated numbers, got {text!r}") from None
 
 
-def cmd_enrich(args, config: dict) -> int:
+def cmd_enrich(args, config: _Config) -> int:
     k_grid = _parse_k_grid(args.k_grid)
-    run = _Run("enrich", args.out, {**config, "k_grid": args.k_grid}, [args.seed])
+    run = _Run("enrich", args.out, {**config.text, "k_grid": args.k_grid}, [args.seed or 0])
     actives = load_actives(run.track_input(args.actives))
 
     rankings: dict[str, screening.RankedLibrary] = {}
@@ -384,9 +373,8 @@ def cmd_enrich(args, config: dict) -> int:
         rankings[claim(name)] = _load_ranked(run.track_input(path))
     if args.scores:
         rows = load_scores(run.track_input(args.scores))
-        criterion = RANKING_ALIASES[args.ranking]
         for method in sorted({r.method for r in rows}):
-            rankings[claim(method)] = screening.rank([r for r in rows if r.method == method], criterion)
+            rankings[claim(method)] = screening.rank([r for r in rows if r.method == method], args.ranking)
     if not rankings:
         raise UsageError("provide --ranked name=path and/or --scores")
 
@@ -399,32 +387,33 @@ def cmd_enrich(args, config: dict) -> int:
     return 0
 
 
-def cmd_report(args, config: dict) -> int:
+def cmd_report(args, config: _Config) -> int:
     from .embeddings import load_interactions
     from .metrics import confusion_confidence, metric_bundle
 
-    run = _Run("report", args.out, dict(config), [args.seed])
+    mode = args.mode or "dti"
+    run = _Run("report", args.out, config.text, [args.seed or 0])
     preds = screening.load_predictions(run.track_input(args.predictions))
-    column = "prob" if args.mode == "dti" else "affinity_pred"
+    column = "prob" if mode == "dti" else "affinity_pred"
     predicted = preds[column]
     if None in predicted:
-        raise MissingColumnError(f"{args.predictions}: {column} required for {args.mode} report")
-    truth = {
-        (r.drug_id, r.target_id): r
-        for r in load_interactions(run.track_input(args.interactions))
-    }
+        raise MissingColumnError(f"{args.predictions}: {column} required for {mode} report")
+    truth: dict = {}
+    for r in load_interactions(run.track_input(args.interactions)):
+        if truth.setdefault((r.drug_id, r.target_id), r) is not r:
+            raise DataError(f"{args.interactions}: pair ({r.drug_id!r}, {r.target_id!r}) is on more than one row")
     keys = list(zip(preds["drug_id"], preds["target_id"]))
     missing = [k for k in keys if k not in truth]
     if missing:
         raise DataError(f"{len(missing)} predictions lack ground truth, e.g. {missing[:3]}")
 
-    field = "label" if args.mode == "dti" else "affinity"
+    field = "label" if mode == "dti" else "affinity"
     actual = [getattr(truth[k], field) for k in keys]
     if None in actual:
-        raise MissingColumnError(f"{args.interactions}: ground-truth {field} required for {args.mode} report")
-    payload: dict = {"n": len(keys), **metric_bundle(args.mode == "dti", predicted, actual)}
+        raise MissingColumnError(f"{args.interactions}: ground-truth {field} required for {mode} report")
+    payload: dict = {"n": len(keys), **metric_bundle(mode == "dti", predicted, actual)}
     confs = preds["confidence"]
-    if args.mode == "dti" and None not in confs:
+    if mode == "dti" and None not in confs:
         payload["confusion_confidence"] = confusion_confidence(actual, predicted, confs)
     if args.unf_threshold is not None:
         rows = [
@@ -448,7 +437,7 @@ def build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, help="default: 0, or the config file's seed in gen-synth and split")
         p.add_argument("--config", help="key=value config file")
 
     p = sub.add_parser("gen-synth", help="write a synthetic planted-structure fixture")
@@ -457,14 +446,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("split", help="tag interactions with train/valid/test")
     common(p)
     p.add_argument("--data", required=True)
-    p.add_argument("--strategy", choices=SPLIT_STRATEGIES, default="random")
+    p.add_argument("--strategy", choices=SPLIT_STRATEGIES, help="default: the config file's strategy, else random")
 
     p = sub.add_parser("train", help="train a model")
     common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--interactions", help="override DATA/interactions.tsv")
     p.add_argument("--embeddings", help="directory of embedding stores (default: DATA)")
-    p.add_argument("--mode", choices=("dti", "dta"), default="dti")
+    p.add_argument("--mode", choices=("dti", "dta"), help="default: dti")
 
     p = sub.add_parser("predict", help="score records with a checkpoint")
     common(p)
@@ -476,7 +465,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("rank", help="rank compounds for one target")
     common(p)
     p.add_argument("--predictions", required=True)
-    p.add_argument("--ranking", choices=tuple(RANKING_ALIASES), default="two_key")
+    p.add_argument("--ranking", choices=screening.CRITERIA, default="two_key")
     p.add_argument("--target")
     p.add_argument("--unf-threshold", type=_finite_float, default=None)
 
@@ -484,7 +473,7 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--ranked", action="append", help="name=path of a ranked.tsv (repeatable)")
     p.add_argument("--scores", help="score table TSV (compound_id method score ...)")
-    p.add_argument("--ranking", choices=tuple(RANKING_ALIASES), default="two_key")
+    p.add_argument("--ranking", choices=screening.CRITERIA, default="two_key")
     p.add_argument("--actives", required=True)
     p.add_argument("--k-grid", default=",".join(f"{k:g}" for k in screening.DEFAULT_K_GRID))
     p.add_argument("--format", choices=("tsv", "json", "both"), default="both")
@@ -493,7 +482,7 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--predictions", required=True)
     p.add_argument("--interactions", required=True)
-    p.add_argument("--mode", choices=("dti", "dta"), default="dti")
+    p.add_argument("--mode", choices=("dti", "dta"), help="default: dti")
     p.add_argument("--unf-threshold", type=_finite_float, default=None)
     return parser
 
@@ -521,8 +510,12 @@ def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     try:
         args = build_parser().parse_args(argv)
-        config = _parse_config_file(args.config) if args.config else {}
-        return COMMANDS[args.command](args, config)
+        config = _Config(_parse_config_file(args.config) if args.config else {})
+        code = COMMANDS[args.command](args, config)
+        unread = [k for k in config.text if k not in config.read]
+        if unread:
+            log.warning("config keys that set nothing %s reads: %s", args.command, ", ".join(unread))
+        return code
     except UsageError as exc:
         print(f"ERROR {exc.code}: {exc}", file=sys.stderr)
         return 2

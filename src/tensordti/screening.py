@@ -20,7 +20,7 @@ from .errors import ConfigError, DataError, FormatError, MissingColumnError, Usa
 
 log = logging.getLogger("tensordti")
 
-CRITERIA = ("docking_score_asc", "affinity_asc", "two_key_label_then_confidence")
+CRITERIA = ("docking", "affinity", "two_key")
 
 DEFAULT_K_GRID = (1.0, 5.0, 20.0, 50.0, 100.0)
 
@@ -134,7 +134,7 @@ class ActiveSet:
 def rank(rows: list[ScoreRow], criterion: str) -> RankedLibrary:
     """Total order under the chosen criterion; ties break by id ascending.
 
-    docking_score_asc / affinity_asc: most favorable (lowest) score first.
+    docking / affinity: most favorable (lowest) score first.
     two_key: predicted positives first, then confidence ascending within
     each label (lower confidence = more certain).
     """
@@ -148,7 +148,7 @@ def rank(rows: list[ScoreRow], criterion: str) -> RankedLibrary:
             raise DataError(f"duplicate compound id {r.compound_id!r} in ranking input")
         seen.add(r.compound_id)
 
-    if criterion == "two_key_label_then_confidence":
+    if criterion == "two_key":
         for r in rows:
             if r.label is None:
                 raise MissingColumnError(f"two_key ranking needs a label for {r.compound_id!r}")

@@ -17,6 +17,7 @@ from .errors import ConfigError, DataError
 from .metrics import aupr, metric_bundle, pcc
 from .model import ModelConfig, ModelState
 from .nn import AdamState, Tape, adam_step, stable_sigmoid
+from .tokenizer import SmilesTokenizer
 
 log = logging.getLogger("tensordti")
 
@@ -98,10 +99,10 @@ class _Pairs:
     per-pair column indices into them. Scoring reads whole columns; training
     gathers each minibatch's columns through the indices."""
 
-    def __init__(self, data: DatasetBundle, records: list[InteractionRecord], state: ModelState):
+    def __init__(self, data: DatasetBundle, records: list[InteractionRecord], config: ModelConfig):
         if not records:
             raise DataError("empty record list")
-        has_pocket = state.config.pocket_dim is not None
+        has_pocket = config.pocket_dim is not None
         if has_pocket and any(r.pocket_id is None for r in records):
             raise DataError("model expects pockets but some records have no pocket_id")
         if has_pocket and data.pockets is None:
@@ -122,7 +123,7 @@ class _Pairs:
         self.affinity = np.array([np.nan if r.affinity is None else r.affinity for r in records], dtype=np.float64)
         self.token_ids = self.pad_mask = None
 
-    def tokenize(self, data: DatasetBundle, state: ModelState) -> None:
+    def tokenize(self, data: DatasetBundle, tokenizer: SmilesTokenizer) -> None:
         """Token ids and pad mask of each unique drug's SMILES, one column
         per drug as in x_drug; the reconstruction loss gathers them."""
         if data.smiles is None:
@@ -130,7 +131,7 @@ class _Pairs:
         missing = next((d for d in self.drugs if d not in data.smiles), None)
         if missing is not None:
             raise DataError(f"no SMILES for drug {missing!r}")
-        self.token_ids, self.pad_mask = state.tokenizer.tokenize_many([data.smiles[d] for d in self.drugs])
+        self.token_ids, self.pad_mask = tokenizer.tokenize_many([data.smiles[d] for d in self.drugs])
 
 
 def _forward_losses(state: ModelState, pairs: _Pairs, idx: np.ndarray, tape: Tape, trip_rng: np.random.Generator | None):
@@ -209,20 +210,10 @@ def _validation_metric(state: ModelState, pairs: _Pairs) -> float:
         return float("-inf")
 
 
-def _train_single(model_config: ModelConfig, data: DatasetBundle, config: TrainConfig, seed: int):
-    train_recs = data.subset("train")
-    valid_recs = data.subset("valid")
-    test_recs = data.subset("test")
-    for name, recs in (("train", train_recs), ("valid", valid_recs), ("test", test_recs)):
-        if not recs:
-            raise DataError(f"empty {name} split")
-    validate_interactions(data.interactions, data.drugs, data.proteins, data.pockets, model_config.mode)
-
+def _train_single(model_config: ModelConfig, tables: tuple[_Pairs, _Pairs, _Pairs], config: TrainConfig, seed: int):
+    """One seed's run over the train, valid and test tables, which `train` builds once for all seeds."""
+    train, valid, test = tables
     state = model_mod.init_model(model_config, seed=splitmix64(seed, 0))
-    train = _Pairs(data, train_recs, state)
-    if model_config.alpha_recon > 0:
-        train.tokenize(data, state)
-    valid = _Pairs(data, valid_recs, state)
     adam = AdamState(lr=config.lr, weight_decay=config.weight_decay)
     params = state.parameters()
 
@@ -230,7 +221,7 @@ def _train_single(model_config: ModelConfig, data: DatasetBundle, config: TrainC
     best_epoch = -1
     best_values = state.snapshot()  # the one copy: each improving epoch is copied into it
     stats: list[EpochStats] = []
-    n = len(train_recs)
+    n = train.drug_idx.size
     tape = Tape()  # one per run, so its gradient buffer and work cubes are reused by every step
 
     for epoch in range(config.max_epochs):
@@ -274,7 +265,6 @@ def _train_single(model_config: ModelConfig, data: DatasetBundle, config: TrainC
     if best_epoch == -1:
         log.warning("seed %d: no finite validation metric in %d epochs; returning the initial weights", seed, len(stats))
     state.restore(best_values)
-    test = _Pairs(data, test_recs, state)
     logits, probs, _ = _scores(state, test)
     classification = model_config.mode == "classification"
     test_metrics = metric_bundle(
@@ -292,10 +282,19 @@ def _train_single(model_config: ModelConfig, data: DatasetBundle, config: TrainC
 def train(model_config: ModelConfig, data: DatasetBundle, config: TrainConfig) -> tuple[ModelState, TrainReport]:
     """Train one model per seed; report test metrics as mean +- sd across
     seeds. The returned state is the first seed's best-validation model."""
+    splits = {name: data.subset(name) for name in ("train", "valid", "test")}
+    for name, recs in splits.items():
+        if not recs:
+            raise DataError(f"empty {name} split")
+    validate_interactions(data.interactions, data.drugs, data.proteins, data.pockets, model_config.mode)
+    tables = tuple(_Pairs(data, recs, model_config) for recs in splits.values())
+    if model_config.alpha_recon > 0:
+        tables[0].tokenize(data, SmilesTokenizer(model_config.vocab, model_config.max_len))
+
     report = TrainReport(mode=model_config.mode)
     first_state: ModelState | None = None
     for seed in config.seeds:
-        state, run = _train_single(model_config, data, config, seed)
+        state, run = _train_single(model_config, tables, config, seed)
         if first_state is None:
             first_state = state
         report.runs.append(run)
@@ -319,7 +318,7 @@ def evaluate(state: ModelState, data: DatasetBundle, records: list[InteractionRe
     """
     classification = state.config.mode == "classification"
     validate_interactions(records, data.drugs, data.proteins, data.pockets)
-    pairs = _Pairs(data, records, state)
+    pairs = _Pairs(data, records, state.config)
     logits, probs, confs = _scores(state, pairs)
 
     unf_by_drug: dict[str, float] = {}

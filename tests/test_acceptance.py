@@ -454,7 +454,7 @@ def test_criterion_11_determinism(tmp_path):
                 for d, t, prob, label, conf in columns]
 
     rows1, rows2 = score_rows(preds1), score_rows(preds2)
-    assert rank(rows1, "two_key_label_then_confidence").ids == rank(rows2, "two_key_label_then_confidence").ids
+    assert rank(rows1, "two_key").ids == rank(rows2, "two_key").ids
 
     p1, p2 = tmp_path / "a.tdti", tmp_path / "b.tdti"
     M.save_checkpoint(state1, p1)

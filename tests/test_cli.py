@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensordti.cli import _parse_config_file, _split_fields, main
+from tensordti.cli import _Config, _parse_config_file, build_parser, main
 from tensordti.embeddings import load_embeddings, load_interactions, save_embeddings_jsonl
 from tensordti.errors import ConfigError, TdtiError
 from tensordti.model import ModelConfig
@@ -264,6 +264,73 @@ def test_config_precedence_flags_over_file(tmp_path):
     assert manifest["seeds"] == [11]
 
 
+def split_sets(path: Path) -> dict[str, set]:
+    """split tag -> the drugs tagged with it."""
+    sets: dict[str, set] = {}
+    for r in load_interactions(path):
+        sets.setdefault(r.split, set()).add(r.drug_id)
+    return sets
+
+
+def test_config_file_strategy_and_seed_reach_split(tmp_path):
+    data = gen(tmp_path, "data", seed=2)
+    cfg = write_config(tmp_path / "c.cfg", strategy="unseen_drug", seed=5)
+    out = tmp_path / "o"
+    assert main(["split", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 0
+    sets = split_sets(out / "interactions.tsv")
+    assert set(sets) == {"train", "valid", "test"}
+    assert not (sets["train"] & sets["valid"] or sets["train"] & sets["test"] or sets["valid"] & sets["test"])
+    assert json.loads((out / "manifest.json").read_text())["seeds"] == [5]
+
+
+def test_strategy_flag_wins_over_the_config_file(tmp_path, caplog):
+    data = gen(tmp_path, "data", seed=2)
+    cfg = write_config(tmp_path / "c.cfg", strategy="unseen_drug", seed=5)
+    with caplog.at_level(logging.WARNING, logger="tensordti"):
+        assert main(["split", "--data", str(data), "--config", str(cfg), "--strategy", "random",
+                     "--out", str(tmp_path / "file")]) == 0
+    assert main(["split", "--data", str(data), "--strategy", "random", "--seed", "5",
+                 "--out", str(tmp_path / "flags")]) == 0
+    tables = [(tmp_path / out / "interactions.tsv").read_bytes() for out in ("file", "flags")]
+    assert tables[0] == tables[1]
+    assert [r.getMessage() for r in caplog.records] == ["config keys that set nothing split reads: strategy"]
+
+
+def test_config_file_seed_reaches_gen_synth(tmp_path):
+    cfg = write_config(tmp_path / "seeded.cfg", **SMALL_SYNTH, seed=9)
+    assert main(["gen-synth", "--config", str(cfg), "--out", str(tmp_path / "file")]) == 0
+    assert digest_dir(tmp_path / "file") == digest_dir(gen(tmp_path, "flag", seed=9))
+    assert digest_dir(tmp_path / "file") != digest_dir(gen(tmp_path, "zero", seed=0))
+
+
+def test_weighted_reconstruction_without_smiles_is_config_error(tmp_path, capsys):
+    """The file's alpha_recon beats the 0 derived from a missing smiles.tsv."""
+    data = gen(tmp_path, "data", seed=4)
+    (data / "smiles.tsv").unlink()
+    splits = tmp_path / "splits"
+    assert main(["split", "--data", str(data), "--seed", "4", "--out", str(splits)]) == 0
+    cfg = write_config(tmp_path / "t.cfg", hidden_dim=8, output_dim=4, latent_dim=4, max_len=8,
+                       max_epochs=1, patience=1, alpha_recon=0.2)
+    rc = main(["train", "--data", str(data), "--interactions", str(splits / "interactions.tsv"),
+               "--config", str(cfg), "--out", str(tmp_path / "model")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "ERROR CONFIG: reconstruction loss is weighted but the dataset has no SMILES\n"
+
+
+def test_no_flag_default_can_beat_a_config_file():
+    """A flag naming a setting defaults to None, so only a flag that is
+    given overrides the file."""
+    fields = {f.name for cls in CONFIG_CLASSES for f in dataclasses.fields(cls)}
+    parser = build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    named = {
+        (command, a.dest): a.default for command, sub in commands.items() for a in sub._actions if a.dest in fields
+    }
+    assert {("split", "strategy"), ("split", "seed"), ("gen-synth", "seed"), ("train", "mode")} <= set(named)
+    assert {k: v for k, v in named.items() if v is not None} == {}
+
+
 def test_dta_regression_path(tmp_path):
     data = gen(tmp_path, "data", seed=6, task="dta", noise=0.0)
     splits = tmp_path / "splits"
@@ -444,7 +511,7 @@ def test_enrich_non_numeric_k_grid_is_usage_error(tmp_path, capsys):
 
 def test_enrich_outputs_identical_across_seeds(tmp_path):
     # the random column is exact, so the seed reaches no output; unknown
-    # config keys such as baseline_trials are ignored
+    # config keys such as baseline_trials set nothing (and warn)
     ranked, act = enrich_inputs(tmp_path, GOOD_RANKED)
     cfg = write_config(tmp_path / "enrich.cfg", baseline_trials=2000)
     for seed in ("1", "2"):
@@ -464,12 +531,11 @@ def test_enrich_format_selects_outputs(tmp_path, capsys):
 
 
 def test_config_hash_inside_quotes_is_kept(tmp_path):
-    from tensordti.cli import _parse_config_file
     from tensordti.tokenizer import DEFAULT_ALPHABET
 
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f'vocab = "{DEFAULT_ALPHABET}"  # the default alphabet\nx = 3  # note\n# whole-line comment\n')
-    assert _parse_config_file(cfg) == {"vocab": DEFAULT_ALPHABET, "x": 3}
+    assert _parse_config_file(cfg) == {"vocab": f'"{DEFAULT_ALPHABET}"', "x": "3"}
 
 
 # the table that ranked c1, c2, c4, c3 one way round and c4, c3, c2, c1 the other
@@ -615,6 +681,23 @@ def test_train_and_predict_without_smiles(tmp_path):
     assert set(columns["unfamiliarity"]) == {None}
 
 
+def test_report_repeated_pair_in_the_truth_is_data_error(tmp_path, capsys):
+    """Which row's label would count is ambiguous; the last row used to win."""
+    preds, truth = tmp_path / "preds.tsv", tmp_path / "truth.tsv"
+    preds.write_text(
+        "drug_id\ttarget_id\tlogit\tprob\tpred_label\taffinity_pred\tconfidence\tunfamiliarity\n"
+        "D1\tT1\t0.5\t0.6\t1\t\t0.1\t\nD2\tT1\t-0.5\t0.4\t0\t\t0.2\t\n"
+    )
+    truth.write_text(
+        "drug_id\ttarget_id\tpocket_id\tlabel\taffinity\tsplit\n"
+        "D1\tT1\t\t1\t\ttest\nD2\tT1\t\t0\t\ttest\nD1\tT1\t\t0\t\ttest\n"
+    )
+    rc = main(["report", "--predictions", str(preds), "--interactions", str(truth), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"ERROR DATA: {truth}: pair ('D1', 'T1') is on more than one row\n"
+    assert not (tmp_path / "out" / "metrics.json").exists()
+
+
 @pytest.fixture(scope="module")
 def tiny_models(tmp_path_factory):
     """mode -> (fixture directory, checkpoint) of a one-epoch dti and dta model."""
@@ -698,6 +781,42 @@ def screening_inputs(tmp_path):
     truth.write_text("drug_id\ttarget_id\tpocket_id\tlabel\taffinity\tsplit\nD0\tT0\t\t1\t\ttest\nD1\tT0\t\t0\t\ttest\n")
     ranked, actives = enrich_inputs(tmp_path, GOOD_RANKED)
     return preds, truth, ranked, actives
+
+
+def test_predict_split_must_name_a_split_or_all(tmp_path, capsys, tiny_models):
+    data, ckpt = tiny_models["dti"]
+    cfg = write_config(tmp_path / "p.cfg", predict_split="trian")
+    rc = main(["predict", "--data", str(data), "--model", str(ckpt), "--config", str(cfg),
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("ERROR CONFIG: config key 'predict_split' expects one of") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, keys, unread",
+    [
+        ("train", dict(mode="dta", eval_metric="aupr", seeds=(5, 6), hiden_dim=8),
+         "mode, eval_metric, seeds, hiden_dim"),
+        ("enrich", dict(baseline_trials=2000, k_grid="1,5"), "baseline_trials, k_grid"),
+        ("train", {}, None),
+    ],
+)
+def test_config_keys_that_set_nothing_warn_once(tmp_path, caplog, tiny_models, command, keys, unread):
+    """A typo, a key the command takes from a flag or derives, and a key
+    for another command each set nothing; the run still succeeds."""
+    data, ckpt = tiny_models["dti"]
+    if command == "train":
+        keys = dict(hidden_dim=8, output_dim=4, latent_dim=4, max_len=8, max_epochs=1, patience=1, **keys)
+        args = ["train", "--data", str(data), "--interactions", str(ckpt.parent.parent / "splits" / "interactions.tsv")]
+    else:
+        ranked, act = enrich_inputs(tmp_path, GOOD_RANKED)
+        args = ["enrich", "--ranked", f"m={ranked}", "--actives", str(act)]
+    cfg = write_config(tmp_path / "c.cfg", **keys)
+    with caplog.at_level(logging.WARNING, logger="tensordti"):
+        assert main([*args, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == ([f"config keys that set nothing {command} reads: {unread}"] if unread else [])
 
 
 def test_each_command_loads_only_what_it_runs(tmp_path):
@@ -843,7 +962,63 @@ def test_any_config_text_builds_every_config_or_is_a_typed_error(text):
             return
     for cls in CONFIG_CLASSES:
         try:
-            fields = _split_fields(config, cls)
-            cls(**({"drug_dim": 4, "protein_dim": 4, **fields} if cls is ModelConfig else fields))
+            _Config(config).settings(cls, {}, {"drug_dim": 4, "protein_dim": 4} if cls is ModelConfig else None)
         except TdtiError:
             pass
+
+
+@pytest.mark.parametrize(
+    "cls, line, value",
+    [
+        (SyntheticConfig, 'task = "dta"', "dta"),
+        (SyntheticConfig, "task = dta", "dta"),
+        (ModelConfig, 'vocab = "C#N"  # a trailing comment', "C#N"),
+        (ModelConfig, "vocab = 123", "123"),
+        (ModelConfig, "vocab = true", "true"),
+        (ModelConfig, "vocab = CN, O", "CN, O"),
+        (SplitSpec, "balance_train = true", True),
+        (SplitSpec, "balance_train = FALSE", False),
+        (ModelConfig, "hidden_dim = 12", 12),
+        (ModelConfig, "margin = 1", 1),
+        (ModelConfig, "margin = 0.5", 0.5),
+        (TrainConfig, "lr = 1e-3", 0.001),
+        (ModelConfig, "pocket_dim = 6", 6),
+        (SplitSpec, "fractions = 0.7, 0.1, 0.2", (0.7, 0.1, 0.2)),
+        (SplitSpec, "fractions = 0.5,0.25,0.25", (0.5, 0.25, 0.25)),
+        (TrainConfig, "seeds = 5, 6", (5, 6)),
+    ],
+)
+def test_config_value_is_parsed_as_its_settings_type(tmp_path, cls, line, value):
+    """Value and type: integer text for a float setting stays an int, so a
+    checkpoint's config block keeps its bytes."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    config = _Config(_parse_config_file(cfg))
+    key = line.split(" = ")[0]
+    got = getattr(config.settings(cls, {}, {"drug_dim": 4, "protein_dim": 4} if cls is ModelConfig else None), key)
+    assert (got, repr(got)) == (value, repr(value))
+    assert config.read == {key}
+
+
+@pytest.mark.parametrize(
+    "cls, line, expected",
+    [
+        (ModelConfig, "hidden_dim = true", "int"),
+        (ModelConfig, "hidden_dim = 1.5", "int"),
+        (ModelConfig, 'hidden_dim = "12"', "int"),
+        (ModelConfig, "margin = x", "float"),
+        (ModelConfig, "pocket_dim = none", "int"),
+        (SplitSpec, 'balance_train = "true"', "bool"),
+        (SplitSpec, "balance_train = 1", "bool"),
+        (SplitSpec, "fractions = 0.7, x, 0.2", "tuple[float, float, float]"),
+        (SplitSpec, "fractions = 0.5, 0.5", "tuple[float, float, float]"),
+        (TrainConfig, "seeds = 5,", "tuple[int, ...]"),
+    ],
+)
+def test_config_value_not_of_its_settings_type_is_config_error(tmp_path, cls, line, expected):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    key, text = line.split(" = ")
+    with pytest.raises(ConfigError) as exc:
+        _Config(_parse_config_file(cfg)).settings(cls, {}, {"drug_dim": 4, "protein_dim": 4})
+    assert str(exc.value) == f"config key {key!r} expects {expected}, got {text!r}"

@@ -89,7 +89,7 @@ def test_two_key_rank_example():
         ScoreRow("b", "m", score=0.0, label=1, confidence=0.1),
         ScoreRow("c", "m", score=0.0, label=0, confidence=0.05),
     ]
-    assert rank(rows, "two_key_label_then_confidence").ids == ["b", "a", "c"]
+    assert rank(rows, "two_key").ids == ["b", "a", "c"]
 
 
 def test_docking_rank_most_negative_first():
@@ -98,25 +98,25 @@ def test_docking_rank_most_negative_first():
         ScoreRow("y", "m", score=-7.0),
         ScoreRow("z", "m", score=-8.2),
     ]
-    assert rank(rows, "docking_score_asc").ids == ["x", "z", "y"]
+    assert rank(rows, "docking").ids == ["x", "z", "y"]
 
 
 def test_rank_ties_break_by_id():
     rows = [ScoreRow(c, "m", score=1.0, label=1, confidence=0.5) for c in ("c", "a", "b")]
-    assert rank(rows, "docking_score_asc").ids == ["a", "b", "c"]
-    assert rank(rows, "two_key_label_then_confidence").ids == ["a", "b", "c"]
+    assert rank(rows, "docking").ids == ["a", "b", "c"]
+    assert rank(rows, "two_key").ids == ["a", "b", "c"]
 
 
 def test_two_key_missing_confidence_errors():
     rows = [ScoreRow("a", "m", score=0.0, label=1)]
     with pytest.raises(MissingColumnError):
-        rank(rows, "two_key_label_then_confidence")
+        rank(rows, "two_key")
 
 
 def test_rank_duplicate_ids_rejected():
     rows = [ScoreRow("a", "m", score=1.0), ScoreRow("a", "m", score=2.0)]
     with pytest.raises(DataError, match="duplicate"):
-        rank(rows, "docking_score_asc")
+        rank(rows, "docking")
 
 
 def test_rank_argrank_invariance():
@@ -125,14 +125,14 @@ def test_rank_argrank_invariance():
     rng = np.random.default_rng(0)
     scores = rng.standard_normal(30)
     rows = [ScoreRow(f"c{i:02d}", "m", score=float(s)) for i, s in enumerate(scores)]
-    base = rank(rows, "docking_score_asc")
+    base = rank(rows, "docking")
     transformed = [
         ScoreRow(r.compound_id, "m", score=float(np.exp(0.5 * r.score) * 3 + 1)) for r in rows
     ]
-    assert rank(transformed, "docking_score_asc").ids == base.ids
+    assert rank(transformed, "docking").ids == base.ids
     act = actives(base.ids[2:9:3])
     for k in (1.0, 20.0, 50.0, 100.0):
-        assert kpct_actives_budget(rank(transformed, "docking_score_asc"), act, k) == kpct_actives_budget(base, act, k)
+        assert kpct_actives_budget(rank(transformed, "docking"), act, k) == kpct_actives_budget(base, act, k)
 
 
 # -- recall / EF ------------------------------------------------------------------------

@@ -362,7 +362,7 @@ def test_factored_scores_match_tape_path(monkeypatch, case):
     chunks, pair_heads = [], M.pair_heads
     monkeypatch.setattr(M, "pair_heads", lambda s, p, d, t, tape: chunks.append(d.size) or pair_heads(s, p, d, t, tape))
 
-    pairs = T._Pairs(bundle, records, state)
+    pairs = T._Pairs(bundle, records, state.config)
     logits, _, confs = T._scores(state, pairs)
     assert len(chunks) > 2 and set(chunks[:-1]) == {8} and 0 < chunks[-1] < 8
     _, _, logit, conf = _pair_forward(state, pairs, np.arange(len(records)), Tape())
@@ -374,7 +374,7 @@ def test_pairs_gather_each_entity_once():
     bundle = pocket_bundle()
     state = M.init_model(model_cfg(pocket_dim=6), seed=0)
     records = bundle.interactions
-    pairs = T._Pairs(bundle, records, state)
+    pairs = T._Pairs(bundle, records, state.config)
     assert pairs.drugs == sorted({r.drug_id for r in records})
     assert pairs.x_drug.shape[1] == len(pairs.drugs)
     assert pairs.x_protein.shape[1] == pairs.x_pocket.shape[1] == len({(r.target_id, r.pocket_id) for r in records})
@@ -382,7 +382,7 @@ def test_pairs_gather_each_entity_once():
         assert np.array_equal(pairs.x_drug[:, d], bundle.drugs.get(r.drug_id))
         assert np.array_equal(pairs.x_protein[:, t], bundle.proteins.get(r.target_id))
         assert np.array_equal(pairs.x_pocket[:, t], bundle.pockets.get(r.pocket_id))
-    pairs.tokenize(bundle, state)
+    pairs.tokenize(bundle, state.tokenizer)
     assert pairs.token_ids.shape == pairs.pad_mask.shape == (state.config.max_len, len(pairs.drugs))
     for r, d in zip(records, pairs.drug_idx):
         seq = state.tokenizer.tokenize(bundle.smiles[r.drug_id])
@@ -393,13 +393,13 @@ def test_pairs_gather_each_entity_once():
 def test_training_table_tokens_need_every_drugs_smiles():
     bundle = pocket_bundle()
     state = M.init_model(model_cfg(pocket_dim=6), seed=0)
-    pairs = T._Pairs(bundle, bundle.interactions, state)
+    pairs = T._Pairs(bundle, bundle.interactions, state.config)
     with pytest.raises(ConfigError, match="no SMILES"):
-        pairs.tokenize(dataclasses.replace(bundle, smiles=None), state)
+        pairs.tokenize(dataclasses.replace(bundle, smiles=None), state.tokenizer)
     drug = pairs.drugs[3]
     smiles = {d: s for d, s in bundle.smiles.items() if d != drug}
     with pytest.raises(DataError, match=f"no SMILES for drug '{drug}'"):
-        pairs.tokenize(dataclasses.replace(bundle, smiles=smiles), state)
+        pairs.tokenize(dataclasses.replace(bundle, smiles=smiles), state.tokenizer)
 
 
 def test_training_table_memory_bounded_by_entities_not_records():
@@ -424,7 +424,7 @@ def test_training_table_memory_bounded_by_entities_not_records():
         records = [bundle.interactions[i] for i in rng.integers(0, len(bundle.interactions), n_records)]
         tracemalloc.start()
         try:
-            T._Pairs(bundle, records, state).tokenize(bundle, state)
+            T._Pairs(bundle, records, state.config).tokenize(bundle, state.tokenizer)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -517,8 +517,8 @@ def test_training_step_through_pairs_matches_per_pair_matrices(monkeypatch, case
     for p in state.parameters():  # non-zero biases, so their placement counts
         if p.name.endswith(".bias"):
             p.value[...] = 0.1 * rng.standard_normal(p.value.shape)
-    pairs = T._Pairs(bundle, bundle.interactions, state)
-    pairs.tokenize(bundle, state)
+    pairs = T._Pairs(bundle, bundle.interactions, state.config)
+    pairs.tokenize(bundle, state.tokenizer)
     repeated = np.random.default_rng(2).permutation(len(bundle.interactions))[:64]
     distinct = _distinct_pairs(pairs)
     assert np.unique(pairs.drug_idx[repeated]).size < repeated.size > np.unique(pairs.target_idx[repeated]).size
@@ -563,8 +563,8 @@ def _cut_case(case):
     records = sorted({r.drug_id: r for r in bundle.interactions}.values(), key=lambda r: r.drug_id)[:40]
     if case == "truncated-at-max-len":
         bundle.smiles = {**bundle.smiles, records[7].drug_id: "CNOS" * 5}
-    arr = T._Pairs(bundle, records, state)
-    arr.tokenize(bundle, state)
+    arr = T._Pairs(bundle, records, state.config)
+    arr.tokenize(bundle, state.tokenizer)
     assert np.array_equal(arr.drug_idx, np.arange(len(records)))
     idx = np.arange(len(records))[::-1]
     if case == "one-sample":
@@ -649,8 +649,8 @@ def test_reused_tape_gives_a_fresh_tapes_gradients_bit_for_bit(case):
     runs = []
     for reuse in (False, True):
         state = M.init_model(model_cfg(**kw), seed=7)
-        pairs = T._Pairs(bundle, bundle.interactions, state)
-        pairs.tokenize(bundle, state)
+        pairs = T._Pairs(bundle, bundle.interactions, state.config)
+        pairs.tokenize(bundle, state.tokenizer)
         kept = Tape()
         runs.append(list(_steps(state, pairs, (lambda: kept) if reuse else Tape, (9, 31, 4, 17))))
     fresh, reused = runs
@@ -700,8 +700,8 @@ def _desk_step_setup():
         mode="regression",
     )
     state = M.init_model(cfg, seed=1)
-    pairs = T._Pairs(bundle, bundle.interactions, state)
-    pairs.tokenize(bundle, state)
+    pairs = T._Pairs(bundle, bundle.interactions, state.config)
+    pairs.tokenize(bundle, state.tokenizer)
     return state, pairs
 
 
