@@ -7,6 +7,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import operator
 from pathlib import Path
 
 from .errors import ConfigError, DataError, FormatError
@@ -67,25 +68,39 @@ def check_floats(config, **rules: str) -> None:
             raise ConfigError(f"{name} must be a finite number {rule}".rstrip() + f", got {value!r}")
 
 
-def read_tsv(path: str | Path):
+def read_tsv(path: str | Path, header: tuple[str, ...] | None = None, key: tuple[str, ...] = ()):
     """Stream a UTF-8 TSV table: yield its header (a list of column names)
     first, then (where, fields) for every row that is not blank, `where`
-    being "path:line". A repeated column name, a row whose field count
-    differs from the header, or bytes that are not UTF-8 raise a
-    FormatError naming the path."""
+    being "path:line". A repeated column name, a header other than `header`
+    (when given), a row whose field count differs from the header, a row
+    whose `key` columns repeat an earlier row's, or bytes that are not UTF-8
+    raise a FormatError naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            header = f.readline().rstrip("\n").split("\t")
-            if len(set(header)) != len(header):
-                raise FormatError(f"{path}: repeated column name in header {header}")
-            yield header
+            got = f.readline().rstrip("\n").split("\t")
+            if len(set(got)) != len(got):
+                raise FormatError(f"{path}: repeated column name in header {got}")
+            if header is not None and got != list(header):
+                raise FormatError(f"{path}: header {got} != {list(header)}")
+            yield got
+            pick = operator.itemgetter(*(got.index(c) for c in key)) if key else None
+            single = len(key) == 1
+            first: dict[str, int] = {}  # key fields joined by a tab, which no field holds -> line
             prefix = f"{path}:"
             for lineno, line in enumerate(f, 2):
                 if not line.strip():
                     continue
                 fields = line.rstrip("\n").split("\t")
-                if len(fields) != len(header):
-                    raise FormatError(f"{prefix}{lineno}: expected {len(header)} fields, got {len(fields)}")
+                if len(fields) != len(got):
+                    raise FormatError(f"{prefix}{lineno}: expected {len(got)} fields, got {len(fields)}")
+                if pick:
+                    value = pick(fields)  # the field for a one-column key, else a tuple
+                    k = value if single else "\t".join(value)
+                    if first.setdefault(k, lineno) != lineno:
+                        shown = value if single else list(value)
+                        raise FormatError(
+                            f"{prefix}{lineno}: repeated {', '.join(key)} {shown!r} (first on line {first[k]})"
+                        )
                 yield f"{prefix}{lineno}", fields
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc}") from None

@@ -279,7 +279,7 @@ def cmd_predict(args, config: _Config) -> int:
     which = config.get("predict_split", str, "test")
     if which not in (*SPLITS, "all"):
         raise ConfigError(f"config key 'predict_split' expects one of {(*SPLITS, 'all')}, got {which!r}")
-    run = _Run("predict", args.out, config.text, [args.seed or 0])
+    run = _Run("predict", args.out, config.text, [])
     state = model_mod.load_checkpoint(run.track_input(args.model))
     data = _load_bundle(run, args.data, args.interactions, args.embeddings)
     records = data.subset(which) if which != "all" else data.interactions
@@ -291,7 +291,7 @@ def cmd_predict(args, config: _Config) -> int:
 
 
 def cmd_rank(args, config: _Config) -> int:
-    run = _Run("rank", args.out, {**config.text, "ranking": args.ranking}, [args.seed or 0])
+    run = _Run("rank", args.out, {**config.text, "ranking": args.ranking}, [])
     preds = screening.load_predictions(run.track_input(args.predictions))
     # ascending = better for all criteria: negate our higher-is-stronger
     # outputs, each row's affinity_pred, else prob, else logit
@@ -320,28 +320,22 @@ def cmd_rank(args, config: _Config) -> int:
         if not rows:
             raise DataError("no compounds below the unfamiliarity threshold")
     ranked = screening.rank(rows, args.ranking)
-    positions = ((str(i), cid) for i, cid in enumerate(ranked.ids, 1))
+    positions = ((str(i), cid) for i, cid in enumerate(ranked, 1))
     write_tsv(run.artifact("ranked.tsv"), ("rank", "compound_id"), positions)
     run.finish()
     return 0
 
 
-def _load_ranked(path: Path) -> screening.RankedLibrary:
+def _load_ranked(path: Path) -> list[str]:
     """TSV `rank compound_id` with rank 1..N in line order and unique ids."""
-    rows = read_tsv(path)
-    header = next(rows)
-    if header != ["rank", "compound_id"]:
-        raise FormatError(f"{path}: header {header} != ['rank', 'compound_id']")
+    rows = read_tsv(path, ("rank", "compound_id"), key=("compound_id",))
+    next(rows)
     ids: list[str] = []
-    seen: set[str] = set()
     for where, (rank, cid) in rows:
         if rank != str(len(ids) + 1):
             raise FormatError(f"{where}: rank {rank!r} is not the line's position {len(ids) + 1}")
-        if cid in seen:
-            raise DataError(f"{where}: duplicate compound id {cid!r}")
-        seen.add(cid)
         ids.append(cid)
-    return screening.RankedLibrary(ids)
+    return ids
 
 
 def _parse_k_grid(text: str) -> tuple[float, ...]:
@@ -356,7 +350,7 @@ def cmd_enrich(args, config: _Config) -> int:
     run = _Run("enrich", args.out, {**config.text, "k_grid": args.k_grid}, [args.seed or 0])
     actives = load_actives(run.track_input(args.actives))
 
-    rankings: dict[str, screening.RankedLibrary] = {}
+    rankings: dict[str, list[str]] = {}
 
     def claim(name: str) -> str:
         """The report keys its columns by method name, so each must be new."""
@@ -392,16 +386,13 @@ def cmd_report(args, config: _Config) -> int:
     from .metrics import confusion_confidence, metric_bundle
 
     mode = args.mode or "dti"
-    run = _Run("report", args.out, config.text, [args.seed or 0])
+    run = _Run("report", args.out, config.text, [])
     preds = screening.load_predictions(run.track_input(args.predictions))
     column = "prob" if mode == "dti" else "affinity_pred"
     predicted = preds[column]
     if None in predicted:
         raise MissingColumnError(f"{args.predictions}: {column} required for {mode} report")
-    truth: dict = {}
-    for r in load_interactions(run.track_input(args.interactions)):
-        if truth.setdefault((r.drug_id, r.target_id), r) is not r:
-            raise DataError(f"{args.interactions}: pair ({r.drug_id!r}, {r.target_id!r}) is on more than one row")
+    truth = {(r.drug_id, r.target_id): r for r in load_interactions(run.track_input(args.interactions))}
     keys = list(zip(preds["drug_id"], preds["target_id"]))
     missing = [k for k in keys if k not in truth]
     if missing:
@@ -435,21 +426,23 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="tensordti", description="interaction model + screening analytics")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed_help=None):
+        """--out and --config; --seed only where `seed_help` says what it seeds."""
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, help="default: 0, or the config file's seed in gen-synth and split")
+        if seed_help:
+            p.add_argument("--seed", type=int, help=seed_help)
         p.add_argument("--config", help="key=value config file")
 
     p = sub.add_parser("gen-synth", help="write a synthetic planted-structure fixture")
-    common(p)
+    common(p, "default: the config file's seed, else 0")
 
     p = sub.add_parser("split", help="tag interactions with train/valid/test")
-    common(p)
+    common(p, "default: the config file's seed, else 0")
     p.add_argument("--data", required=True)
     p.add_argument("--strategy", choices=SPLIT_STRATEGIES, help="default: the config file's strategy, else random")
 
     p = sub.add_parser("train", help="train a model")
-    common(p)
+    common(p, "master seed of the runs (default: 0)")
     p.add_argument("--data", required=True)
     p.add_argument("--interactions", help="override DATA/interactions.tsv")
     p.add_argument("--embeddings", help="directory of embedding stores (default: DATA)")
@@ -470,7 +463,7 @@ def build_parser() -> _Parser:
     p.add_argument("--unf-threshold", type=_finite_float, default=None)
 
     p = sub.add_parser("enrich", help="enrichment report over ranked libraries")
-    common(p)
+    common(p, "recorded in the manifest only: the random baseline is exact")
     p.add_argument("--ranked", action="append", help="name=path of a ranked.tsv (repeatable)")
     p.add_argument("--scores", help="score table TSV (compound_id method score ...)")
     p.add_argument("--ranking", choices=screening.CRITERIA, default="two_key")

@@ -27,6 +27,7 @@ MODALITIES = ("drug", "protein", "pocket", "peptide", "rna")
 SPLITS = ("train", "valid", "test", "unassigned")
 
 INTERACTION_COLUMNS = ("drug_id", "target_id", "pocket_id", "label", "affinity", "split")
+SMILES_COLUMNS = ("drug_id", "smiles")
 
 
 class EmbeddingStore:
@@ -220,10 +221,8 @@ class InteractionRecord:
 
 
 def load_interactions(path: str | Path) -> list[InteractionRecord]:
-    rows = read_tsv(path)
-    header = next(rows)
-    if tuple(header) != INTERACTION_COLUMNS:
-        raise FormatError(f"{path}: header {header} != expected {list(INTERACTION_COLUMNS)}")
+    rows = read_tsv(path, INTERACTION_COLUMNS, key=("drug_id", "target_id"))
+    next(rows)
     records = []
     for where, (drug_id, target_id, pocket_id, label, affinity, split) in rows:
         try:
@@ -281,17 +280,10 @@ def validate_interactions(
 
 
 def load_smiles(path: str | Path) -> dict[str, str]:
-    rows = read_tsv(path)
-    header = next(rows)
-    if header != ["drug_id", "smiles"]:
-        raise FormatError(f"{path}: header {header} != ['drug_id', 'smiles']")
-    out: dict[str, str] = {}
-    for where, (drug_id, smiles) in rows:
-        if drug_id in out:
-            raise FormatError(f"{where}: repeated drug_id {drug_id!r}")
-        out[drug_id] = smiles
-    return out
+    rows = read_tsv(path, SMILES_COLUMNS, key=("drug_id",))
+    next(rows)
+    return dict(fields for _, fields in rows)
 
 
 def save_smiles(smiles: dict[str, str], path: str | Path) -> None:
-    write_tsv(path, ("drug_id", "smiles"), smiles.items())
+    write_tsv(path, SMILES_COLUMNS, smiles.items())

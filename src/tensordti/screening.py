@@ -48,7 +48,7 @@ SCORE_COLUMNS = ("compound_id", "method", "score", "label", "confidence", "unfam
 
 
 def load_scores(path: str | Path) -> list[ScoreRow]:
-    rows = read_tsv(path)
+    rows = read_tsv(path, key=("compound_id", "method"))
     header = next(rows)
     for col in ("compound_id", "method", "score"):
         if col not in header:
@@ -93,10 +93,8 @@ def save_predictions(columns: dict[str, list], path: str | Path) -> None:
 def load_predictions(path: str | Path) -> dict[str, list]:
     """predictions.tsv as one list per column, in PREDICTION_COLUMNS order;
     an empty field is None, except that every row needs a logit."""
-    rows = read_tsv(path)
-    header = next(rows)
-    if tuple(header) != PREDICTION_COLUMNS:
-        raise FormatError(f"{path}: header {header} != {list(PREDICTION_COLUMNS)}")
+    rows = read_tsv(path, PREDICTION_COLUMNS, key=("drug_id", "target_id"))
+    next(rows)
     columns = {c: [] for c in PREDICTION_COLUMNS}
     drugs, targets, *numbers = columns.values()
     casts = (float, float, int, float, float, float)
@@ -106,15 +104,6 @@ def load_predictions(path: str | Path) -> dict[str, list]:
         for out, name, cast, raw in zip(numbers, PREDICTION_COLUMNS[2:], casts, fields):
             out.append(parse_number(raw, cast, where, name) if raw or name == "logit" else None)
     return columns
-
-
-@dataclass
-class RankedLibrary:
-    ids: list[str]
-
-    @property
-    def n(self) -> int:
-        return len(self.ids)
 
 
 @dataclass
@@ -131,8 +120,9 @@ class ActiveSet:
                 raise DataError(f"potency missing for actives {sorted(missing)[:5]}")
 
 
-def rank(rows: list[ScoreRow], criterion: str) -> RankedLibrary:
-    """Total order under the chosen criterion; ties break by id ascending.
+def rank(rows: list[ScoreRow], criterion: str) -> list[str]:
+    """Compound ids in total order under the chosen criterion; ties break by
+    id ascending. Each id is on one row: the table readers refuse a repeated key.
 
     docking / affinity: most favorable (lowest) score first.
     two_key: predicted positives first, then confidence ascending within
@@ -142,12 +132,6 @@ def rank(rows: list[ScoreRow], criterion: str) -> RankedLibrary:
         raise ConfigError(f"unknown ranking criterion {criterion!r}")
     if not rows:
         raise DataError("nothing to rank")
-    seen = set()
-    for r in rows:
-        if r.compound_id in seen:
-            raise DataError(f"duplicate compound id {r.compound_id!r} in ranking input")
-        seen.add(r.compound_id)
-
     if criterion == "two_key":
         for r in rows:
             if r.label is None:
@@ -160,27 +144,27 @@ def rank(rows: list[ScoreRow], criterion: str) -> RankedLibrary:
             if r.score is None:
                 raise MissingColumnError(f"{criterion} needs a score for {r.compound_id!r}")
         ordered = sorted(rows, key=lambda r: (r.score, r.compound_id))
-    return RankedLibrary([r.compound_id for r in ordered])
+    return [r.compound_id for r in ordered]
 
 
-def _active_positions(ranked: RankedLibrary, actives: ActiveSet) -> list[int]:
-    return [i + 1 for i, cid in enumerate(ranked.ids) if cid in actives.ids]
+def _active_positions(ranked: list[str], actives: ActiveSet) -> list[int]:
+    return [i + 1 for i, cid in enumerate(ranked) if cid in actives.ids]
 
 
-def recall_at_k(ranked: RankedLibrary, actives: ActiveSet, k: int) -> float:
+def recall_at_k(ranked: list[str], actives: ActiveSet, k: int) -> float:
     """TP@k / A with k a compound count."""
-    if not 1 <= k <= ranked.n:
-        raise UsageError(f"k must be in [1, {ranked.n}], got {k}")
-    top = set(ranked.ids[:k])
+    if not 1 <= k <= len(ranked):
+        raise UsageError(f"k must be in [1, {len(ranked)}], got {k}")
+    top = set(ranked[:k])
     return len(top & actives.ids) / len(actives.ids)
 
 
-def ef_at_k(ranked: RankedLibrary, actives: ActiveSet, k: int) -> float:
+def ef_at_k(ranked: list[str], actives: ActiveSet, k: int) -> float:
     """Enrichment factor via the identity EF@k = Recall@k * N / k."""
-    return recall_at_k(ranked, actives, k) * ranked.n / k
+    return recall_at_k(ranked, actives, k) * len(ranked) / k
 
 
-def kpct_actives_budget(ranked: RankedLibrary, actives: ActiveSet, k_percent: float) -> float:
+def kpct_actives_budget(ranked: list[str], actives: ActiveSet, k_percent: float) -> float:
     """Smallest library percentage whose prefix holds >= ceil(k% of A)
     actives, regardless of potency."""
     if not 0 < k_percent <= 100:
@@ -192,10 +176,10 @@ def kpct_actives_budget(ranked: RankedLibrary, actives: ActiveSet, k_percent: fl
             f"cannot recover {target} actives: only {len(positions)} of "
             f"{len(actives.ids)} are present in the ranked library"
         )
-    return 100.0 * positions[target - 1] / ranked.n
+    return 100.0 * positions[target - 1] / len(ranked)
 
 
-def topk_potency_budget(ranked: RankedLibrary, actives: ActiveSet, k_percent: float) -> float:
+def topk_potency_budget(ranked: list[str], actives: ActiveSet, k_percent: float) -> float:
     """Smallest library percentage whose prefix contains ALL of the
     ceil(k% of A) most potent actives (higher potency preferred, ties by id)."""
     if not 0 < k_percent <= 100:
@@ -205,10 +189,10 @@ def topk_potency_budget(ranked: RankedLibrary, actives: ActiveSet, k_percent: fl
     m = max(1, ceil_count(k_percent * len(actives.ids) / 100.0))
     by_potency = sorted(actives.ids, key=lambda cid: (-actives.potency[cid], cid))
     subset = set(by_potency[:m])
-    positions = [i + 1 for i, cid in enumerate(ranked.ids) if cid in subset]
+    positions = [i + 1 for i, cid in enumerate(ranked) if cid in subset]
     if len(positions) < m:
         raise DataError(f"{m - len(positions)} of the top-potency actives are missing from the library")
-    return 100.0 * positions[-1] / ranked.n
+    return 100.0 * positions[-1] / len(ranked)
 
 
 def random_budget(n: int, a: int, t: int) -> tuple[float, float]:
@@ -315,7 +299,7 @@ class EnrichmentReport:
 
 
 def enrichment_report(
-    rankings: dict[str, RankedLibrary],
+    rankings: dict[str, list[str]],
     actives: ActiveSet,
     k_grid: tuple[float, ...] = DEFAULT_K_GRID,
 ) -> EnrichmentReport:
@@ -323,12 +307,12 @@ def enrichment_report(
     exact random-ranking column with its SD in `random_sd`."""
     if not rankings:
         raise UsageError("no rankings supplied")
-    sizes = {m: r.n for m, r in rankings.items()}
+    sizes = {m: len(r) for m, r in rankings.items()}
     if len(set(sizes.values())) != 1:
         raise DataError(f"library sizes differ across methods: {sizes}; align libraries first")
     n = next(iter(sizes.values()))
     for m, r in rankings.items():
-        missing = actives.ids - set(r.ids)
+        missing = actives.ids - set(r)
         if missing:
             raise DataError(f"method {m!r}: actives missing from library: {sorted(missing)[:5]}")
     a = len(actives.ids)
@@ -371,15 +355,13 @@ def enrichment_report(
 
 def load_actives(path: str | Path) -> ActiveSet:
     """TSV `compound_id [potency]`."""
-    rows = read_tsv(path)
+    rows = read_tsv(path, key=("compound_id",))
     header = next(rows)
     if header not in (["compound_id"], ["compound_id", "potency"]):
         raise FormatError(f"{path}: header {header} != ['compound_id'[, 'potency']]")
     ids: set[str] = set()
     potency: dict[str, float] = {}
     for where, fields in rows:
-        if fields[0] in ids:
-            raise FormatError(f"{where}: repeated compound_id {fields[0]!r}")
         ids.add(fields[0])
         if len(fields) == 2:
             if not fields[1]:

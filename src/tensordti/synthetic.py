@@ -135,24 +135,18 @@ def _generate(config: SyntheticConfig, rng: np.random.Generator) -> SyntheticDat
     w_t = rng.standard_normal(k)
     lin = (w_d @ f_drug)[:, None] + (w_t @ f_target)[None, :]
 
-    interactions = []
-    for i, d in enumerate(drug_ids):
-        for j, t in enumerate(target_ids):
-            if c.task == "dti":
-                rec = InteractionRecord(
-                    drug_id=d,
-                    target_id=t,
-                    pocket_id=pocket_by_target.get(t),
-                    label=int(gram[i, j] > 0),
-                )
-            else:
-                rec = InteractionRecord(
-                    drug_id=d,
-                    target_id=t,
-                    pocket_id=pocket_by_target.get(t),
-                    affinity=float(np.round(lin[i, j], 6)),
-                )
-            interactions.append(rec)
+    dti = c.task == "dti"
+    interactions = [
+        InteractionRecord(
+            drug_id=d,
+            target_id=t,
+            pocket_id=pocket_by_target.get(t),
+            label=int(gram[i, j] > 0) if dti else None,
+            affinity=None if dti else float(np.round(lin[i, j], 6)),
+        )
+        for i, d in enumerate(drug_ids)
+        for j, t in enumerate(target_ids)
+    ]
 
     proj = rng.standard_normal((c.smiles_len, k))
     shift = rng.standard_normal((c.smiles_len, 1))

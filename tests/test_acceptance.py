@@ -21,7 +21,6 @@ from tensordti.nn import Tape, grad_check, stable_sigmoid, token_nll
 from tensordti.pipeline import SplitSpec, split
 from tensordti.screening import (
     ActiveSet,
-    RankedLibrary,
     ScoreRow,
     ceil_count,
     ef_at_k,
@@ -341,7 +340,7 @@ def test_criterion_8_enrichment_identities():
     for _ in range(1000):
         n = int(rng.integers(2, 40))
         ids = [f"c{i:02d}" for i in range(n)]
-        ranked = RankedLibrary(rng.permutation(ids).tolist())
+        ranked = rng.permutation(ids).tolist()
         a = int(rng.integers(1, n + 1))
         act = ActiveSet(frozenset(rng.choice(ids, a, replace=False).tolist()))
         k = int(rng.integers(1, n + 1))
@@ -366,7 +365,7 @@ def test_criterion_8_enrichment_identities():
     act_ids = {"b", "e", "g"}
     act = ActiveSet(frozenset(act_ids), potency={"b": 3.0, "e": 1.0, "g": 2.0})
     for perm in itertools.permutations(ids8):
-        ranked = RankedLibrary(list(perm))
+        ranked = list(perm)
         for k in (33.4, 100.0):
             assert kpct_actives_budget(ranked, act, k) == budget_oracle(list(perm), act_ids, k)
             assert topk_potency_budget(ranked, act, k) == topk_oracle(list(perm), act_ids, act.potency, k)
@@ -374,14 +373,14 @@ def test_criterion_8_enrichment_identities():
     for _ in range(200):
         n = int(rng.integers(9, 13))
         ids = [f"c{i:02d}" for i in range(n)]
-        ranked = RankedLibrary(rng.permutation(ids).tolist())
+        ranked = rng.permutation(ids).tolist()
         a = int(rng.integers(1, n))
         chosen = rng.choice(ids, a, replace=False).tolist()
         pot = {c: float(rng.standard_normal()) for c in chosen}
         act = ActiveSet(frozenset(chosen), potency=pot)
         k = float(rng.uniform(1, 100))
-        assert kpct_actives_budget(ranked, act, k) == budget_oracle(ranked.ids, set(chosen), k)
-        assert topk_potency_budget(ranked, act, k) == topk_oracle(ranked.ids, set(chosen), pot, k)
+        assert kpct_actives_budget(ranked, act, k) == budget_oracle(ranked, set(chosen), k)
+        assert topk_potency_budget(ranked, act, k) == topk_oracle(ranked, set(chosen), pot, k)
 
 
 @criterion(9, "random baseline reproduces the CDK2 Random k%AR column within +-0.3")
@@ -454,7 +453,7 @@ def test_criterion_11_determinism(tmp_path):
                 for d, t, prob, label, conf in columns]
 
     rows1, rows2 = score_rows(preds1), score_rows(preds2)
-    assert rank(rows1, "two_key").ids == rank(rows2, "two_key").ids
+    assert rank(rows1, "two_key") == rank(rows2, "two_key")
 
     p1, p2 = tmp_path / "a.tdti", tmp_path / "b.tdti"
     M.save_checkpoint(state1, p1)

@@ -264,6 +264,20 @@ def test_config_precedence_flags_over_file(tmp_path):
     assert manifest["seeds"] == [11]
 
 
+def test_split_refuses_a_pair_on_two_rows(tmp_path, capsys):
+    """Each row is tagged on its own, so a pair on two rows could land in
+    train and in test; the table is refused before anything is written."""
+    data = gen(tmp_path, "data", seed=2)
+    table = data / "interactions.tsv"
+    header, *rows = table.read_text().splitlines(keepends=True)
+    table.write_text(header + "".join(rows) + "".join(rows))
+    out = tmp_path / "o"
+    assert main(["split", "--data", str(data), "--seed", "1", "--out", str(out)]) == 1
+    repeat = f"{table}:{len(rows) + 2}: repeated drug_id, target_id ['D0000', 'T0000'] (first on line 2)"
+    assert capsys.readouterr().err == f"ERROR FORMAT: {repeat}\n"
+    assert not (out / "interactions.tsv").exists()
+
+
 def split_sets(path: Path) -> dict[str, set]:
     """split tag -> the drugs tagged with it."""
     sets: dict[str, set] = {}
@@ -329,6 +343,19 @@ def test_no_flag_default_can_beat_a_config_file():
     }
     assert {("split", "strategy"), ("split", "seed"), ("gen-synth", "seed"), ("train", "mode")} <= set(named)
     assert {k: v for k, v in named.items() if v is not None} == {}
+
+
+def test_seed_only_where_a_seed_is_drawn(tmp_path, capsys):
+    """predict, rank and report draw no random numbers, so they take no
+    --seed; enrich keeps it for scripts that pass one."""
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    seeded = {command for command, sub in commands.items() if any(a.dest == "seed" for a in sub._actions)}
+    assert seeded == {"gen-synth", "split", "train", "enrich"}
+    preds, *_ = screening_inputs(tmp_path)
+    assert main(["rank", "--predictions", str(preds), "--seed", "1", "--out", str(tmp_path / "r")]) == 2
+    assert "ERROR USAGE:" in capsys.readouterr().err
+    assert main(["rank", "--predictions", str(preds), "--out", str(tmp_path / "r")]) == 0
+    assert json.loads((tmp_path / "r" / "manifest.json").read_text())["seeds"] == []
 
 
 def test_dta_regression_path(tmp_path):
@@ -491,10 +518,24 @@ def test_enrich_ranked_wrong_field_count_is_format_error(tmp_path, capsys):
     assert "ERROR FORMAT:" in capsys.readouterr().err
 
 
-def test_enrich_ranked_duplicate_id_is_data_error(tmp_path, capsys):
+def test_enrich_ranked_duplicate_id_is_format_error(tmp_path, capsys):
     ranked, act = enrich_inputs(tmp_path, ["1\tc1", "2\tc2", "3\tc1", "4\tc3"])
     assert run_enrich(tmp_path, ranked, act) == 1
-    assert "ERROR DATA:" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"ERROR FORMAT: {ranked}:4: repeated compound_id 'c1' (first on line 2)\n"
+
+
+def test_enrich_scores_repeated_compound_and_method_is_format_error(tmp_path, capsys):
+    """Two scores for one compound under one method would rank it twice; the
+    same compound under two methods is two rankings."""
+    scores = tmp_path / "scores.tsv"
+    scores.write_text("compound_id\tmethod\tscore\nc1\tdock\t-9\nc1\tglide\t-8\nc2\tdock\t-7\nc1\tdock\t-5\n")
+    _, act = enrich_inputs(tmp_path, GOOD_RANKED)
+    rc = main(["enrich", "--scores", str(scores), "--ranking", "docking", "--actives", str(act),
+               "--out", str(tmp_path / "enrich")])
+    assert rc == 1
+    expected = f"ERROR FORMAT: {scores}:5: repeated compound_id, method ['c1', 'dock'] (first on line 2)\n"
+    assert capsys.readouterr().err == expected
+    assert not (tmp_path / "enrich" / "enrichment.json").exists()
 
 
 def test_enrich_ranked_rank_must_be_line_position(tmp_path, capsys):
@@ -681,7 +722,7 @@ def test_train_and_predict_without_smiles(tmp_path):
     assert set(columns["unfamiliarity"]) == {None}
 
 
-def test_report_repeated_pair_in_the_truth_is_data_error(tmp_path, capsys):
+def test_report_repeated_pair_in_the_truth_is_format_error(tmp_path, capsys):
     """Which row's label would count is ambiguous; the last row used to win."""
     preds, truth = tmp_path / "preds.tsv", tmp_path / "truth.tsv"
     preds.write_text(
@@ -694,7 +735,8 @@ def test_report_repeated_pair_in_the_truth_is_data_error(tmp_path, capsys):
     )
     rc = main(["report", "--predictions", str(preds), "--interactions", str(truth), "--out", str(tmp_path / "out")])
     assert rc == 1
-    assert capsys.readouterr().err == f"ERROR DATA: {truth}: pair ('D1', 'T1') is on more than one row\n"
+    expected = f"ERROR FORMAT: {truth}:4: repeated drug_id, target_id ['D1', 'T1'] (first on line 2)\n"
+    assert capsys.readouterr().err == expected
     assert not (tmp_path / "out" / "metrics.json").exists()
 
 

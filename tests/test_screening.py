@@ -9,7 +9,6 @@ from tensordti.embeddings import load_interactions
 from tensordti.errors import DataError, FormatError, MissingColumnError, UsageError
 from tensordti.screening import (
     ActiveSet,
-    RankedLibrary,
     ScoreRow,
     ceil_count,
     ef_at_k,
@@ -24,10 +23,6 @@ from tensordti.screening import (
     recall_at_k,
     topk_potency_budget,
 )
-
-
-def lib(ids):
-    return RankedLibrary(list(ids))
 
 
 def actives(ids, potency=None):
@@ -89,7 +84,7 @@ def test_two_key_rank_example():
         ScoreRow("b", "m", score=0.0, label=1, confidence=0.1),
         ScoreRow("c", "m", score=0.0, label=0, confidence=0.05),
     ]
-    assert rank(rows, "two_key").ids == ["b", "a", "c"]
+    assert rank(rows, "two_key") == ["b", "a", "c"]
 
 
 def test_docking_rank_most_negative_first():
@@ -98,25 +93,19 @@ def test_docking_rank_most_negative_first():
         ScoreRow("y", "m", score=-7.0),
         ScoreRow("z", "m", score=-8.2),
     ]
-    assert rank(rows, "docking").ids == ["x", "z", "y"]
+    assert rank(rows, "docking") == ["x", "z", "y"]
 
 
 def test_rank_ties_break_by_id():
     rows = [ScoreRow(c, "m", score=1.0, label=1, confidence=0.5) for c in ("c", "a", "b")]
-    assert rank(rows, "docking").ids == ["a", "b", "c"]
-    assert rank(rows, "two_key").ids == ["a", "b", "c"]
+    assert rank(rows, "docking") == ["a", "b", "c"]
+    assert rank(rows, "two_key") == ["a", "b", "c"]
 
 
 def test_two_key_missing_confidence_errors():
     rows = [ScoreRow("a", "m", score=0.0, label=1)]
     with pytest.raises(MissingColumnError):
         rank(rows, "two_key")
-
-
-def test_rank_duplicate_ids_rejected():
-    rows = [ScoreRow("a", "m", score=1.0), ScoreRow("a", "m", score=2.0)]
-    with pytest.raises(DataError, match="duplicate"):
-        rank(rows, "docking")
 
 
 def test_rank_argrank_invariance():
@@ -129,8 +118,8 @@ def test_rank_argrank_invariance():
     transformed = [
         ScoreRow(r.compound_id, "m", score=float(np.exp(0.5 * r.score) * 3 + 1)) for r in rows
     ]
-    assert rank(transformed, "docking").ids == base.ids
-    act = actives(base.ids[2:9:3])
+    assert rank(transformed, "docking") == base
+    act = actives(base[2:9:3])
     for k in (1.0, 20.0, 50.0, 100.0):
         assert kpct_actives_budget(rank(transformed, "docking"), act, k) == kpct_actives_budget(base, act, k)
 
@@ -139,21 +128,21 @@ def test_rank_argrank_invariance():
 
 
 def test_recall_and_ef_toy_case():
-    ranked = lib([f"c{i}" for i in range(1, 11)])
+    ranked = list([f"c{i}" for i in range(1, 11)])
     act = actives({"c1", "c6"})
     assert recall_at_k(ranked, act, 5) == pytest.approx(0.5)
     assert ef_at_k(ranked, act, 5) == pytest.approx(1.0)
 
 
 def test_perfect_ranking_max_enrichment():
-    ranked = lib(["a", "b"] + [f"d{i}" for i in range(8)])
+    ranked = list(["a", "b"] + [f"d{i}" for i in range(8)])
     act = actives({"a", "b"})
     assert recall_at_k(ranked, act, 2) == pytest.approx(1.0)
     assert ef_at_k(ranked, act, 2) == pytest.approx(10 / 2)
 
 
 def test_k_equals_n():
-    ranked = lib([f"c{i}" for i in range(10)])
+    ranked = list([f"c{i}" for i in range(10)])
     act = actives({"c3", "c7", "c9"})
     assert recall_at_k(ranked, act, 10) == pytest.approx(1.0)
     assert ef_at_k(ranked, act, 10) == pytest.approx(1.0)
@@ -164,7 +153,7 @@ def test_ef_identity_on_random_rankings():
     for trial in range(1000):
         n = int(rng.integers(2, 30))
         ids = [f"c{i:02d}" for i in range(n)]
-        ranked = lib(rng.permutation(ids).tolist())
+        ranked = list(rng.permutation(ids).tolist())
         a = int(rng.integers(1, n + 1))
         act = actives(set(rng.choice(ids, size=a, replace=False).tolist()))
         k = int(rng.integers(1, n + 1))
@@ -176,7 +165,7 @@ def test_ef_identity_on_random_rankings():
 
 
 def test_budget_toy_case():
-    ranked = lib([f"c{i}" for i in range(1, 11)])
+    ranked = list([f"c{i}" for i in range(1, 11)])
     act = actives({"c1", "c6"})
     assert kpct_actives_budget(ranked, act, 50) == pytest.approx(10.0)
     assert kpct_actives_budget(ranked, act, 100) == pytest.approx(60.0)
@@ -184,7 +173,7 @@ def test_budget_toy_case():
 
 def test_budget_all_actives_at_top_closed_form():
     n, a = 20, 4
-    ranked = lib([f"a{i}" for i in range(a)] + [f"d{i}" for i in range(n - a)])
+    ranked = list([f"a{i}" for i in range(a)] + [f"d{i}" for i in range(n - a)])
     act = actives({f"a{i}" for i in range(a)})
     for k in (10, 25, 50, 75, 100):
         expected = 100.0 * max(1, ceil_count(k * a / 100)) / n
@@ -194,14 +183,14 @@ def test_budget_all_actives_at_top_closed_form():
 def test_budget_monotone_in_k():
     rng = np.random.default_rng(2)
     ids = [f"c{i:02d}" for i in range(40)]
-    ranked = lib(rng.permutation(ids).tolist())
+    ranked = list(rng.permutation(ids).tolist())
     act = actives(set(rng.choice(ids, 11, replace=False).tolist()))
     budgets = [kpct_actives_budget(ranked, act, k) for k in np.linspace(1, 100, 33)]
     assert all(b1 <= b2 + 1e-12 for b1, b2 in zip(budgets, budgets[1:]))
 
 
 def test_budget_unreachable_actives_error():
-    ranked = lib(["c1", "c2"])
+    ranked = list(["c1", "c2"])
     act = actives({"c1", "zz"})
     with pytest.raises(DataError):
         kpct_actives_budget(ranked, act, 100)
@@ -213,7 +202,7 @@ def test_budgets_match_oracle_all_permutations_n8():
     act_ids = {"b", "e", "g"}
     act = actives(act_ids, potency={"b": 3.0, "e": 1.0, "g": 2.0})
     for perm in itertools.permutations(ids):
-        ranked = lib(perm)
+        ranked = list(perm)
         for k in (25.0, 66.7, 100.0):
             assert kpct_actives_budget(ranked, act, k) == pytest.approx(
                 budget_oracle(list(perm), act_ids, k), abs=1e-12
@@ -228,24 +217,24 @@ def test_budgets_match_oracle_random_libraries_up_to_12():
     for _ in range(300):
         n = int(rng.integers(9, 13))
         ids = [f"c{i:02d}" for i in range(n)]
-        ranked = lib(rng.permutation(ids).tolist())
+        ranked = list(rng.permutation(ids).tolist())
         a = int(rng.integers(1, n))
         chosen = rng.choice(ids, a, replace=False).tolist()
         pot = {c: float(rng.standard_normal()) for c in chosen}
         act = actives(set(chosen), potency=pot)
         k = float(rng.uniform(1, 100))
         assert kpct_actives_budget(ranked, act, k) == pytest.approx(
-            budget_oracle(ranked.ids, act.ids, k), abs=1e-12
+            budget_oracle(ranked, act.ids, k), abs=1e-12
         )
         assert topk_potency_budget(ranked, act, k) == pytest.approx(
-            topk_budget_oracle(ranked.ids, act.ids, pot, k), abs=1e-12
+            topk_budget_oracle(ranked, act.ids, pot, k), abs=1e-12
         )
         kc = int(rng.integers(1, n + 1))
-        assert recall_at_k(ranked, act, kc) == pytest.approx(recall_oracle(ranked.ids, act.ids, kc), abs=1e-12)
+        assert recall_at_k(ranked, act, kc) == pytest.approx(recall_oracle(ranked, act.ids, kc), abs=1e-12)
 
 
 def test_topk_single_most_potent_active():
-    ranked = lib([f"c{i}" for i in range(1, 11)])
+    ranked = list([f"c{i}" for i in range(1, 11)])
     act = actives({"c3", "c8"}, potency={"c3": 9.0, "c8": 5.0})
     # k=50% of 2 actives -> top-1 subset {c3} at rank 3
     assert topk_potency_budget(ranked, act, 50) == pytest.approx(30.0)
@@ -255,13 +244,13 @@ def test_topk_toy_from_tables():
     # N=10, actives a@rank2 (pIC50 8), b@rank7 (pIC50 6); k=50% -> {a} -> 20%
     ids = ["x1", "a", "x2", "x3", "x4", "x5", "b", "x6", "x7", "x8"]
     act = actives({"a", "b"}, potency={"a": 8.0, "b": 6.0})
-    assert topk_potency_budget(lib(ids), act, 50) == pytest.approx(20.0)
+    assert topk_potency_budget(list(ids), act, 50) == pytest.approx(20.0)
 
 
 def test_topk_full_set_equals_kpct_at_100():
     rng = np.random.default_rng(4)
     ids = [f"c{i:02d}" for i in range(15)]
-    ranked = lib(rng.permutation(ids).tolist())
+    ranked = list(rng.permutation(ids).tolist())
     chosen = rng.choice(ids, 5, replace=False).tolist()
     act = actives(set(chosen), potency={c: float(i) for i, c in enumerate(chosen)})
     assert topk_potency_budget(ranked, act, 100) == pytest.approx(kpct_actives_budget(ranked, act, 100))
@@ -270,12 +259,12 @@ def test_topk_full_set_equals_kpct_at_100():
 def test_topk_missing_potency_errors():
     act = actives({"a"})
     with pytest.raises(MissingColumnError):
-        topk_potency_budget(lib(["a", "b"]), act, 100)
+        topk_potency_budget(list(["a", "b"]), act, 100)
 
 
 def test_topk_hit_fraction_alternative_semantics():
     # the fraction of actives inside the top k% slice is recall at ceil(k% of N)
-    ranked = lib([f"c{i}" for i in range(1, 11)])
+    ranked = list([f"c{i}" for i in range(1, 11)])
     act = actives({"c1", "c6"})
     assert recall_at_k(ranked, act, 5) == pytest.approx(0.5)
     assert recall_at_k(ranked, act, 10) == pytest.approx(1.0)
@@ -391,18 +380,18 @@ def test_enrichment_report_toy_verified_cell_by_cell():
     pot = {"c0": 7.5, "c5": 6.0}
     act = actives(act_ids, potency=pot)
     rankings = {
-        "good": lib(ids),
-        "bad": lib(ids[::-1]),
+        "good": list(ids),
+        "bad": list(ids[::-1]),
     }
     report = enrichment_report(rankings, act, k_grid=(50.0, 100.0))
     for method, ranked in rankings.items():
         for k in (50.0, 100.0):
-            assert report.ar_budget[method][k] == pytest.approx(budget_oracle(ranked.ids, act_ids, k))
+            assert report.ar_budget[method][k] == pytest.approx(budget_oracle(ranked, act_ids, k))
             assert report.topk_budget[method][k] == pytest.approx(
-                topk_budget_oracle(ranked.ids, act_ids, pot, k)
+                topk_budget_oracle(ranked, act_ids, pot, k)
             )
             cutoff = max(1, ceil_count(k * 10 / 100))
-            assert report.recall[method][k] == pytest.approx(recall_oracle(ranked.ids, act_ids, cutoff))
+            assert report.recall[method][k] == pytest.approx(recall_oracle(ranked, act_ids, cutoff))
             assert report.ef[method][k] == pytest.approx(report.recall[method][k] * 10 / cutoff)
     for k, t in ((50.0, 1), (100.0, 2)):
         assert (report.ar_budget["random"][k], report.random_sd["ar_budget"][k]) == random_budget(10, 2, t)
@@ -422,7 +411,7 @@ def test_enrichment_random_method_within_ci_of_baseline():
     act = actives(set(rng.choice(ids, 30, replace=False).tolist()))
     budgets = []
     for trial in range(60):
-        ranked = lib(rng.permutation(ids).tolist())
+        ranked = list(rng.permutation(ids).tolist())
         budgets.append(kpct_actives_budget(ranked, act, 50.0))
     mean_b, _ = random_budget(120, 30, ceil_count(50.0 * 30 / 100))
     se = np.std(budgets) / math.sqrt(len(budgets))
@@ -437,12 +426,12 @@ def test_enrichment_report_default_grid():
 
 def test_enrichment_report_mismatched_sizes_rejected():
     with pytest.raises(DataError, match="differ"):
-        enrichment_report({"a": lib(["x", "y"]), "b": lib(["x"])}, actives({"x"}))
+        enrichment_report({"a": list(["x", "y"]), "b": list(["x"])}, actives({"x"}))
 
 
 def test_enrichment_report_requires_actives_in_library():
     with pytest.raises(DataError, match="missing"):
-        enrichment_report({"a": lib(["x", "y"])}, actives({"z"}))
+        enrichment_report({"a": list(["x", "y"])}, actives({"z"}))
 
 
 # -- file I/O ------------------------------------------------------------------------------------
@@ -555,7 +544,7 @@ def test_tsv_readers_reject_non_finite_field_with_path_and_line(tmp_path, case):
 
 
 def test_invalid_k_rejected():
-    ranked = lib(["a", "b"])
+    ranked = list(["a", "b"])
     act = actives({"a"})
     with pytest.raises(UsageError):
         kpct_actives_budget(ranked, act, 0)

@@ -1,6 +1,7 @@
 """The shared TSV table layer (`_util.read_tsv` / `write_tsv`) and the six
 table readers built on it."""
 
+import ast
 import re
 import tempfile
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tensordti
 from tensordti._util import read_tsv, write_tsv
 from tensordti.cli import _load_ranked
 from tensordti.embeddings import INTERACTION_COLUMNS, load_interactions, load_smiles
@@ -60,6 +62,22 @@ def test_every_reader_shares_the_tsv_rules(tmp_path, name):
     path.write_text(tsv_text(header + [header[0]], [r + [r[0]] for r in rows]))
     with pytest.raises(FormatError, match=re.escape(f"{path}: repeated column name")):
         reader(path)
+
+    path.write_text(tsv_text(header, [*rows, rows[0]]))
+    repeated = re.escape(f"{path}:4: repeated ") + ".* " + re.escape("(first on line 2)")
+    with pytest.raises(FormatError, match=repeated):
+        reader(path)
+
+
+def test_every_reader_in_src_names_its_key():
+    """A table read without `key=` would let a repeated row through unseen."""
+    calls = []
+    for path in sorted(Path(tensordti.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "read_tsv":
+                calls.append((f"{path.name}:{node.lineno}", any(kw.arg == "key" for kw in node.keywords)))
+    assert len(calls) == len(READERS)
+    assert [where for where, keyed in calls if not keyed] == []
 
 
 def test_write_tsv_refuses_fields_it_could_not_read_back(tmp_path):
