@@ -252,7 +252,8 @@ def cmd_train(args, config: _Config) -> int:
     data = _load_bundle(run, args.data, args.interactions, args.embeddings)
 
     derived = {"drug_dim": data.drugs.width, "protein_dim": data.proteins.width}
-    if data.pockets is not None and any(r.pocket_id for r in data.interactions):
+    # a pocket branch when a row that train reads names a pocket
+    if data.pockets is not None and any(r.pocket_id for r in data.interactions if r.split != "unassigned"):
         derived["pocket_dim"] = data.pockets.width
     if data.smiles is None:
         derived["alpha_recon"] = 0.0

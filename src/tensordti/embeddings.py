@@ -74,11 +74,14 @@ class EmbeddingStore:
     def ids(self) -> list[str]:
         return list(self._cols)
 
-    def _columns(self, ids) -> list[int]:
+    def _columns(self, ids: list[str]) -> list[int]:
+        """The ids' columns; an unknown id is a DataError naming up to 10 of
+        them and how many distinct ids are unknown."""
         try:
             return [self._cols[i] for i in ids]
-        except KeyError as exc:
-            raise DataError(f"unknown {self.modality} id {exc.args[0]!r}") from None
+        except KeyError:
+            unknown = sorted(set(ids).difference(self._cols))
+            raise DataError(f"unknown {self.modality} ids {unknown[:10]} ({len(unknown)} total)") from None
 
     def get(self, rec_id: str) -> np.ndarray:
         """The id's column, a read-only view."""
@@ -248,32 +251,6 @@ def save_interactions(records: list[InteractionRecord], path: str | Path) -> Non
         return r.drug_id, r.target_id, r.pocket_id or "", label, affinity, r.split
 
     write_tsv(path, INTERACTION_COLUMNS, map(fields, records))
-
-
-def validate_interactions(
-    records: list[InteractionRecord],
-    drugs: EmbeddingStore,
-    targets: EmbeddingStore,
-    pockets: EmbeddingStore | None = None,
-    mode: str | None = None,
-) -> None:
-    """Every referenced id must resolve; no silent drops. In a given mode the
-    corresponding supervision field must be present."""
-    missing = []
-    for r in records:
-        if r.drug_id not in drugs:
-            missing.append(f"drug {r.drug_id!r}")
-        if r.target_id not in targets:
-            missing.append(f"target {r.target_id!r}")
-        if r.pocket_id is not None:
-            if pockets is None or r.pocket_id not in pockets:
-                missing.append(f"pocket {r.pocket_id!r}")
-    if missing:
-        raise DataError(f"unresolvable ids: {sorted(set(missing))[:10]} ({len(missing)} total)")
-    if mode == "classification" and any(r.label is None for r in records):
-        raise DataError("classification mode requires a label on every record")
-    if mode == "regression" and any(r.affinity is None for r in records):
-        raise DataError("regression mode requires an affinity on every record")
 
 
 # -- SMILES records ---------------------------------------------------------

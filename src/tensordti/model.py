@@ -280,22 +280,18 @@ def unfamiliarity_many(state: ModelState, drug_matrix, token_ids, pad_mask) -> n
 
     token_ids/pad_mask: (max_len, batch). Returns (batch,) U scores. Under
     this convention the U < 1.0 reliability boundary corresponds to
-    NLL < e - eps. Drugs are scored in chunks, and each chunk's logit cube is
-    cut after its longest scorable prefix: the positions dropped are masked
-    and would add exact zeros.
+    NLL < e - eps. Drugs go through `reconstruct` in chunks, and each chunk's
+    logit cube is cut after its longest scorable prefix: the positions
+    dropped are masked and would add exact zeros.
     """
     c = state.config
-    tape = Tape(record=False)
-    z = dense_forward(state.ae_encoder, _prep(drug_matrix, tape, c.drug_dim, "drug vector"), tape).value
-    dec_w, dec_b = state.ae_decoder.weight.value, state.ae_decoder.bias.value
-    u = np.empty(z.shape[1])
+    u = np.empty(drug_matrix.shape[1])
     step = max(1, CHUNK_ELEMENTS // (c.max_len * c.vocab_size))
-    for lo in range(0, z.shape[1], step):
+    for lo in range(0, u.size, step):
         cols = slice(lo, lo + step)
         mask = pad_mask[:, cols]
         length = scorable_prefix(mask)
-        rows = length * c.vocab_size
-        cube = (dec_w[:rows] @ z[:, cols] + dec_b[:rows]).reshape(length, c.vocab_size, -1)
+        cube = reconstruct(state, drug_matrix[:, cols], n_positions=length).value.reshape(length, c.vocab_size, -1)
         nll, _ = token_nll(cube, token_ids[:length, cols], mask[:length])
         u[cols] = np.log(nll + c.unfamiliarity_eps)
     return u

@@ -51,6 +51,10 @@ class SyntheticConfig:
         check_floats(self, noise=">= 0")
         if self.n_latent_factors < 1:
             raise ConfigError("need at least 1 latent factor")
+        for name in ("drug_dim", "protein_dim", "pocket_dim", "smiles_len"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value!r}")
         if self.task not in ("dti", "dta"):
             raise ConfigError(f"task must be dti or dta, got {self.task!r}")
 

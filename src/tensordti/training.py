@@ -12,7 +12,7 @@ import numpy as np
 
 from . import losses, model as model_mod
 from ._util import check_floats, splitmix64
-from .embeddings import EmbeddingStore, InteractionRecord, validate_interactions
+from .embeddings import EmbeddingStore, InteractionRecord
 from .errors import ConfigError, DataError
 from .metrics import aupr, metric_bundle, pcc
 from .model import ModelConfig, ModelState
@@ -94,19 +94,23 @@ class TrainReport:
 
 
 class _Pairs:
-    """One record list as model inputs: its unique drugs (sorted) and unique
-    (target, pocket) keys, each gathered from its store once, plus the
-    per-pair column indices into them. Scoring reads whole columns; training
-    gathers each minibatch's columns through the indices."""
+    """One record list as model input, the one place a pair table's ids,
+    pockets and truth are checked: its unique drugs (sorted) and unique
+    (target, pocket) keys, each gathered from its store once, the per-pair
+    column indices into them, and `truth`, the mode's label or affinity per
+    pair (nan where absent; with `truth`, an absent one is a DataError).
+    Scoring reads whole columns; training gathers each minibatch's columns
+    through the indices."""
 
-    def __init__(self, data: DatasetBundle, records: list[InteractionRecord], config: ModelConfig):
+    def __init__(self, data: DatasetBundle, records: list[InteractionRecord], config: ModelConfig, truth: bool = False):
         if not records:
             raise DataError("empty record list")
         has_pocket = config.pocket_dim is not None
         if has_pocket and any(r.pocket_id is None for r in records):
             raise DataError("model expects pockets but some records have no pocket_id")
-        if has_pocket and data.pockets is None:
-            raise DataError("model expects pockets but the dataset has no pocket store")
+        pocket_ids = sorted({r.pocket_id for r in records} - {None})
+        if data.pockets is None and pocket_ids:
+            raise DataError(f"records name pockets {pocket_ids[:10]} but the dataset has no pocket store")
         self.drugs = sorted({r.drug_id for r in records})
         column = {d: j for j, d in enumerate(self.drugs)}
         self.drug_idx = np.array([column[r.drug_id] for r in records], dtype=np.intp)
@@ -118,9 +122,15 @@ class _Pairs:
         self.x_drug = data.drugs.matrix(self.drugs)
         self.x_protein = data.proteins.matrix([t for t, _ in keys])
         self.x_pocket = data.pockets.matrix([k for _, k in keys]) if has_pocket else None
-        # labels -1 and affinities nan where absent
-        self.labels = np.array([-1 if r.label is None else r.label for r in records], dtype=np.float64)
-        self.affinity = np.array([np.nan if r.affinity is None else r.affinity for r in records], dtype=np.float64)
+        if pocket_ids and not has_pocket:
+            data.pockets.matrix(pocket_ids)  # no branch reads them, but every id named must resolve
+        field = "label" if config.mode == "classification" else "affinity"
+        values = [getattr(r, field) for r in records]
+        if truth and None in values:
+            r = records[values.index(None)]
+            pair = f"{r.split} pair ({r.drug_id!r}, {r.target_id!r})"
+            raise DataError(f"{pair} has no {field}, which {config.mode} training reads")
+        self.truth = np.array([np.nan if v is None else v for v in values], dtype=np.float64)
         self.token_ids = self.pad_mask = None
 
     def tokenize(self, data: DatasetBundle, tokenizer: SmilesTokenizer) -> None:
@@ -151,7 +161,7 @@ def _forward_losses(state: ModelState, pairs: _Pairs, idx: np.ndarray, tape: Tap
 
     terms = {}
     if c.mode == "classification":
-        y = pairs.labels[idx]
+        y = pairs.truth[idx]
         probs = stable_sigmoid(logit.value).reshape(-1)
         terms["bce"] = losses.bce_with_logits(tape, logit, y)
         terms["conf"] = losses.confidence_loss(tape, conf, y, probs)
@@ -172,7 +182,7 @@ def _forward_losses(state: ModelState, pairs: _Pairs, idx: np.ndarray, tape: Tap
                         c.triplet_margin,
                     )
     else:
-        target = pairs.affinity[idx]
+        target = pairs.truth[idx]
         terms["mse"] = losses.mse_loss(tape, logit, tape.constant(target.reshape(1, -1)))
         err = np.minimum(1.0, np.abs(target - logit.value.reshape(-1)) / c.error_scale)
         terms["conf"] = losses.mse_loss(tape, conf, err.reshape(1, -1))
@@ -203,9 +213,7 @@ def _validation_metric(state: ModelState, pairs: _Pairs) -> float:
     """AUPR for classification, PCC for regression; -inf where undefined."""
     logits, probs, _ = _scores(state, pairs)
     try:
-        if state.config.mode == "classification":
-            return aupr(probs, pairs.labels)
-        return pcc(logits, pairs.affinity)
+        return aupr(probs, pairs.truth) if state.config.mode == "classification" else pcc(logits, pairs.truth)
     except DataError:
         return float("-inf")
 
@@ -267,9 +275,7 @@ def _train_single(model_config: ModelConfig, tables: tuple[_Pairs, _Pairs, _Pair
     state.restore(best_values)
     logits, probs, _ = _scores(state, test)
     classification = model_config.mode == "classification"
-    test_metrics = metric_bundle(
-        classification, probs if classification else logits, test.labels if classification else test.affinity
-    )
+    test_metrics = metric_bundle(classification, probs if classification else logits, test.truth)
     return state, SeedRun(
         seed=seed,
         best_epoch=best_epoch,
@@ -286,8 +292,7 @@ def train(model_config: ModelConfig, data: DatasetBundle, config: TrainConfig) -
     for name, recs in splits.items():
         if not recs:
             raise DataError(f"empty {name} split")
-    validate_interactions(data.interactions, data.drugs, data.proteins, data.pockets, model_config.mode)
-    tables = tuple(_Pairs(data, recs, model_config) for recs in splits.values())
+    tables = tuple(_Pairs(data, recs, model_config, truth=True) for recs in splits.values())
     if model_config.alpha_recon > 0:
         tables[0].tokenize(data, SmilesTokenizer(model_config.vocab, model_config.max_len))
 
@@ -317,7 +322,6 @@ def evaluate(state: ModelState, data: DatasetBundle, records: list[InteractionRe
     SMILES string is available for the drug.
     """
     classification = state.config.mode == "classification"
-    validate_interactions(records, data.drugs, data.proteins, data.pockets)
     pairs = _Pairs(data, records, state.config)
     logits, probs, confs = _scores(state, pairs)
 

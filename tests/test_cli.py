@@ -235,6 +235,59 @@ def test_full_pipeline_smoke(tmp_path):
     assert "aupr" in metrics and "filter_census" in metrics
 
 
+TINY_TRAIN = dict(hidden_dim=16, output_dim=8, latent_dim=8, max_len=10, vocab="CNOPSFclnos=", lr=3e-3,
+                  max_epochs=3, patience=3, batch_size=128)
+
+
+def split_table(tmp_path) -> tuple[Path, Path, list[str]]:
+    """A fixture, its split table and the table's lines."""
+    data = gen(tmp_path, "data", seed=3)
+    assert main(["split", "--data", str(data), "--seed", "3", "--out", str(tmp_path / "splits")]) == 0
+    table = tmp_path / "splits" / "interactions.tsv"
+    return data, table, table.read_text().splitlines(keepends=True)
+
+
+def train_on(tmp_path, data: Path, table: Path, out: str) -> int:
+    cfg = write_config(tmp_path / "train.cfg", **TINY_TRAIN)
+    return main(["train", "--mode", "dti", "--data", str(data), "--interactions", str(table),
+                 "--config", str(cfg), "--seed", "3", "--out", str(tmp_path / out)])
+
+
+def test_train_reads_only_its_three_splits(tmp_path):
+    """Unassigned library rows are never read by train: rows with a blank
+    label, a drug the store lacks or a pocket with no pocket store leave the
+    model and the report byte-identical."""
+    data, table, lines = split_table(tmp_path)
+    library = tmp_path / "library.tsv"
+    extra = [f"X{i:04d}\tT0000\t{'K9' if i % 2 else ''}\t\t\tunassigned\n" for i in range(6)]
+    library.write_text("".join(lines + extra))
+    assert train_on(tmp_path, data, table, "plain") == 0
+    assert train_on(tmp_path, data, library, "library") == 0
+    for name in ("model.tdti", "model.tdti.json", "train_report.json"):
+        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "library" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda f: ["X0001", *f[1:]], "unknown drug ids ['X0001'] (1 total)"),
+        (lambda f: [*f[:2], "K9", *f[3:]], "records name pockets ['K9'] but the dataset has no pocket store"),
+        (lambda f: [*f[:3], "", *f[4:]], None),
+    ],
+    ids=["unknown-drug", "pocket-without-store", "missing-label"],
+)
+def test_train_refuses_a_bad_row_of_its_splits(tmp_path, capsys, edit, message):
+    data, table, lines = split_table(tmp_path)
+    row = next(i for i, line in enumerate(lines) if line.rstrip("\n").endswith("\ttest"))
+    fields = edit(lines[row].rstrip("\n").split("\t"))
+    lines[row] = "\t".join(fields) + "\n"
+    table.write_text("".join(lines))
+    message = message or f"test pair ({fields[0]!r}, {fields[1]!r}) has no label, which classification training reads"
+    capsys.readouterr()
+    assert train_on(tmp_path, data, table, "model") == 1
+    assert capsys.readouterr().err == f"ERROR DATA: {message}\n"
+
+
 def test_commands_do_not_mutate_inputs(tmp_path):
     data = gen(tmp_path, "data", seed=5)
     before = digest_dir(data)

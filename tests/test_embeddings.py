@@ -20,7 +20,6 @@ from tensordti.embeddings import (
     save_embeddings_jsonl,
     save_interactions,
     save_smiles,
-    validate_interactions,
 )
 from tensordti.errors import DataError, FormatError
 
@@ -219,22 +218,17 @@ def test_interactions_bad_header(tmp_path):
         load_interactions(path)
 
 
-def test_validate_interactions_reports_missing_ids():
+def test_unknown_ids_name_up_to_ten_and_count_the_distinct_ones():
+    """An id the store lacks is reported by the store, for every reader: its
+    modality, the first 10 unknown ids in sorted order, and how many
+    distinct ids are unknown; a repeat counts once."""
     drugs = make_store("drug")
-    proteins = make_store("protein")
-    records = [InteractionRecord("D0", "T0", label=1), InteractionRecord("D9", "T0", label=1)]
-    with pytest.raises(DataError, match="D9"):
-        validate_interactions(records, drugs, proteins)
-
-
-def test_validate_interactions_mode_requirements():
-    drugs = make_store("drug")
-    proteins = EmbeddingStore("protein")
-    proteins.add("T0", [1.0, 2.0])
-    records = [InteractionRecord("D0", "T0", label=1)]
-    validate_interactions(records, drugs, proteins, mode="classification")
-    with pytest.raises(DataError, match="affinity"):
-        validate_interactions(records, drugs, proteins, mode="regression")
+    with pytest.raises(DataError, match=re.escape("unknown drug ids ['D9'] (1 total)")):
+        drugs.get("D9")
+    ghosts = [f"G{i:02d}" for i in range(12)]
+    with pytest.raises(DataError) as exc:
+        drugs.matrix(["D0", *reversed(ghosts), "G00", "D1"])
+    assert str(exc.value) == f"unknown drug ids {ghosts[:10]} (12 total)"
 
 
 def test_smiles_repeated_drug_id_is_format_error(tmp_path):

@@ -10,6 +10,7 @@ import tensordti
 SRC = Path(tensordti.__file__).parent
 BENCH_CHECKS = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
 BENCH_TRACER = BENCH_CHECKS.with_name("tracer.py")
+BENCH_WORKLOADS = BENCH_CHECKS.with_name("workloads.py")
 
 # traced names that no longer resolve, each waiting on a benchmark mend:
 # the predictions table moved to `screening`, and the exact baselines
@@ -84,21 +85,48 @@ def test_every_definition_is_referenced_in_src_outside_itself():
     assert sorted(dead - TEST_ORACLES) == []
 
 
-def test_every_model_function_the_benchmark_checks_call_exists():
-    """perfbench/checks.py checks predictions against `model.<name>`
-    functions; each must exist, or every benchmark run fails its checks."""
-    tree = ast.parse(BENCH_CHECKS.read_text(encoding="utf-8"), str(BENCH_CHECKS))
-    called = {
-        node.func.attr
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and isinstance(node.func.value, ast.Name)
-        and node.func.value.id == "model"
-    }
-    assert {"interaction_logit", "confidence", "load_checkpoint"} <= called
-    model = importlib.import_module("tensordti.model")
-    assert sorted(name for name in called if not callable(getattr(model, name, None))) == []
+def test_every_tensordti_name_the_benchmark_reads_exists():
+    """perfbench/workloads.py and checks.py import `tensordti` modules and
+    read `module.<name>` off them (`synthetic.gen_synthetic`, `pipeline.split`,
+    `model.interaction_logit`, ...); each must exist, or the benchmark's
+    set-up or checks fail on every run."""
+    read = set()
+    for path in (BENCH_WORKLOADS, BENCH_CHECKS):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        modules = {
+            alias.asname or alias.name: alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "tensordti"
+            for alias in node.names
+        }
+        read |= {
+            (modules[node.value.id], node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+        }
+    assert {("synthetic", "gen_synthetic"), ("pipeline", "split"), ("embeddings", "save_interactions"),
+            ("model", "interaction_logit"), ("model", "load_checkpoint")} <= read
+    modules = {m: importlib.import_module(f"tensordti.{m}") for m, _ in read}
+    assert sorted(f"{m}.{name}" for m, name in read if not callable(getattr(modules[m], name, None))) == []
+
+
+# members the benchmark uses on the objects those names return
+BENCH_MEMBERS = {
+    "embeddings.EmbeddingStore": ("add", "get", "matrix"),
+    "tokenizer.SmilesTokenizer": ("tokenize", "pad_mask"),
+    "synthetic.SyntheticData": ("write",),
+    "embeddings.InteractionRecord": ("drug_id", "target_id", "pocket_id", "split"),
+}
+
+
+def test_every_member_the_benchmark_uses_on_returned_objects_exists():
+    missing = []
+    for qualname, members in BENCH_MEMBERS.items():
+        module, name = qualname.split(".")
+        cls = getattr(importlib.import_module(f"tensordti.{module}"), name)
+        fields = getattr(cls, "__dataclass_fields__", {})
+        missing += [f"{qualname}.{m}" for m in members if not (callable(getattr(cls, m, None)) or m in fields)]
+    assert missing == []
 
 
 def test_every_name_the_benchmark_traces_resolves_but_the_known_stale_ones():

@@ -101,6 +101,10 @@ def test_degenerate_configs_rejected():
         SyntheticConfig(n_drugs=1)
     with pytest.raises(ConfigError):
         SyntheticConfig(noise=-0.5)
+    # a non-positive width or SMILES length makes a fixture no command reads
+    for name, value in (("drug_dim", 0), ("drug_dim", -3), ("protein_dim", 0), ("pocket_dim", 0), ("smiles_len", 0)):
+        with pytest.raises(ConfigError, match=f"{name} must be >= 1, got {value}"):
+            SyntheticConfig(**{name: value})
 
 
 def test_write_is_pure_function_of_config(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from tensordti import _util, losses
 from tensordti import model as M
 from tensordti import nn
 from tensordti import training as T
+from tensordti.embeddings import InteractionRecord
 from tensordti.errors import ConfigError, DataError
 from tensordti.metrics import aupr, metric_bundle
 from tensordti.model import ModelConfig
@@ -199,11 +201,50 @@ def test_evaluate_fills_unfamiliarity_and_confidence():
 def test_evaluate_missing_embedding_errors():
     bundle = make_bundle()
     state = M.init_model(model_cfg(), seed=0)
-    from tensordti.embeddings import InteractionRecord
-
     ghost = [InteractionRecord("D9999", "T0000", label=1, split="test")]
     with pytest.raises(DataError, match="D9999"):
         evaluate(state, bundle, ghost)
+
+
+def test_pairs_names_unknown_ids_and_counts_the_distinct_ones():
+    bundle = make_bundle()
+    ghosts = [InteractionRecord(f"X{i}", "T0000", label=1, split="test") for i in (3, 1, 2, 1)]
+    with pytest.raises(DataError, match=re.escape("unknown drug ids ['X1', 'X2', 'X3'] (3 total)")):
+        T._Pairs(bundle, bundle.subset("test") + ghosts, model_cfg(), truth=True)
+    stray = InteractionRecord("D0000", "T9999", label=0, split="test")
+    with pytest.raises(DataError, match=re.escape("unknown protein ids ['T9999'] (1 total)")):
+        T._Pairs(bundle, [stray], model_cfg())
+
+
+@pytest.mark.parametrize("task, mode, field", [("dti", "classification", "label"), ("dta", "regression", "affinity")])
+def test_pairs_truth_is_the_modes_field_and_a_missing_one_names_its_pair(task, mode, field):
+    bundle = make_bundle(task)
+    records = bundle.subset("test")
+    blank = dataclasses.replace(records[1], **{field: None})
+    records = [records[0], blank, *records[2:]]
+    pairs = T._Pairs(bundle, records, model_cfg(mode=mode))
+    want = np.array([np.nan if getattr(r, field) is None else getattr(r, field) for r in records])
+    assert np.array_equal(pairs.truth, want, equal_nan=True) and np.isnan(pairs.truth[1])
+    message = f"test pair ({blank.drug_id!r}, {blank.target_id!r}) has no {field}, which {mode} training reads"
+    with pytest.raises(DataError, match=re.escape(message)):
+        T._Pairs(bundle, records, model_cfg(mode=mode), truth=True)
+
+
+def test_pairs_checks_pocket_ids_whether_or_not_the_model_reads_them():
+    bundle = pocket_bundle()
+    records = bundle.interactions[:1]
+    no_store = dataclasses.replace(bundle, pockets=None)
+    message = "records name pockets ['K0000'] but the dataset has no pocket store"
+    for cfg in (model_cfg(), model_cfg(pocket_dim=6)):
+        with pytest.raises(DataError, match=re.escape(message)):
+            T._Pairs(no_store, records, cfg)
+    ghost = [*records, dataclasses.replace(records[0], target_id="T0001", pocket_id="K9999")]
+    with pytest.raises(DataError, match=re.escape("unknown pocket ids ['K9999'] (1 total)")):
+        T._Pairs(bundle, ghost, model_cfg())
+    bare = [*records, dataclasses.replace(records[0], target_id="T0001", pocket_id=None)]
+    with pytest.raises(DataError, match="model expects pockets but some records have no pocket_id"):
+        T._Pairs(bundle, bare, model_cfg(pocket_dim=6))
+    assert T._Pairs(bundle, bare, model_cfg()).x_pocket is None
 
 
 @pytest.mark.parametrize("task, mode", [("dti", "classification"), ("dta", "regression")])
@@ -310,7 +351,7 @@ def _per_pair_losses(state, pairs, idx, tape):
     e_d, e_p, logit, conf = _pair_forward(state, pairs, idx, tape)
     terms = {}
     if c.mode == "classification":
-        y = pairs.labels[idx]
+        y = pairs.truth[idx]
         terms["bce"] = losses.bce_with_logits(tape, logit, y)
         terms["conf"] = losses.confidence_loss(tape, conf, y, stable_sigmoid(logit.value).reshape(-1))
         if c.contrastive == "cosine_margin":
@@ -322,7 +363,7 @@ def _per_pair_losses(state, pairs, idx, tape):
                 tape, tape.take_cols(e_d, pos), tape.take_cols(e_p, pos), tape.take_cols(e_p, neg), c.triplet_margin
             )
     else:
-        target = pairs.affinity[idx]
+        target = pairs.truth[idx]
         terms["mse"] = losses.mse_loss(tape, logit, target.reshape(1, -1))
         err = np.minimum(1.0, np.abs(target - logit.value.reshape(-1)) / c.error_scale)
         terms["conf"] = losses.mse_loss(tape, conf, err.reshape(1, -1))
@@ -525,7 +566,7 @@ def test_training_step_through_pairs_matches_per_pair_matrices(monkeypatch, case
     assert distinct.size == np.unique(pairs.target_idx).size
     for idx in (repeated, distinct):
         if task == "dti":
-            assert 0 < pairs.labels[idx].sum() < idx.size
+            assert 0 < pairs.truth[idx].sum() < idx.size
         want_loss, want_grads = _train_step(state, pairs, idx, forward_losses=_per_pair_losses)
         for limit in (nn.ONEHOT_LIMIT, 0):
             monkeypatch.setattr(nn, "ONEHOT_LIMIT", limit)
