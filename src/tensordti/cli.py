@@ -25,9 +25,8 @@ import typing
 from pathlib import Path
 
 from . import screening
-from ._util import SPLIT_STRATEGIES, read_tsv, sha256_bytes, sha256_file, splitmix64, write_tsv
+from ._util import SPLIT_STRATEGIES, sha256_bytes, sha256_file, splitmix64, write_tsv
 from .errors import ConfigError, DataError, FormatError, MissingColumnError, TdtiError, UsageError
-from .screening import ScoreRow, load_actives, load_scores
 
 log = logging.getLogger("tensordti")
 
@@ -144,13 +143,19 @@ def environment() -> dict:
 
 
 class _Run:
-    """Collects inputs/outputs for the manifest while a command executes."""
+    """Collects inputs/outputs for the manifest while a command executes.
+    Its config hash covers the config file's text and every flag but --out,
+    --config and those naming input files, whose digests `inputs` holds;
+    `--ranked name=path` is hashed, as its names head the report's columns."""
 
-    def __init__(self, command: str, outdir: str, config: dict, seeds: list[int]):
-        self.command = command
-        self.outdir = Path(outdir)
+    def __init__(self, args, config: _Config, seeds: list[int]):
+        self.command = args.command
+        self.outdir = Path(args.out)
         self.outdir.mkdir(parents=True, exist_ok=True)
-        self.config = config
+        unhashed = ("command", "out", "config", "data", "interactions", "embeddings", "model", "predictions",
+                    "scores", "actives")
+        flags = {k: v for k, v in vars(args).items() if k not in unhashed}
+        self.config = {"config": config.text, "flags": flags}
         self.seeds = seeds
         self.inputs: dict[str, str] = {}
         self.artifacts: list[str] = []
@@ -220,7 +225,7 @@ def cmd_gen_synth(args, config: _Config) -> int:
     from . import synthetic
 
     cfg = config.settings(synthetic.SyntheticConfig, {"seed": args.seed})
-    run = _Run("gen-synth", args.out, {**config.text, "seed": cfg.seed}, [cfg.seed])
+    run = _Run(args, config, [cfg.seed])
     data = synthetic.gen_synthetic(cfg)
     for path in data.write(run.outdir):
         run.artifacts.append(str(path))
@@ -234,7 +239,7 @@ def cmd_split(args, config: _Config) -> int:
     from .embeddings import load_interactions, save_interactions
 
     spec = config.settings(pipeline.SplitSpec, {"strategy": args.strategy, "seed": args.seed})
-    run = _Run("split", args.out, {**config.text, "strategy": spec.strategy, "seed": spec.seed}, [spec.seed])
+    run = _Run(args, config, [spec.seed])
     records = load_interactions(run.track_input(Path(args.data) / "interactions.tsv"))
     tagged = pipeline.split(records, spec)
     if spec.balance_train:
@@ -248,7 +253,7 @@ def cmd_train(args, config: _Config) -> int:
     from . import model as model_mod, training
 
     mode = "regression" if args.mode == "dta" else "classification"
-    run = _Run("train", args.out, {**config.text, "mode": mode}, [args.seed or 0])
+    run = _Run(args, config, [args.seed or 0])
     data = _load_bundle(run, args.data, args.interactions, args.embeddings)
 
     derived = {"drug_dim": data.drugs.width, "protein_dim": data.proteins.width}
@@ -280,7 +285,7 @@ def cmd_predict(args, config: _Config) -> int:
     which = config.get("predict_split", str, "test")
     if which not in (*SPLITS, "all"):
         raise ConfigError(f"config key 'predict_split' expects one of {(*SPLITS, 'all')}, got {which!r}")
-    run = _Run("predict", args.out, config.text, [])
+    run = _Run(args, config, [])
     state = model_mod.load_checkpoint(run.track_input(args.model))
     data = _load_bundle(run, args.data, args.interactions, args.embeddings)
     records = data.subset(which) if which != "all" else data.interactions
@@ -292,51 +297,32 @@ def cmd_predict(args, config: _Config) -> int:
 
 
 def cmd_rank(args, config: _Config) -> int:
-    run = _Run("rank", args.out, {**config.text, "ranking": args.ranking}, [])
+    run = _Run(args, config, [])
     preds = screening.load_predictions(run.track_input(args.predictions))
+    if args.target:
+        preds = screening.take(preds, [i for i, t in enumerate(preds["target_id"]) if t == args.target])
+        if not preds["drug_id"]:
+            raise DataError(f"no predictions for target {args.target!r}")
+    elif len(set(preds["target_id"])) > 1:
+        raise DataError(f"predictions cover {len(set(preds['target_id']))} targets; pick one with --target")
     # ascending = better for all criteria: negate our higher-is-stronger
     # outputs, each row's affinity_pred, else prob, else logit
-    rows = [
-        ScoreRow(
-            compound_id=drug,
-            method="tensordti",
-            score=-(aff if aff is not None else prob if prob is not None else logit),
-            label=label,
-            confidence=conf,
-            unfamiliarity=unf,
-        )
-        for drug, target, logit, prob, label, aff, conf, unf in zip(*preds.values())
-        if not args.target or target == args.target
-    ]
-    if args.target and not rows:
-        raise DataError(f"no predictions for target {args.target!r}")
-    n_targets = len(set(preds["target_id"]))
-    if not args.target and n_targets > 1:
-        raise DataError(f"predictions cover {n_targets} targets; pick one with --target")
+    strength = zip(preds["affinity_pred"], preds["prob"], preds["logit"])
+    scores = [-(aff if aff is not None else prob if prob is not None else logit) for aff, prob, logit in strength]
+    table = {"compound_id": preds["drug_id"], "score": scores, "label": preds["pred_label"],
+             "confidence": preds["confidence"], "unfamiliarity": preds["unfamiliarity"]}
     if args.unf_threshold is not None:
-        rows, census = screening.filter_unfamiliar(rows, args.unf_threshold)
+        table, census = screening.filter_unfamiliar(table, args.unf_threshold)
         run.artifact("filter_census.json").write_text(
             json.dumps(census, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
-        if not rows:
+        if not table["compound_id"]:
             raise DataError("no compounds below the unfamiliarity threshold")
-    ranked = screening.rank(rows, args.ranking)
+    ranked = screening.rank(table, args.ranking)
     positions = ((str(i), cid) for i, cid in enumerate(ranked, 1))
     write_tsv(run.artifact("ranked.tsv"), ("rank", "compound_id"), positions)
     run.finish()
     return 0
-
-
-def _load_ranked(path: Path) -> list[str]:
-    """TSV `rank compound_id` with rank 1..N in line order and unique ids."""
-    rows = read_tsv(path, ("rank", "compound_id"), key=("compound_id",))
-    next(rows)
-    ids: list[str] = []
-    for where, (rank, cid) in rows:
-        if rank != str(len(ids) + 1):
-            raise FormatError(f"{where}: rank {rank!r} is not the line's position {len(ids) + 1}")
-        ids.append(cid)
-    return ids
 
 
 def _parse_k_grid(text: str) -> tuple[float, ...]:
@@ -348,8 +334,8 @@ def _parse_k_grid(text: str) -> tuple[float, ...]:
 
 def cmd_enrich(args, config: _Config) -> int:
     k_grid = _parse_k_grid(args.k_grid)
-    run = _Run("enrich", args.out, {**config.text, "k_grid": args.k_grid}, [args.seed or 0])
-    actives = load_actives(run.track_input(args.actives))
+    run = _Run(args, config, [args.seed or 0])
+    actives = screening.load_actives(run.track_input(args.actives))
 
     rankings: dict[str, list[str]] = {}
 
@@ -365,11 +351,13 @@ def cmd_enrich(args, config: _Config) -> int:
         if "=" not in spec:
             raise UsageError(f"--ranked expects name=path, got {spec!r}")
         name, path = spec.split("=", 1)
-        rankings[claim(name)] = _load_ranked(run.track_input(path))
+        rankings[claim(name)] = screening.load_ranked(run.track_input(path))
     if args.scores:
-        rows = load_scores(run.track_input(args.scores))
-        for method in sorted({r.method for r in rows}):
-            rankings[claim(method)] = screening.rank([r for r in rows if r.method == method], args.ranking)
+        table = screening.load_scores(run.track_input(args.scores))
+        methods = table["method"]
+        for method in sorted(set(methods)):
+            rows = [i for i, m in enumerate(methods) if m == method]
+            rankings[claim(method)] = screening.rank(screening.take(table, rows), args.ranking)
     if not rankings:
         raise UsageError("provide --ranked name=path and/or --scores")
 
@@ -387,7 +375,7 @@ def cmd_report(args, config: _Config) -> int:
     from .metrics import confusion_confidence, metric_bundle
 
     mode = args.mode or "dti"
-    run = _Run("report", args.out, config.text, [])
+    run = _Run(args, config, [])
     preds = screening.load_predictions(run.track_input(args.predictions))
     column = "prob" if mode == "dti" else "affinity_pred"
     predicted = preds[column]
@@ -408,11 +396,9 @@ def cmd_report(args, config: _Config) -> int:
     if mode == "dti" and None not in confs:
         payload["confusion_confidence"] = confusion_confidence(actual, predicted, confs)
     if args.unf_threshold is not None:
-        rows = [
-            ScoreRow(compound_id=f"{d}|{t}", method="tensordti", score=logit, label=label, unfamiliarity=unf)
-            for (d, t), logit, label, unf in zip(keys, preds["logit"], preds["pred_label"], preds["unfamiliarity"])
-        ]
-        _, payload["filter_census"] = screening.filter_unfamiliar(rows, args.unf_threshold)
+        table = {"compound_id": keys, "score": preds["logit"], "label": preds["pred_label"],
+                 "unfamiliarity": preds["unfamiliarity"]}
+        _, payload["filter_census"] = screening.filter_unfamiliar(table, args.unf_threshold)
     run.artifact("metrics.json").write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )

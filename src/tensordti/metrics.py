@@ -7,6 +7,9 @@ import numpy as np
 
 from .errors import DataError
 
+# a probability at or above it predicts a positive
+DECISION_THRESHOLD = 0.5
+
 
 def _scores_labels(scores, labels):
     s = np.asarray(scores, dtype=np.float64).reshape(-1)
@@ -39,13 +42,11 @@ def aupr(scores, labels) -> float:
     return float(precision_at_pos.sum() / n_pos)
 
 
-def f1(scores, labels, threshold: float = 0.5) -> float:
-    """Harmonic mean of precision and recall at `threshold` (score >= threshold
-    predicts positive); 0 when precision + recall is 0."""
+def f1(scores, labels) -> float:
+    """Harmonic mean of precision and recall at DECISION_THRESHOLD; 0 when
+    precision + recall is 0."""
     s, y = _scores_labels(scores, labels)
-    if not np.isfinite(threshold):
-        raise DataError("threshold must be finite")
-    pred = s >= threshold
+    pred = s >= DECISION_THRESHOLD
     tp = int(np.sum(pred & (y == 1)))
     fp = int(np.sum(pred & (y == 0)))
     fn = int(np.sum(~pred & (y == 1)))
@@ -96,15 +97,15 @@ def metric_bundle(classification: bool, predicted, truth) -> dict:
     return out
 
 
-def confusion_confidence(labels, probs, confidences, threshold: float = 0.5) -> dict:
-    """Categorize at `threshold` and summarize the confidence score per
+def confusion_confidence(labels, probs, confidences) -> dict:
+    """Categorize at DECISION_THRESHOLD and summarize the confidence score per
     TP/FP/TN/FN category: {"total", "tp", "fp", "tn", "fn"}, each category
     with its count, mean confidence and quartiles (None when empty)."""
     p, y = _scores_labels(probs, labels)
     c = np.asarray(confidences, dtype=np.float64).reshape(-1)
     if c.size != y.size:
         raise DataError("confidences length mismatch")
-    pred = p >= threshold
+    pred = p >= DECISION_THRESHOLD
 
     def stats(mask) -> dict:
         vals = c[mask]

@@ -462,22 +462,14 @@ class Tape:
 
     # -- backward ------------------------------------------------------
 
-    def backward(self, loss: Node, loss_grad=None) -> dict[Param, Matrix]:
+    def backward(self, loss: Node) -> dict[Param, Matrix]:
         """Gradient of `loss` w.r.t. every parameter touched, as views of
         one zeroed buffer per parameter buffer, laid out like it, that the
         tape keeps: they hold until its next backward. Clears the tape,
         releasing each op's record once it has been replayed."""
         if not self._entries:
             raise UsageError("backward called with no recorded forward ops")
-        if loss_grad is None:
-            seed = np.ones_like(loss.value)
-        else:
-            seed = np.asarray(loss_grad, dtype=np.float64)
-            if seed.shape != loss.value.shape:
-                raise ShapeError(
-                    f"loss grad shape {seed.shape} != output shape {loss.value.shape}"
-                )
-        grads: dict[int, Matrix] = {id(loss): seed}
+        grads: dict[int, Matrix] = {id(loss): np.ones_like(loss.value)}
         for key, flat in {id(p.flat): p.flat for p in self._params.values()}.items():
             if key not in self._grads or self._grads[key].shape != flat.shape:
                 self._grads[key] = np.empty(flat.shape)

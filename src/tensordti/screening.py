@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import logging
 import math
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,79 +36,6 @@ def ceil_count(x: float) -> int:
 
 
 @dataclass
-class ScoreRow:
-    compound_id: str
-    method: str
-    score: float | None = None
-    label: int | None = None
-    confidence: float | None = None
-    unfamiliarity: float | None = None
-    potency: float | None = None
-
-
-SCORE_COLUMNS = ("compound_id", "method", "score", "label", "confidence", "unfamiliarity", "potency")
-
-
-def load_scores(path: str | Path) -> list[ScoreRow]:
-    rows = read_tsv(path, key=("compound_id", "method"))
-    header = next(rows)
-    for col in ("compound_id", "method", "score"):
-        if col not in header:
-            raise MissingColumnError(f"{path}: missing column {col!r}")
-    unknown = [c for c in header if c not in SCORE_COLUMNS]
-    if unknown:
-        raise FormatError(f"{path}: unknown columns {unknown}")
-    pos = {c: i for i, c in enumerate(header)}
-    out = []
-    for where, fields in rows:
-
-        def get(col, cast):
-            raw = fields[pos[col]] if col in pos else ""
-            return parse_number(raw, cast, where, col) if raw else None
-
-        out.append(
-            ScoreRow(
-                compound_id=fields[pos["compound_id"]],
-                method=fields[pos["method"]],
-                score=get("score", float),
-                label=get("label", int),
-                confidence=get("confidence", float),
-                unfamiliarity=get("unfamiliarity", float),
-                potency=get("potency", float),
-            )
-        )
-    return out
-
-
-PREDICTION_COLUMNS = (
-    "drug_id", "target_id", "logit", "prob", "pred_label", "affinity_pred", "confidence", "unfamiliarity"
-)
-
-
-def save_predictions(columns: dict[str, list], path: str | Path) -> None:
-    """Write the PREDICTION_COLUMNS of `columns`, one row per pair; None
-    is an empty field."""
-    rows = zip(*(columns[c] for c in PREDICTION_COLUMNS))
-    write_tsv(path, PREDICTION_COLUMNS, (["" if v is None else str(v) for v in row] for row in rows))
-
-
-def load_predictions(path: str | Path) -> dict[str, list]:
-    """predictions.tsv as one list per column, in PREDICTION_COLUMNS order;
-    an empty field is None, except that every row needs a logit."""
-    rows = read_tsv(path, PREDICTION_COLUMNS, key=("drug_id", "target_id"))
-    next(rows)
-    columns = {c: [] for c in PREDICTION_COLUMNS}
-    drugs, targets, *numbers = columns.values()
-    casts = (float, float, int, float, float, float)
-    for where, (d, t, *fields) in rows:
-        drugs.append(d)
-        targets.append(t)
-        for out, name, cast, raw in zip(numbers, PREDICTION_COLUMNS[2:], casts, fields):
-            out.append(parse_number(raw, cast, where, name) if raw or name == "logit" else None)
-    return columns
-
-
-@dataclass
 class ActiveSet:
     ids: frozenset[str]
     potency: dict[str, float] | None = None  # higher = better
@@ -120,9 +49,95 @@ class ActiveSet:
                 raise DataError(f"potency missing for actives {sorted(missing)[:5]}")
 
 
-def rank(rows: list[ScoreRow], criterion: str) -> list[str]:
-    """Compound ids in total order under the chosen criterion; ties break by
-    id ascending. Each id is on one row: the table readers refuse a repeated key.
+# a table is a dict from column name to one list of values, a row per index;
+# a column typed `X | None` reads an empty field as None, any other needs a value
+SCORE_COLUMNS = {
+    "compound_id": str, "method": str, "score": float | None, "label": int | None,
+    "confidence": float | None, "unfamiliarity": float | None, "potency": float | None,
+}
+PREDICTION_COLUMNS = {
+    "drug_id": str, "target_id": str, "logit": float, "prob": float | None, "pred_label": int | None,
+    "affinity_pred": float | None, "confidence": float | None, "unfamiliarity": float | None,
+}
+
+
+def _read_columns(path: str | Path, columns: dict, key: tuple[str, ...], required=(), header=None) -> dict[str, list]:
+    """The TSV table at `path` as one list per name in `columns`, each field
+    parsed as its column's type (a number through `parse_number`). The header
+    must hold `required` and nothing outside `columns`; a column it lacks is
+    None in every row."""
+    rows = read_tsv(path, header, key=key)
+    got = next(rows)
+    missing = [c for c in required if c not in got]
+    if missing:
+        raise MissingColumnError(f"{path}: missing column {missing[0]!r}")
+    unknown = [c for c in got if c not in columns]
+    if unknown:
+        raise FormatError(f"{path}: unknown columns {unknown}")
+    table = {c: [] for c in columns}
+    parsers = []
+    for name in got:
+        hint = columns[name]
+        cast = typing.get_args(hint)[0] if isinstance(hint, types.UnionType) else hint
+        parsers.append((table[name].append, name, cast, cast is not hint))
+    for where, fields in rows:
+        for (append, name, cast, optional), raw in zip(parsers, fields):
+            append(raw if cast is str else None if optional and not raw else parse_number(raw, cast, where, name))
+    n = len(table[got[0]])
+    return {c: values if c in got else [None] * n for c, values in table.items()}
+
+
+def take(table: dict[str, list], rows: list[int]) -> dict[str, list]:
+    """The table's `rows`, in that order."""
+    return {c: [values[i] for i in rows] for c, values in table.items()}
+
+
+def load_scores(path: str | Path) -> dict[str, list]:
+    """A score table, one list per name in SCORE_COLUMNS."""
+    return _read_columns(path, SCORE_COLUMNS, ("compound_id", "method"), required=("compound_id", "method", "score"))
+
+
+def save_predictions(columns: dict[str, list], path: str | Path) -> None:
+    """Write the PREDICTION_COLUMNS of `columns`, one row per pair; None
+    is an empty field."""
+    rows = zip(*(columns[c] for c in PREDICTION_COLUMNS))
+    write_tsv(path, list(PREDICTION_COLUMNS), (["" if v is None else str(v) for v in row] for row in rows))
+
+
+def load_predictions(path: str | Path) -> dict[str, list]:
+    """predictions.tsv as one list per column, in PREDICTION_COLUMNS order;
+    an empty field is None, except that every row needs a logit."""
+    return _read_columns(path, PREDICTION_COLUMNS, ("drug_id", "target_id"), header=PREDICTION_COLUMNS)
+
+
+def load_actives(path: str | Path) -> ActiveSet:
+    """TSV `compound_id [potency]`; a potency column needs a value on every row."""
+    table = _read_columns(path, {"compound_id": str, "potency": float}, ("compound_id",), required=("compound_id",))
+    ids, potency = table["compound_id"], table["potency"]
+    return ActiveSet(ids=frozenset(ids), potency=None if None in potency else dict(zip(ids, potency)))
+
+
+def load_ranked(path: str | Path) -> list[str]:
+    """TSV `rank compound_id`, rank 1..N in row order; the ids in rank order."""
+    table = _read_columns(path, {"rank": str, "compound_id": str}, ("compound_id",), header=("rank", "compound_id"))
+    for i, (given, cid) in enumerate(zip(table["rank"], table["compound_id"]), 1):
+        if given != str(i):
+            raise FormatError(f"{path}: rank {given!r} of {cid!r} is not its row's position {i}")
+    return table["compound_id"]
+
+
+def _require(table: dict[str, list], column: str, message: str) -> None:
+    """A MissingColumnError, `message` formatted with the id of the first row
+    whose `column` is None, when there is one."""
+    values = table[column]
+    if None in values:
+        raise MissingColumnError(message.format(table["compound_id"][values.index(None)]))
+
+
+def rank(table: dict[str, list], criterion: str) -> list[str]:
+    """Compound ids of a table in total order under the chosen criterion;
+    ties break by id ascending. Each id is on one row: the table readers
+    refuse a repeated key.
 
     docking / affinity: most favorable (lowest) score first.
     two_key: predicted positives first, then confidence ascending within
@@ -130,21 +145,19 @@ def rank(rows: list[ScoreRow], criterion: str) -> list[str]:
     """
     if criterion not in CRITERIA:
         raise ConfigError(f"unknown ranking criterion {criterion!r}")
-    if not rows:
+    ids = table["compound_id"]
+    if not ids:
         raise DataError("nothing to rank")
     if criterion == "two_key":
-        for r in rows:
-            if r.label is None:
-                raise MissingColumnError(f"two_key ranking needs a label for {r.compound_id!r}")
-            if r.confidence is None:
-                raise MissingColumnError(f"two_key ranking needs a confidence for {r.compound_id!r}")
-        ordered = sorted(rows, key=lambda r: (0 if r.label == 1 else 1, r.confidence, r.compound_id))
+        _require(table, "label", "two_key ranking needs a label for {!r}")
+        _require(table, "confidence", "two_key ranking needs a confidence for {!r}")
+        labels, confidences = table["label"], table["confidence"]
+        order = sorted(range(len(ids)), key=lambda i: (0 if labels[i] == 1 else 1, confidences[i], ids[i]))
     else:
-        for r in rows:
-            if r.score is None:
-                raise MissingColumnError(f"{criterion} needs a score for {r.compound_id!r}")
-        ordered = sorted(rows, key=lambda r: (r.score, r.compound_id))
-    return [r.compound_id for r in ordered]
+        _require(table, "score", criterion + " needs a score for {!r}")
+        scores = table["score"]
+        order = sorted(range(len(ids)), key=lambda i: (scores[i], ids[i]))
+    return [ids[i] for i in order]
 
 
 def _active_positions(ranked: list[str], actives: ActiveSet) -> list[int]:
@@ -208,43 +221,36 @@ def random_budget(n: int, a: int, t: int) -> tuple[float, float]:
     return mean, 100.0 * math.sqrt(var) / n
 
 
-def filter_unfamiliar(rows: list[ScoreRow], threshold: float) -> tuple[list[ScoreRow], list[dict]]:
-    """Keep rows with unfamiliarity strictly below the threshold; one
+def filter_unfamiliar(table: dict[str, list], threshold: float) -> tuple[dict[str, list], list[dict]]:
+    """The table's rows with unfamiliarity strictly below the threshold; one
     WARNING when that drops more than 90% of them.
 
     The census mirrors the reliability-filter table: one row per population
     (predicted positives / negatives by label, else 'all') with the total,
     the docked count (rows with a score) and the retained count.
     """
-    for r in rows:
-        if r.unfamiliarity is None:
-            raise MissingColumnError(f"unfamiliarity missing for {r.compound_id!r}")
-    kept = [r for r in rows if r.unfamiliarity < threshold]
-    if 10 * (len(rows) - len(kept)) > 9 * len(rows):
-        log.warning(
-            "unfamiliarity threshold %g drops %d of %d rows (more than 90%%)",
-            threshold, len(rows) - len(kept), len(rows),
-        )
+    _require(table, "unfamiliarity", "unfamiliarity missing for {!r}")
+    below = [u < threshold for u in table["unfamiliarity"]]
+    kept = [i for i, b in enumerate(below) if b]
+    n = len(below)
+    if 10 * (n - len(kept)) > 9 * n:
+        log.warning("unfamiliarity threshold %g drops %d of %d rows (more than 90%%)", threshold, n - len(kept), n)
 
-    def population(r: ScoreRow) -> str:
-        if r.label == 1:
-            return "predicted_positive"
-        if r.label == 0:
-            return "predicted_negative"
-        return "all"
-
+    populations = [
+        "predicted_positive" if label == 1 else "predicted_negative" if label == 0 else "all" for label in table["label"]
+    ]
     census = []
-    for pop in sorted({population(r) for r in rows}):
-        members = [r for r in rows if population(r) == pop]
+    for pop in sorted(set(populations)):
+        members = [i for i, p in enumerate(populations) if p == pop]
         census.append(
             {
                 "population": pop,
                 "total": len(members),
-                "docked": sum(1 for r in members if r.score is not None),
-                "unfamiliar_below": sum(1 for r in members if r.unfamiliarity < threshold),
+                "docked": sum(table["score"][i] is not None for i in members),
+                "unfamiliar_below": sum(below[i] for i in members),
             }
         )
-    return kept, census
+    return take(table, kept), census
 
 
 @dataclass
@@ -351,20 +357,3 @@ def enrichment_report(
         topk_budget=topk if has_potency else None,
         random_sd=random_sd,
     )
-
-
-def load_actives(path: str | Path) -> ActiveSet:
-    """TSV `compound_id [potency]`."""
-    rows = read_tsv(path, key=("compound_id",))
-    header = next(rows)
-    if header not in (["compound_id"], ["compound_id", "potency"]):
-        raise FormatError(f"{path}: header {header} != ['compound_id'[, 'potency']]")
-    ids: set[str] = set()
-    potency: dict[str, float] = {}
-    for where, fields in rows:
-        ids.add(fields[0])
-        if len(fields) == 2:
-            if not fields[1]:
-                raise FormatError(f"{where}: empty potency")
-            potency[fields[0]] = parse_number(fields[1], float, where, "potency")
-    return ActiveSet(ids=frozenset(ids), potency=potency if potency else None)

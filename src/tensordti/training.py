@@ -14,7 +14,7 @@ from . import losses, model as model_mod
 from ._util import check_floats, splitmix64
 from .embeddings import EmbeddingStore, InteractionRecord
 from .errors import ConfigError, DataError
-from .metrics import aupr, metric_bundle, pcc
+from .metrics import DECISION_THRESHOLD, aupr, metric_bundle, pcc
 from .model import ModelConfig, ModelState
 from .nn import AdamState, Tape, adam_step, stable_sigmoid
 from .tokenizer import SmilesTokenizer
@@ -144,7 +144,7 @@ class _Pairs:
         self.token_ids, self.pad_mask = tokenizer.tokenize_many([data.smiles[d] for d in self.drugs])
 
 
-def _forward_losses(state: ModelState, pairs: _Pairs, idx: np.ndarray, tape: Tape, trip_rng: np.random.Generator | None):
+def _forward_losses(state: ModelState, pairs: _Pairs, idx: np.ndarray, tape: Tape, trip_rng: np.random.Generator):
     """Loss terms of the minibatch of pairs at idx by composite_loss's
     names, computed per entity: each unique drug and (target, pocket) key
     goes through its tower, and each unique drug through the autoencoder,
@@ -173,7 +173,7 @@ def _forward_losses(state: ModelState, pairs: _Pairs, idx: np.ndarray, tape: Tap
                 if pos.size == 0:
                     terms["con"] = tape.affine(tape.constant(0.0), 1.0)
                 else:
-                    perm = trip_rng.permutation(idx.size) if trip_rng is not None else np.roll(np.arange(idx.size), 1)
+                    perm = trip_rng.permutation(idx.size)
                     terms["con"] = losses.contrastive_triplet(
                         tape,
                         tape.take_cols(e_d, d_of[pos]),
@@ -342,7 +342,7 @@ def evaluate(state: ModelState, data: DatasetBundle, records: list[InteractionRe
         "target_id": [r.target_id for r in records],
         "logit": logit_col,
         "prob": probs.tolist() if classification else absent,
-        "pred_label": (probs >= 0.5).astype(int).tolist() if classification else absent,
+        "pred_label": (probs >= DECISION_THRESHOLD).astype(int).tolist() if classification else absent,
         "affinity_pred": absent if classification else logit_col,
         "confidence": confs.tolist(),
         "unfamiliarity": list(map(unf_by_drug.get, drug_ids)),

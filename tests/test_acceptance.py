@@ -21,7 +21,6 @@ from tensordti.nn import Tape, grad_check, stable_sigmoid, token_nll
 from tensordti.pipeline import SplitSpec, split
 from tensordti.screening import (
     ActiveSet,
-    ScoreRow,
     ceil_count,
     ef_at_k,
     filter_unfamiliar,
@@ -325,13 +324,14 @@ def test_criterion_7_unfamiliarity():
     u_boundary = math.log(boundary_nll + eps)
     assert abs(u_boundary - 1.0) < 1e-9
 
-    rows = [
-        ScoreRow("inside", "m", score=1.0, unfamiliarity=0.999999),
-        ScoreRow("boundary", "m", score=1.0, unfamiliarity=u_boundary),
-        ScoreRow("outside", "m", score=1.0, unfamiliarity=1.5),
-    ]
-    kept, _ = filter_unfamiliar(rows, 1.0)
-    assert [r.compound_id for r in kept] == ["inside"]
+    table = {
+        "compound_id": ["inside", "boundary", "outside"],
+        "score": [1.0, 1.0, 1.0],
+        "label": [None, None, None],
+        "unfamiliarity": [0.999999, u_boundary, 1.5],
+    }
+    kept, _ = filter_unfamiliar(table, 1.0)
+    assert kept["compound_id"] == ["inside"]
 
 
 @criterion(8, "EF identity exact on 1000 rankings; budgets match brute force incl. all 8! permutations")
@@ -447,13 +447,16 @@ def test_criterion_11_determinism(tmp_path):
 
     preds1 = evaluate(state1, bundle, bundle.subset("test"))
     preds2 = evaluate(state2, bundle, bundle.subset("test"))
-    def score_rows(p):
-        columns = zip(p["drug_id"], p["target_id"], p["prob"], p["pred_label"], p["confidence"])
-        return [ScoreRow(d + "|" + t, "m", score=-prob, label=label, confidence=conf)
-                for d, t, prob, label, conf in columns]
+    def score_table(p):
+        return {
+            "compound_id": [d + "|" + t for d, t in zip(p["drug_id"], p["target_id"])],
+            "score": [-prob for prob in p["prob"]],
+            "label": p["pred_label"],
+            "confidence": p["confidence"],
+        }
 
-    rows1, rows2 = score_rows(preds1), score_rows(preds2)
-    assert rank(rows1, "two_key") == rank(rows2, "two_key")
+    table1, table2 = score_table(preds1), score_table(preds2)
+    assert rank(table1, "two_key") == rank(table2, "two_key")
 
     p1, p2 = tmp_path / "a.tdti", tmp_path / "b.tdti"
     M.save_checkpoint(state1, p1)

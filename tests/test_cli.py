@@ -632,6 +632,35 @@ def test_config_hash_inside_quotes_is_kept(tmp_path):
     assert _parse_config_file(cfg) == {"vocab": f'"{DEFAULT_ALPHABET}"', "x": "3"}
 
 
+def test_config_hash_covers_every_flag_but_out_config_and_input_paths(tmp_path):
+    """A flag that changes a command's outputs changes its config hash; the
+    output directory, the config file's path and the input files' paths do
+    not. `rank --target`, `--unf-threshold` and `enrich --format` used to
+    leave the hash as it was."""
+    preds, truth, ranked, actives = screening_inputs(tmp_path)
+    two_targets = tmp_path / "two_targets.tsv"
+    two_targets.write_text(PREDICTIONS_HEADER + "D0\tT0\t1.0\t0.7\t1\t\t0.2\t0.5\nD1\tT1\t-1.0\t0.3\t0\t\t0.4\t0.6\n")
+    copy = tmp_path / "copy.tsv"
+    copy.write_bytes(two_targets.read_bytes())
+    (tmp_path / "a.cfg").write_text("# no keys\n")
+    runs = iter(range(100))
+
+    def config_hash(*args):
+        out = tmp_path / f"run{next(runs)}"
+        assert main([*map(str, args), "--out", str(out)]) == 0
+        return json.loads((out / "manifest.json").read_text())["config_hash"]
+
+    rank = ("rank", "--predictions", two_targets, "--target", "T0")
+    base = config_hash(*rank)
+    assert config_hash("rank", "--predictions", copy, "--target", "T0", "--config", tmp_path / "a.cfg") == base
+    assert config_hash("rank", "--predictions", two_targets, "--target", "T1") != base
+    assert config_hash(*rank, "--unf-threshold", "1") != base
+    report = ("report", "--predictions", preds, "--interactions", truth)
+    assert config_hash(*report) != config_hash(*report, "--unf-threshold", "1")
+    enrich = ("enrich", "--ranked", f"m={ranked}", "--actives", actives)
+    assert config_hash(*enrich, "--format", "json") != config_hash(*enrich, "--format", "tsv")
+
+
 # the table that ranked c1, c2, c4, c3 one way round and c4, c3, c2, c1 the other
 NAN_SCORES = ["c1\tdock\t-9", "c2\tdock\tnan", "c3\tdock\t-5", "c4\tdock\t-7"]
 

@@ -9,7 +9,6 @@ from tensordti.embeddings import load_interactions
 from tensordti.errors import DataError, FormatError, MissingColumnError, UsageError
 from tensordti.screening import (
     ActiveSet,
-    ScoreRow,
     ceil_count,
     ef_at_k,
     enrichment_report,
@@ -21,12 +20,19 @@ from tensordti.screening import (
     random_budget,
     rank,
     recall_at_k,
+    take,
     topk_potency_budget,
 )
 
 
 def actives(ids, potency=None):
     return ActiveSet(ids=frozenset(ids), potency=potency)
+
+
+def table(ids, **columns):
+    """A score table of `ids`; a column not given is None on every row."""
+    empty = {c: [None] * len(ids) for c in ("score", "label", "confidence", "unfamiliarity")}
+    return {"compound_id": list(ids), **empty, **columns}
 
 
 # -- brute-force oracles -------------------------------------------------------
@@ -79,33 +85,44 @@ def test_ceil_count_forgives_float_noise():
 
 
 def test_two_key_rank_example():
-    rows = [
-        ScoreRow("a", "m", score=0.0, label=1, confidence=0.2),
-        ScoreRow("b", "m", score=0.0, label=1, confidence=0.1),
-        ScoreRow("c", "m", score=0.0, label=0, confidence=0.05),
-    ]
-    assert rank(rows, "two_key") == ["b", "a", "c"]
+    scores = table(["a", "b", "c"], score=[0.0] * 3, label=[1, 1, 0], confidence=[0.2, 0.1, 0.05])
+    assert rank(scores, "two_key") == ["b", "a", "c"]
 
 
 def test_docking_rank_most_negative_first():
-    rows = [
-        ScoreRow("x", "m", score=-9.1),
-        ScoreRow("y", "m", score=-7.0),
-        ScoreRow("z", "m", score=-8.2),
-    ]
-    assert rank(rows, "docking") == ["x", "z", "y"]
+    assert rank(table(["x", "y", "z"], score=[-9.1, -7.0, -8.2]), "docking") == ["x", "z", "y"]
 
 
 def test_rank_ties_break_by_id():
-    rows = [ScoreRow(c, "m", score=1.0, label=1, confidence=0.5) for c in ("c", "a", "b")]
-    assert rank(rows, "docking") == ["a", "b", "c"]
-    assert rank(rows, "two_key") == ["a", "b", "c"]
+    scores = table(["c", "a", "b"], score=[1.0] * 3, label=[1] * 3, confidence=[0.5] * 3)
+    assert rank(scores, "docking") == ["a", "b", "c"]
+    assert rank(scores, "two_key") == ["a", "b", "c"]
 
 
 def test_two_key_missing_confidence_errors():
-    rows = [ScoreRow("a", "m", score=0.0, label=1)]
     with pytest.raises(MissingColumnError):
-        rank(rows, "two_key")
+        rank(table(["a"], score=[0.0], label=[1]), "two_key")
+
+
+@pytest.mark.parametrize(
+    "criterion, column, message",
+    [
+        ("docking", "score", "docking needs a score for 'b'"),
+        ("two_key", "label", "two_key ranking needs a label for 'b'"),
+        ("two_key", "confidence", "two_key ranking needs a confidence for 'b'"),
+    ],
+)
+def test_rank_names_the_first_id_missing_a_value(criterion, column, message):
+    full = {"score": [1.0, 2.0, 3.0], "label": [1, 0, 1], "confidence": [0.1, 0.2, 0.3]}
+    full[column] = [1 if column == "label" else 0.5, None, None]
+    with pytest.raises(MissingColumnError, match=f"^{re.escape(message)}$"):
+        rank(table(["a", "b", "c"], **full), criterion)
+
+
+def test_take_keeps_the_order_it_is_given():
+    scores = table(["a", "b", "c"], score=[1.0, 2.0, 3.0])
+    assert take(scores, [2, 0]) == table(["c", "a"], score=[3.0, 1.0])
+    assert take(scores, []) == table([])
 
 
 def test_rank_argrank_invariance():
@@ -113,11 +130,9 @@ def test_rank_argrank_invariance():
     EF and budgets unchanged."""
     rng = np.random.default_rng(0)
     scores = rng.standard_normal(30)
-    rows = [ScoreRow(f"c{i:02d}", "m", score=float(s)) for i, s in enumerate(scores)]
-    base = rank(rows, "docking")
-    transformed = [
-        ScoreRow(r.compound_id, "m", score=float(np.exp(0.5 * r.score) * 3 + 1)) for r in rows
-    ]
+    ids = [f"c{i:02d}" for i in range(len(scores))]
+    base = rank(table(ids, score=scores.tolist()), "docking")
+    transformed = table(ids, score=[float(np.exp(0.5 * s) * 3 + 1) for s in scores])
     assert rank(transformed, "docking") == base
     act = actives(base[2:9:3])
     for k in (1.0, 20.0, 50.0, 100.0):
@@ -327,37 +342,33 @@ def test_random_budget_rejects_out_of_range(n, a, t):
 # -- unfamiliarity filter ----------------------------------------------------------------------
 
 
-def rows_with_unf(values, labels=None, scores=None):
+def table_with_unf(values, labels=None, scores=None):
+    ids = [f"c{i}" for i in range(len(values))]
     labels = labels or [None] * len(values)
     scores = scores or [1.0] * len(values)
-    return [
-        ScoreRow(f"c{i}", "m", score=scores[i], label=labels[i], unfamiliarity=float(u))
-        for i, u in enumerate(values)
-    ]
+    return table(ids, score=scores, label=labels, unfamiliarity=[float(u) for u in values])
 
 
 def test_filter_all_zero_is_identity():
-    rows = rows_with_unf([0.0, 0.0, 0.0])
-    kept, _ = filter_unfamiliar(rows, 1.0)
-    assert kept == rows
+    scores = table_with_unf([0.0, 0.0, 0.0])
+    kept, _ = filter_unfamiliar(scores, 1.0)
+    assert kept == scores
 
 
 def test_filter_boundary_is_strict():
-    rows = rows_with_unf([0.5, 1.0, 1.5])
-    kept, _ = filter_unfamiliar(rows, 1.0)
-    assert [r.compound_id for r in kept] == ["c0"]
+    kept, _ = filter_unfamiliar(table_with_unf([0.5, 1.0, 1.5]), 1.0)
+    assert kept["compound_id"] == ["c0"]
 
 
 def test_filter_idempotent():
-    rows = rows_with_unf(np.linspace(0, 2, 9).tolist())
-    once, _ = filter_unfamiliar(rows, 1.0)
+    once, _ = filter_unfamiliar(table_with_unf(np.linspace(0, 2, 9).tolist()), 1.0)
     twice, _ = filter_unfamiliar(once, 1.0)
     assert once == twice
 
 
 def test_filter_census_schema():
-    rows = rows_with_unf([0.5, 1.2, 0.1, 0.9], labels=[1, 1, 0, None], scores=[1.0, None, 2.0, 3.0])
-    _, census = filter_unfamiliar(rows, 1.0)
+    scores = table_with_unf([0.5, 1.2, 0.1, 0.9], labels=[1, 1, 0, None], scores=[1.0, None, 2.0, 3.0])
+    _, census = filter_unfamiliar(scores, 1.0)
     assert {c["population"] for c in census} == {"predicted_positive", "predicted_negative", "all"}
     for c in census:
         assert set(c) == {"population", "total", "docked", "unfamiliar_below"}
@@ -366,9 +377,14 @@ def test_filter_census_schema():
 
 
 def test_filter_requires_unfamiliarity():
-    rows = [ScoreRow("a", "m", score=1.0)]
     with pytest.raises(MissingColumnError):
-        filter_unfamiliar(rows, 1.0)
+        filter_unfamiliar(table(["a"], score=[1.0]), 1.0)
+
+
+def test_filter_names_the_first_id_missing_an_unfamiliarity():
+    scores = table(["a", "b", "c"], score=[1.0] * 3, unfamiliarity=[0.5, None, None])
+    with pytest.raises(MissingColumnError, match="^unfamiliarity missing for 'b'$"):
+        filter_unfamiliar(scores, 1.0)
 
 
 # -- enrichment report ----------------------------------------------------------------------------
@@ -444,9 +460,9 @@ def test_load_scores_and_actives(tmp_path):
         "c1\tglide\t-9.1\t\t\t\t\n"
         "c2\tglide\t-8.0\t1\t0.2\t0.5\t7.5\n"
     )
-    rows = load_scores(scores)
-    assert rows[0].score == -9.1 and rows[0].label is None
-    assert rows[1].potency == 7.5
+    loaded = load_scores(scores)
+    assert loaded["score"][0] == -9.1 and loaded["label"][0] is None
+    assert loaded["potency"][1] == 7.5
 
     acts = tmp_path / "actives.tsv"
     acts.write_text("compound_id\tpotency\nc2\t7.5\n")

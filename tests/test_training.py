@@ -189,7 +189,7 @@ def test_evaluate_fills_unfamiliarity_and_confidence():
     bundle = make_bundle()
     state, _ = train(model_cfg(), bundle, train_cfg(max_epochs=2, patience=2))
     preds = evaluate(state, bundle, bundle.subset("test"))
-    assert tuple(preds) == PREDICTION_COLUMNS
+    assert tuple(preds) == tuple(PREDICTION_COLUMNS)
     assert all(len(col) == len(bundle.subset("test")) for col in preds.values())
     for i in range(10):
         assert 0.0 < preds["confidence"][i] < 1.0
@@ -289,7 +289,7 @@ def test_prediction_tsv_round_trip(tmp_path):
         "D2\tT2\t6.25\t\t\t6.25\t\t",
     ]
     loaded = load_predictions(path)
-    assert loaded == columns and tuple(loaded) == PREDICTION_COLUMNS
+    assert loaded == columns and tuple(loaded) == tuple(PREDICTION_COLUMNS)
 
 
 def test_triplet_variant_trains():
@@ -511,11 +511,20 @@ def test_prediction_columns_memory_bounded_by_entities_not_records(tmp_path, mon
     assert grown <= 200, f"{grown:.0f} B a record"
 
 
+class RollByOne:
+    """An RNG stand-in for `_forward_losses` whose permutation rolls by one:
+    the triplet negatives the per-pair path takes."""
+
+    @staticmethod
+    def permutation(n):
+        return np.roll(np.arange(n), 1)
+
+
 def _train_step(state, arr, idx, tape=None, forward_losses=None):
     """Loss value and parameter gradients of one training step."""
     tape = tape or Tape()
     if forward_losses is None:
-        terms = T._forward_losses(state, arr, idx, tape, None)
+        terms = T._forward_losses(state, arr, idx, tape, RollByOne)
     else:
         terms = forward_losses(state, arr, idx, tape)
     total, _ = losses.composite_loss(tape, terms, state.config)
@@ -660,8 +669,8 @@ class FreshEachStep(Tape):
     allocates its gradient buffer and lent buffers anew, as a new tape per
     step does."""
 
-    def backward(self, loss, loss_grad=None):
-        grads = super().backward(loss, loss_grad)
+    def backward(self, loss):
+        grads = super().backward(loss)
         self._grads, self._bufs = {}, []
         return grads
 
@@ -674,7 +683,7 @@ def _steps(state, pairs, tape_for, sizes):
     for size in sizes:
         tape = tape_for()
         idx = rng.choice(len(pairs.drug_idx), size=size, replace=False)
-        total, _ = losses.composite_loss(tape, T._forward_losses(state, pairs, idx, tape, None), state.config)
+        total, _ = losses.composite_loss(tape, T._forward_losses(state, pairs, idx, tape, RollByOne), state.config)
         grads = tape.backward(total)
         yield {p.name: g.copy() for p, g in grads.items()}
         nn.adam_step(adam, state.parameters(), grads)
@@ -768,7 +777,7 @@ def test_warm_desk_step_allocates_no_cross_entropy_cube(monkeypatch):
     tape, adam = Tape(), nn.AdamState(lr=1e-3)
 
     def step():
-        total, _ = losses.composite_loss(tape, T._forward_losses(state, pairs, idx, tape, None), state.config)
+        total, _ = losses.composite_loss(tape, T._forward_losses(state, pairs, idx, tape, RollByOne), state.config)
         nn.adam_step(adam, state.parameters(), tape.backward(total))
 
     step()  # makes the tape's buffers
