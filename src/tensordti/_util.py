@@ -8,9 +8,11 @@ import hashlib
 import itertools
 import math
 import operator
+import types
+import typing
 from pathlib import Path
 
-from .errors import ConfigError, DataError, FormatError
+from .errors import ConfigError, DataError, FormatError, MissingColumnError
 
 _MASK64 = (1 << 64) - 1
 
@@ -104,6 +106,46 @@ def read_tsv(path: str | Path, header: tuple[str, ...] | None = None, key: tuple
                 yield f"{prefix}{lineno}", fields
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def read_columns(path: str | Path, columns: dict, key: tuple[str, ...], required=(), header=None) -> dict[str, list]:
+    """The TSV table at `path` as one list per name in `columns`, a row per
+    index. The header must hold `required` and nothing outside `columns`; a
+    column it lacks is None in every row. Each field is parsed as its
+    column's type: `str` needs non-empty text, `int` and `float` go through
+    `parse_number`, `Literal[...]` takes only the exact text of one of its
+    values, and `X | None` reads an empty field as None."""
+    rows = read_tsv(path, header, key=key)
+    got = next(rows)
+    if missing := [c for c in required if c not in got]:
+        raise MissingColumnError(f"{path}: missing column {missing[0]!r}")
+    if unknown := [c for c in got if c not in columns]:
+        raise FormatError(f"{path}: unknown columns {unknown}")
+    table = {c: [] for c in columns}
+    parsers = []  # (append, name, kind, optional) per header column; a Literal's kind is {text: value}
+    for name in got:
+        hint = columns[name]
+        optional = typing.get_origin(hint) in (typing.Union, types.UnionType)
+        kind = typing.get_args(hint)[0] if optional else hint
+        if typing.get_origin(kind) is typing.Literal:
+            kind = {str(v): v for v in typing.get_args(kind)}
+        parsers.append((table[name].append, name, kind, optional))
+    for where, fields in rows:
+        for (append, name, kind, optional), raw in zip(parsers, fields):
+            if kind is str and raw:
+                append(raw)
+            elif not raw and optional:
+                append(None)
+            elif kind is str:
+                raise FormatError(f"{where}: empty {name}")
+            elif type(kind) is not dict:
+                append(parse_number(raw, kind, where, name))
+            elif raw in kind:
+                append(kind[raw])
+            else:
+                raise FormatError(f"{where}: {name} {raw!r} is not one of {', '.join(kind)}")
+    n = len(table[got[0]])
+    return {c: values if c in got else [None] * n for c, values in table.items()}
 
 
 def write_tsv(path: str | Path, header, rows) -> None:

@@ -327,9 +327,12 @@ def cmd_rank(args, config: _Config) -> int:
 
 def _parse_k_grid(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(k) for k in text.split(","))
+        grid = tuple(float(k) for k in text.split(","))
     except ValueError:
         raise UsageError(f"--k-grid expects comma-separated numbers, got {text!r}") from None
+    if len(set(grid)) != len(grid) or not all(0 < k <= 100 for k in grid):  # nan fails every compare
+        raise UsageError(f"--k-grid expects distinct percentages in (0, 100], got {text!r}")
+    return grid
 
 
 def cmd_enrich(args, config: _Config) -> int:

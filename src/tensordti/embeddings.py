@@ -14,20 +14,25 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
-from ._util import parse_number, read_tsv, write_tsv
+from ._util import read_columns, write_tsv
 from .errors import DataError, FormatError
 
 EMBEDDING_MAGIC = b"TDTIEMB1"
 MODALITIES = ("drug", "protein", "pocket", "peptide", "rna")
 SPLITS = ("train", "valid", "test", "unassigned")
 
-INTERACTION_COLUMNS = ("drug_id", "target_id", "pocket_id", "label", "affinity", "split")
-SMILES_COLUMNS = ("drug_id", "smiles")
+# column types as `_util.read_columns` reads them
+INTERACTION_COLUMNS = {
+    "drug_id": str, "target_id": str, "pocket_id": str | None, "label": Literal[0, 1] | None,
+    "affinity": float | None, "split": Literal[SPLITS] | None,
+}
+SMILES_COLUMNS = {"drug_id": str, "smiles": str}
 
 
 class EmbeddingStore:
@@ -67,9 +72,6 @@ class EmbeddingStore:
 
     def __len__(self):
         return len(self._cols)
-
-    def __contains__(self, rec_id):
-        return rec_id in self._cols
 
     def ids(self) -> list[str]:
         return list(self._cols)
@@ -213,35 +215,12 @@ class InteractionRecord:
     affinity: float | None = None
     split: str = "unassigned"
 
-    def __post_init__(self):
-        if self.label is not None and self.label not in (0, 1):
-            raise DataError(f"label must be 0/1, got {self.label!r}")
-        if self.split not in SPLITS:
-            raise DataError(f"unknown split tag {self.split!r}")
-
-    def with_split(self, split: str) -> "InteractionRecord":
-        return replace(self, split=split)
-
 
 def load_interactions(path: str | Path) -> list[InteractionRecord]:
-    rows = read_tsv(path, INTERACTION_COLUMNS, key=("drug_id", "target_id"))
-    next(rows)
-    records = []
-    for where, (drug_id, target_id, pocket_id, label, affinity, split) in rows:
-        try:
-            records.append(
-                InteractionRecord(
-                    drug_id=drug_id,
-                    target_id=target_id,
-                    pocket_id=pocket_id or None,
-                    label=parse_number(label, int, where, "label") if label else None,
-                    affinity=parse_number(affinity, float, where, "affinity") if affinity else None,
-                    split=split or "unassigned",
-                )
-            )
-        except DataError as exc:
-            raise FormatError(f"{where}: {exc}") from exc
-    return records
+    """One record per row, the columns in its field order; an empty split reads as "unassigned"."""
+    table = read_columns(path, INTERACTION_COLUMNS, ("drug_id", "target_id"), header=INTERACTION_COLUMNS)
+    table["split"] = [s or "unassigned" for s in table["split"]]
+    return list(map(InteractionRecord, *table.values()))
 
 
 def save_interactions(records: list[InteractionRecord], path: str | Path) -> None:
@@ -257,9 +236,8 @@ def save_interactions(records: list[InteractionRecord], path: str | Path) -> Non
 
 
 def load_smiles(path: str | Path) -> dict[str, str]:
-    rows = read_tsv(path, SMILES_COLUMNS, key=("drug_id",))
-    next(rows)
-    return dict(fields for _, fields in rows)
+    table = read_columns(path, SMILES_COLUMNS, ("drug_id",), header=SMILES_COLUMNS)
+    return dict(zip(table["drug_id"], table["smiles"]))
 
 
 def save_smiles(smiles: dict[str, str], path: str | Path) -> None:

@@ -338,7 +338,7 @@ def load_checkpoint(path: str | Path) -> ModelState:
     try:
         config = ModelConfig(**json.loads(data[16:off].decode("utf-8")))
         SmilesTokenizer(config.vocab, config.max_len)  # one the state cannot build is refused before any tensor
-    except (ValueError, TypeError, ConfigError, DataError) as exc:
+    except (ValueError, TypeError, RecursionError, ConfigError, DataError) as exc:  # RecursionError: JSON nested too deep
         raise FormatError(f"{path}: unreadable config block: {exc}") from exc
     sizes: list[int] = []  # each layer's weight and bias values
     _layers(config, lambda in_dim, out_dim, *_: sizes.append(out_dim * (in_dim + 1)))

@@ -8,7 +8,7 @@ are deterministic functions of (records, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,7 +61,7 @@ def split(records: list[InteractionRecord], spec: SplitSpec) -> list[Interaction
     tag = {}
     for pos, idx in enumerate(order):
         tag[units[idx]] = "train" if pos < n_train else ("valid" if pos < n_train + n_valid else "test")
-    out = [r.with_split(tag[k]) for r, k in zip(records, keys)]
+    out = [replace(r, split=tag[k]) for r, k in zip(records, keys)]
 
     sizes = {s: sum(1 for r in out if r.split == s) for s in ("train", "valid", "test")}
     empty = [s for s, n in sizes.items() if n == 0]

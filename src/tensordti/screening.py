@@ -12,12 +12,11 @@ from __future__ import annotations
 import json
 import logging
 import math
-import types
-import typing
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Literal
 
-from ._util import parse_number, read_tsv, write_tsv
+from ._util import read_columns, write_tsv
 from .errors import ConfigError, DataError, FormatError, MissingColumnError, UsageError
 
 log = logging.getLogger("tensordti")
@@ -50,41 +49,15 @@ class ActiveSet:
 
 
 # a table is a dict from column name to one list of values, a row per index;
-# a column typed `X | None` reads an empty field as None, any other needs a value
+# the types are the column types of `_util.read_columns`
 SCORE_COLUMNS = {
-    "compound_id": str, "method": str, "score": float | None, "label": int | None,
+    "compound_id": str, "method": str, "score": float | None, "label": Literal[0, 1] | None,
     "confidence": float | None, "unfamiliarity": float | None, "potency": float | None,
 }
 PREDICTION_COLUMNS = {
-    "drug_id": str, "target_id": str, "logit": float, "prob": float | None, "pred_label": int | None,
+    "drug_id": str, "target_id": str, "logit": float, "prob": float | None, "pred_label": Literal[0, 1] | None,
     "affinity_pred": float | None, "confidence": float | None, "unfamiliarity": float | None,
 }
-
-
-def _read_columns(path: str | Path, columns: dict, key: tuple[str, ...], required=(), header=None) -> dict[str, list]:
-    """The TSV table at `path` as one list per name in `columns`, each field
-    parsed as its column's type (a number through `parse_number`). The header
-    must hold `required` and nothing outside `columns`; a column it lacks is
-    None in every row."""
-    rows = read_tsv(path, header, key=key)
-    got = next(rows)
-    missing = [c for c in required if c not in got]
-    if missing:
-        raise MissingColumnError(f"{path}: missing column {missing[0]!r}")
-    unknown = [c for c in got if c not in columns]
-    if unknown:
-        raise FormatError(f"{path}: unknown columns {unknown}")
-    table = {c: [] for c in columns}
-    parsers = []
-    for name in got:
-        hint = columns[name]
-        cast = typing.get_args(hint)[0] if isinstance(hint, types.UnionType) else hint
-        parsers.append((table[name].append, name, cast, cast is not hint))
-    for where, fields in rows:
-        for (append, name, cast, optional), raw in zip(parsers, fields):
-            append(raw if cast is str else None if optional and not raw else parse_number(raw, cast, where, name))
-    n = len(table[got[0]])
-    return {c: values if c in got else [None] * n for c, values in table.items()}
 
 
 def take(table: dict[str, list], rows: list[int]) -> dict[str, list]:
@@ -94,7 +67,7 @@ def take(table: dict[str, list], rows: list[int]) -> dict[str, list]:
 
 def load_scores(path: str | Path) -> dict[str, list]:
     """A score table, one list per name in SCORE_COLUMNS."""
-    return _read_columns(path, SCORE_COLUMNS, ("compound_id", "method"), required=("compound_id", "method", "score"))
+    return read_columns(path, SCORE_COLUMNS, ("compound_id", "method"), required=("compound_id", "method", "score"))
 
 
 def save_predictions(columns: dict[str, list], path: str | Path) -> None:
@@ -106,20 +79,20 @@ def save_predictions(columns: dict[str, list], path: str | Path) -> None:
 
 def load_predictions(path: str | Path) -> dict[str, list]:
     """predictions.tsv as one list per column, in PREDICTION_COLUMNS order;
-    an empty field is None, except that every row needs a logit."""
-    return _read_columns(path, PREDICTION_COLUMNS, ("drug_id", "target_id"), header=PREDICTION_COLUMNS)
+    an empty field is None, except that every row needs its ids and a logit."""
+    return read_columns(path, PREDICTION_COLUMNS, ("drug_id", "target_id"), header=PREDICTION_COLUMNS)
 
 
 def load_actives(path: str | Path) -> ActiveSet:
     """TSV `compound_id [potency]`; a potency column needs a value on every row."""
-    table = _read_columns(path, {"compound_id": str, "potency": float}, ("compound_id",), required=("compound_id",))
+    table = read_columns(path, {"compound_id": str, "potency": float}, ("compound_id",), required=("compound_id",))
     ids, potency = table["compound_id"], table["potency"]
     return ActiveSet(ids=frozenset(ids), potency=None if None in potency else dict(zip(ids, potency)))
 
 
 def load_ranked(path: str | Path) -> list[str]:
     """TSV `rank compound_id`, rank 1..N in row order; the ids in rank order."""
-    table = _read_columns(path, {"rank": str, "compound_id": str}, ("compound_id",), header=("rank", "compound_id"))
+    table = read_columns(path, {"rank": str, "compound_id": str}, ("compound_id",), header=("rank", "compound_id"))
     for i, (given, cid) in enumerate(zip(table["rank"], table["compound_id"]), 1):
         if given != str(i):
             raise FormatError(f"{path}: rank {given!r} of {cid!r} is not its row's position {i}")

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
+
+log = logging.getLogger("tensordti")
 
 PAD, BOS, EOS, UNK = 0, 1, 2, 3
 N_SPECIALS = 4
@@ -40,22 +43,21 @@ class SmilesTokenizer:
     def tokenize(self, smiles: str) -> TokenSeq:
         if not smiles:
             raise DataError("cannot tokenize an empty string")
-        truncated = False
-        body = smiles
-        if len(body) + 2 > self.max_len:
-            body = body[: self.max_len - 2]
-            truncated = True
+        body = smiles[: self.max_len - 2]
         ids = np.full(self.max_len, PAD, dtype=np.int64)
         ids[0] = BOS
         for i, ch in enumerate(body):
             ids[1 + i] = self._char_to_id.get(ch, UNK)
         ids[1 + len(body)] = EOS
-        return TokenSeq(ids=ids, length=len(body) + 2, truncated=truncated)
+        return TokenSeq(ids=ids, length=len(body) + 2, truncated=len(body) < len(smiles))
 
     def tokenize_many(self, smiles: list[str]) -> tuple[np.ndarray, np.ndarray]:
         """Column batch: token ids (max_len, n) int64 and their pad mask
-        (max_len, n) float64. Each distinct string is tokenized once."""
+        (max_len, n) float64. Each distinct string is tokenized once; one
+        WARNING counts the distinct strings cut to fit max_len."""
         seqs = {s: self.tokenize(s) for s in dict.fromkeys(smiles)}
+        if cut := sum(seq.truncated for seq in seqs.values()):
+            log.warning("%d SMILES cut to their first %d characters to fit max_len %d", cut, self.max_len - 2, self.max_len)
         ids = np.empty((self.max_len, len(smiles)), dtype=np.int64)
         for j, s in enumerate(smiles):
             ids[:, j] = seqs[s].ids

@@ -288,6 +288,29 @@ def test_train_refuses_a_bad_row_of_its_splits(tmp_path, capsys, edit, message):
     assert capsys.readouterr().err == f"ERROR DATA: {message}\n"
 
 
+def test_train_refuses_an_empty_smiles_naming_its_line(tmp_path, capsys):
+    data, table, _ = split_table(tmp_path)
+    smiles = data / "smiles.tsv"
+    lines = smiles.read_text().splitlines(keepends=True)
+    lines[2] = lines[2].split("\t")[0] + "\t\n"
+    smiles.write_text("".join(lines))
+    capsys.readouterr()
+    assert train_on(tmp_path, data, table, "model") == 1
+    assert capsys.readouterr().err == f"ERROR FORMAT: {smiles}:3: empty smiles\n"
+
+
+def test_rank_refuses_a_pred_label_other_than_0_or_1(tmp_path, capsys):
+    preds = tmp_path / "preds.tsv"
+    preds.write_text(
+        "drug_id\ttarget_id\tlogit\tprob\tpred_label\taffinity_pred\tconfidence\tunfamiliarity\n"
+        "D1\tT1\t0.5\t0.6\t1\t\t0.1\t\nD2\tT1\t0.8\t0.7\t7\t\t0.2\t\n"
+    )
+    rc = main(["rank", "--predictions", str(preds), "--ranking", "two_key", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"ERROR FORMAT: {preds}:3: pred_label '7' is not one of 0, 1\n"
+    assert not (tmp_path / "out" / "ranked.tsv").exists()
+
+
 def test_commands_do_not_mutate_inputs(tmp_path):
     data = gen(tmp_path, "data", seed=5)
     before = digest_dir(data)
@@ -601,6 +624,17 @@ def test_enrich_non_numeric_k_grid_is_usage_error(tmp_path, capsys):
     ranked, act = enrich_inputs(tmp_path, GOOD_RANKED)
     assert run_enrich(tmp_path, ranked, act, "--k-grid", "1,abc") == 2
     assert "ERROR USAGE:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["nan", "1,inf", "0,5", "5,101", "-1", "1,5,1", "5,5.0"])
+def test_enrich_k_grid_outside_the_percent_range_or_repeated_is_usage_error(tmp_path, capsys, grid):
+    """A non-finite k has no target count, k outside (0, 100] no budget, and a
+    repeated k would write its rows twice."""
+    ranked, act = enrich_inputs(tmp_path, GOOD_RANKED)
+    assert run_enrich(tmp_path, ranked, act, "--k-grid", grid) == 2
+    err = capsys.readouterr().err
+    assert err == f"ERROR USAGE: --k-grid expects distinct percentages in (0, 100], got {grid!r}\n"
+    assert not (tmp_path / "enrich").exists()
 
 
 def test_enrich_outputs_identical_across_seeds(tmp_path):

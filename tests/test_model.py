@@ -516,6 +516,18 @@ def test_checkpoint_config_the_tokenizer_refuses_is_format_error(tmp_path, field
         load_checkpoint(p)
 
 
+def test_checkpoint_config_nested_too_deeply_is_format_error(tmp_path):
+    """JSON nested past the parser's recursion limit is a malformed file, not
+    a RecursionError."""
+    import struct
+
+    cfg = b"[" * 200_000
+    p = tmp_path / "deep.tdti"
+    p.write_bytes(M.CHECKPOINT_MAGIC + struct.pack("<II", M.CHECKPOINT_VERSION, len(cfg)) + cfg)
+    with pytest.raises(FormatError, match=re.escape(f"{p}: unreadable config block")):
+        load_checkpoint(p)
+
+
 def test_checkpoint_non_finite_parameter_refused(tmp_path):
     """A nan parameter is never written, and one in a file fails the load
     with the parameter's name instead of turning into nan scores."""

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,18 @@ def test_truncation_flag():
     assert seq.truncated
     assert seq.length == 5
     assert seq.ids[-1] == EOS  # EOS survives truncation
+
+
+def test_tokenize_many_warns_once_with_the_count_of_strings_cut(caplog):
+    tok = SmilesTokenizer("C", max_len=5)
+    with caplog.at_level(logging.WARNING, logger="tensordti"):
+        ids, _ = tok.tokenize_many(["CCCC", "CCC", "CCCC", "CCCCC"])
+    assert [r.getMessage() for r in caplog.records] == ["2 SMILES cut to their first 3 characters to fit max_len 5"]
+    assert ids[:, 0].tolist() == ids[:, 1].tolist() == tok.tokenize("CCC").ids.tolist()
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="tensordti"):
+        tok.tokenize_many(["CCC", "C"])
+    assert caplog.records == []
 
 
 def test_unknown_character_maps_to_unk():
