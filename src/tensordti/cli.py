@@ -146,7 +146,8 @@ class _Run:
     """Collects inputs/outputs for the manifest while a command executes.
     Its config hash covers the config file's text and every flag but --out,
     --config and those naming input files, whose digests `inputs` holds;
-    `--ranked name=path` is hashed, as its names head the report's columns."""
+    of `--ranked name=path` only the names are hashed, as they head the
+    report's columns."""
 
     def __init__(self, args, config: _Config, seeds: list[int]):
         self.command = args.command
@@ -155,6 +156,8 @@ class _Run:
         unhashed = ("command", "out", "config", "data", "interactions", "embeddings", "model", "predictions",
                     "scores", "actives")
         flags = {k: v for k, v in vars(args).items() if k not in unhashed}
+        if flags.get("ranked"):
+            flags["ranked"] = [spec.split("=", 1)[0] for spec in flags["ranked"]]
         self.config = {"config": config.text, "flags": flags}
         self.seeds = seeds
         self.inputs: dict[str, str] = {}

@@ -4,7 +4,8 @@ composite.
 
 Every loss is mean-reduced over the batch and returns a scalar node on the
 caller's tape, so gradients flow wherever the inputs were recorded. Plain
-arrays are accepted for convenience and treated as constants.
+arrays are accepted for convenience and treated as constants; labels,
+targets and weights take the dtype of the node they meet.
 """
 
 from __future__ import annotations
@@ -19,17 +20,18 @@ def _as_node(tape: Tape, x) -> Node:
     return x if isinstance(x, Node) else tape.constant(x)
 
 
-def _as_row(x, n: int | None = None) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    if n is not None and a.shape[1] != n:
-        raise ConfigError(f"expected {n} batch entries, got {a.shape[1]}")
+def _as_row(x, like: np.ndarray) -> np.ndarray:
+    """x as a (1, n) row in the dtype of `like`, a (rows, n) batch."""
+    a = np.asarray(x, dtype=like.dtype).reshape(1, -1)
+    if a.shape[1] != like.shape[1]:
+        raise ConfigError(f"expected {like.shape[1]} batch entries, got {a.shape[1]}")
     return a
 
 
 def bce_with_logits(tape: Tape, logits, labels) -> Node:
     """-[y log sigma(x) + (1-y) log(1-sigma(x))], stable, batch mean."""
     logits = _as_node(tape, logits)
-    y = _as_row(labels, logits.value.shape[1])
+    y = _as_row(labels, logits.value)
     return tape.mean_all(tape.bce_logits(logits, y))
 
 
@@ -40,7 +42,7 @@ def contrastive_cosine(tape: Tape, e_d, e_p, labels, margin: float) -> Node:
         raise ConfigError("cosine margin must be > 0")
     e_d = _as_node(tape, e_d)
     e_p = _as_node(tape, e_p)
-    y = _as_row(labels, e_d.value.shape[1])
+    y = _as_row(labels, e_d.value)
     d = tape.affine(tape.cosine_cols(e_d, e_p), -1.0, 1.0)
     pos = tape.mul(tape.constant(y), tape.mul(d, d))
     hinge = tape.relu(tape.affine(d, -1.0, margin))
@@ -68,8 +70,7 @@ def confidence_loss(tape: Tape, conf, labels, probs) -> Node:
     """(c - |y - p|)^2, batch mean. The target |y - p| is a constant, so no
     gradient reaches the classifier through this loss."""
     conf = _as_node(tape, conf)
-    n = conf.value.shape[1]
-    return mse_loss(tape, conf, np.abs(_as_row(labels, n) - _as_row(probs, n)))
+    return mse_loss(tape, conf, np.abs(_as_row(labels, conf.value) - _as_row(probs, conf.value)))
 
 
 def reconstruction_loss(tape: Tape, logits, token_ids, pad_mask, n_positions: int, vocab_size: int, weights=None) -> Node:
@@ -78,12 +79,15 @@ def reconstruction_loss(tape: Tape, logits, token_ids, pad_mask, n_positions: in
     instead."""
     logits = _as_node(tape, logits)
     per_sample = tape.token_xent(logits, token_ids, pad_mask, n_positions, vocab_size)
-    return tape.mean_all(per_sample) if weights is None else tape.matmul(per_sample, tape.constant(weights))
+    if weights is None:
+        return tape.mean_all(per_sample)
+    return tape.matmul(per_sample, tape.constant(np.asarray(weights, dtype=per_sample.value.dtype)))
 
 
 def mse_loss(tape: Tape, pred, target) -> Node:
     pred = _as_node(tape, pred)
-    target = _as_node(tape, target)
+    if not isinstance(target, Node):  # a constant, in the prediction's dtype
+        target = tape.constant(np.asarray(target, dtype=pred.value.dtype))
     diff = tape.sub(pred, target)
     return tape.mean_all(tape.mul(diff, diff))
 

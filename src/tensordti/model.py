@@ -104,13 +104,9 @@ class ModelState:
             params.append(layer.bias)
         return params
 
-    def snapshot(self) -> np.ndarray:
-        return self.flat.copy()
-
-    def restore(self, values: np.ndarray) -> None:
-        if values.shape != self.flat.shape:
-            raise ShapeError(f"snapshot shape {values.shape} != parameter buffer shape {self.flat.shape}")
-        self.flat[...] = values
+    def astype(self, dtype) -> ModelState:
+        """A new state over a copy of this one's values in `dtype`."""
+        return _state_over(self.config, self.flat.astype(dtype))
 
 
 def _layers(c: ModelConfig, dense) -> dict:
@@ -130,10 +126,29 @@ def _layers(c: ModelConfig, dense) -> dict:
     )
 
 
+def _state_over(config: ModelConfig, flat: np.ndarray) -> ModelState:
+    """The state whose parameters are views of `flat`, in the order and layout `pack` gives them."""
+    lo = 0
+
+    def dense(in_dim, out_dim, activation, name):
+        nonlocal lo
+        params = []
+        for pname, shape in ((f"{name}.weight", (out_dim, in_dim)), (f"{name}.bias", (out_dim, 1))):
+            n = shape[0] * shape[1]
+            params.append(Param(flat[lo : lo + n].reshape(shape), pname, flat, lo))
+            lo += n
+        return DenseLayer(*params, activation)
+
+    return ModelState(config, **_layers(config, dense), flat=flat)
+
+
 def init_model(config: ModelConfig, seed: int = 0) -> ModelState:
-    """Scaled-uniform weights drawn from `seed`."""
+    """Scaled-uniform weights drawn from `seed`, each rounded to float32, the
+    dtype training computes in; the state itself is float64, as scoring is."""
     rng = np.random.default_rng(seed)
-    return ModelState(config, **_layers(config, lambda *layer: init_dense(rng, *layer)))
+    state = ModelState(config, **_layers(config, lambda *layer: init_dense(rng, *layer)))
+    state.flat[...] = state.flat.astype(np.float32)
+    return state
 
 
 def _run(layers: list[DenseLayer], x: Node, tape: Tape) -> Node:
@@ -346,22 +361,14 @@ def load_checkpoint(path: str | Path) -> ModelState:
     if len(data) != end:
         what = "truncated" if len(data) < end else "trailing bytes"
         raise FormatError(f"{path}: {what}: {len(data)} bytes where its config implies {end}")
-    flat, lo = np.empty(sum(sizes)), 0
-
-    def dense(in_dim, out_dim, activation, name):
-        """The layer from the file's next two tensors, as views of `flat`."""
-        nonlocal off, lo
-        params = []
-        for pname, shape in ((f"{name}.weight", (out_dim, in_dim)), (f"{name}.bias", (out_dim, 1))):
-            declared, n = struct.unpack_from("<II", data, off), shape[0] * shape[1]
-            if declared != shape:
-                raise FormatError(f"{path}: parameter {pname!r} declared {declared}, config implies {shape}")
-            flat[lo : lo + n] = np.frombuffer(data, dtype="<f8", count=n, offset=off + 8)
-            params.append(Param(flat[lo : lo + n].reshape(shape), pname, flat, lo))
-            off, lo = off + 8 + 8 * n, lo + n
-        return DenseLayer(*params, activation)
-
-    state = ModelState(config, **_layers(config, dense), flat=flat)
+    flat = np.empty(sum(sizes))
+    state = _state_over(config, flat)
+    for p in state.parameters():
+        declared, n = struct.unpack_from("<II", data, off), p.value.size
+        if declared != p.value.shape:
+            raise FormatError(f"{path}: parameter {p.name!r} declared {declared}, config implies {p.value.shape}")
+        flat[p.lo : p.lo + n] = np.frombuffer(data, dtype="<f8", count=n, offset=off + 8)
+        off += 8 + 8 * n
     bad = first_non_finite(state.parameters(), flat)
     if bad is not None:
         raise FormatError(f"{path}: parameter {bad.name!r} has non-finite values")

@@ -1,18 +1,18 @@
 """Dense-network numeric kernel.
 
-2-D float64 tensors (vectors are columns, batches are column blocks), a
-replayable operation tape for reverse-mode gradients, bias-corrected Adam
-with decoupled weight decay, and a central finite-difference gradient
-checker. The op set is fixed: matmul, add, elementwise activations,
-reductions, column-wise cosine, logit cross-entropy and token softmax
-cross-entropy. There is no general autodiff; the architecture this kernel
-serves is closed.
+2-D float32 or float64 tensors (vectors are columns, batches are column
+blocks; each op computes in its inputs' dtype), a replayable operation tape
+for reverse-mode gradients, bias-corrected Adam with decoupled weight decay,
+and a central finite-difference gradient checker. The op set is fixed:
+matmul, add, elementwise activations, reductions, column-wise cosine, logit
+cross-entropy and token softmax cross-entropy. There is no general autodiff;
+the architecture this kernel serves is closed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -23,16 +23,18 @@ Matrix = np.ndarray
 
 ACTIVATIONS = ("identity", "relu", "sigmoid", "tanh")
 
-ADAM_BLOCK = 1 << 15  # float64 values per block of the in-place Adam update (256 KiB)
-ONEHOT_LIMIT = 1 << 16  # largest positions x columns one-hot of take_cols' backward (512 KiB)
+ADAM_BLOCK = 1 << 15  # values per block of the in-place Adam update (256 KiB in float64)
+ONEHOT_LIMIT = 1 << 16  # largest positions x columns one-hot of take_cols' backward (512 KiB in float64)
 
 
 def as_matrix(x, name: str = "tensor") -> Matrix:
-    """Coerce to a 2-D float64 array; reject non-finite entries.
+    """Coerce to a 2-D array, float32 if it is float32 and float64 otherwise;
+    reject non-finite entries.
 
     1-D input is treated as a single column vector.
     """
-    a = np.asarray(x, dtype=np.float64)
+    a = np.asarray(x)
+    a = a if a.dtype == np.float32 else np.asarray(a, dtype=np.float64)
     if a.ndim == 0:
         a = a.reshape(1, 1)
     elif a.ndim == 1:
@@ -63,11 +65,11 @@ def token_nll(cube: Matrix, ids: np.ndarray, mask: np.ndarray, work: np.ndarray 
     """
     n_pos, _, batch = cube.shape
     ids = np.asarray(ids, dtype=np.intp).reshape(n_pos, batch)
-    mask = np.asarray(mask, dtype=np.float64).reshape(n_pos, batch)
+    mask = np.asarray(mask, dtype=cube.dtype).reshape(n_pos, batch)
     t_eff = mask.sum(axis=0)
     if np.any(t_eff == 0):
         raise DataError("sequence with no scorable (non-PAD) tokens")
-    shifted, ex = np.empty((2, *cube.shape)) if work is None else work
+    shifted, ex = np.empty((2, *cube.shape), cube.dtype) if work is None else work
     np.subtract(cube, cube.max(axis=1, keepdims=True), out=shifted)
     log_z = np.log(np.exp(shifted, out=ex).sum(axis=1, keepdims=True))
     picked = shifted[np.arange(n_pos)[:, None], ids, np.arange(batch)[None, :]] - log_z[:, 0]
@@ -121,9 +123,9 @@ class Param(Node):
 
 
 def pack(params: list[Param]) -> np.ndarray:
-    """Copy `params`, in order, into one new float64 buffer and make each
-    value a view of its slot; returns the buffer."""
-    flat = np.empty(sum(p.value.size for p in params))
+    """Copy `params`, in order, into one new buffer of their dtype and make
+    each value a view of its slot; returns the buffer."""
+    flat = np.empty(sum(p.value.size for p in params), np.result_type(*{p.value.dtype for p in params}))
     lo = 0
     for p in params:
         hi = lo + p.value.size
@@ -211,7 +213,7 @@ class Tape:
         va, vb = a.value, b.value
         if va.shape[1] != vb.shape[0]:
             raise ShapeError(f"matmul: inner dims differ, {va.shape} x {vb.shape}")
-        out = Node(np.matmul(va, vb, out=self._lend((va.shape[0], vb.shape[1]), (a, b))))
+        out = Node(np.matmul(va, vb, out=self._lend((va.shape[0], vb.shape[1]), np.result_type(va, vb), (a, b))))
 
         def bw(g, sink):
             if a.needs_grad:
@@ -373,12 +375,12 @@ class Tape:
 
         def bw(g, sink):
             if idx.size * x.value.shape[1] <= ONEHOT_LIMIT:
-                onehot = np.zeros((idx.size, x.value.shape[1]))
+                onehot = np.zeros((idx.size, x.value.shape[1]), g.dtype)
                 onehot[np.arange(idx.size), idx] = 1.0
                 return sink(x, g @ onehot)
             order = np.argsort(idx, kind="stable")
             starts = np.flatnonzero(np.diff(idx[order], prepend=-1))
-            grad = np.zeros(x.value.shape)
+            grad = np.zeros(x.value.shape, g.dtype)
             grad[:, idx[order[starts]]] = np.add.reduceat(np.take(g, order, axis=1), starts, axis=1)
             sink(x, grad)
 
@@ -411,7 +413,7 @@ class Tape:
         Stable form max(x,0) - x*y + log(1+exp(-|x|)); gradient sigmoid(x)-y.
         """
         x = logits.value
-        y = np.asarray(labels, dtype=np.float64).reshape(x.shape)
+        y = np.asarray(labels, dtype=x.dtype).reshape(x.shape)
         val = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
         out = Node(val)
 
@@ -434,9 +436,9 @@ class Tape:
                 f"{n_positions}x{vocab_size}"
             )
         ids = np.asarray(token_ids, dtype=np.intp).reshape(n_positions, batch)
-        mask = np.asarray(pad_mask, dtype=np.float64).reshape(n_positions, batch)
         cube = logits.value.reshape(n_positions, vocab_size, batch)
-        work = self._lend((2, *cube.shape), (logits,))  # None when not recorded: token_nll allocates
+        mask = np.asarray(pad_mask, dtype=cube.dtype).reshape(n_positions, batch)
+        work = self._lend((2, *cube.shape), cube.dtype, (logits,))  # None when not recorded: token_nll allocates
         nll, log_z = token_nll(cube, ids, mask, work)
         out = Node(nll.reshape(1, batch))
 
@@ -449,14 +451,14 @@ class Tape:
 
         return self._record(out, (logits,), bw)
 
-    def _lend(self, shape: tuple[int, ...], parents: tuple[Node, ...]) -> np.ndarray | None:
-        """A buffer of `shape` for the output or work of an op to be recorded, else None: each op
+    def _lend(self, shape: tuple[int, ...], dtype, parents: tuple[Node, ...]) -> np.ndarray | None:
+        """A buffer of `shape` and `dtype` for the output or work of an op to be recorded, else None: each op
         since the last clear gets its own buffer, which the same op of the next step reuses."""
         if not self.record or not any(p.needs_grad for p in parents):
             return None
         size, i = math.prod(shape), self._lent
-        if i == len(self._bufs) or self._bufs[i].size < size:
-            self._bufs[i : i + 1] = [np.empty(size)]  # replaces the buffer, or appends one
+        if i == len(self._bufs) or self._bufs[i].size < size or self._bufs[i].dtype != dtype:
+            self._bufs[i : i + 1] = [np.empty(size, dtype)]  # replaces the buffer, or appends one
         self._lent += 1
         return self._bufs[i][:size].reshape(shape)
 
@@ -471,8 +473,9 @@ class Tape:
             raise UsageError("backward called with no recorded forward ops")
         grads: dict[int, Matrix] = {id(loss): np.ones_like(loss.value)}
         for key, flat in {id(p.flat): p.flat for p in self._params.values()}.items():
-            if key not in self._grads or self._grads[key].shape != flat.shape:
-                self._grads[key] = np.empty(flat.shape)
+            kept = self._grads.get(key)
+            if kept is None or kept.shape != flat.shape or kept.dtype != flat.dtype:
+                self._grads[key] = np.empty_like(flat)
             self._grads[key].fill(0.0)
         slots = {k: self._grads[id(p.flat)][p.lo : p.lo + p.value.size].reshape(p.value.shape) for k, p in self._params.items()}
 
@@ -532,7 +535,7 @@ class AdamState:
     t: int = 0
     m: np.ndarray | None = None  # moments, laid out like the parameter buffer
     v: np.ndarray | None = None
-    scratch: np.ndarray = field(default_factory=lambda: np.empty((2, ADAM_BLOCK)))
+    scratch: np.ndarray | None = None  # (2, ADAM_BLOCK) working values, of the parameter buffer's dtype
 
 
 def adam_step(state: AdamState, params: list[Param], grads: dict[Param, Matrix]) -> None:
@@ -556,6 +559,7 @@ def adam_step(state: AdamState, params: list[Param], grads: dict[Param, Matrix])
         raise UsageError(f"non-finite gradient for parameter {bad.name!r}; step aborted")
     if state.m is None:
         state.m, state.v = np.zeros_like(flat), np.zeros_like(flat)
+        state.scratch = np.empty((2, ADAM_BLOCK), flat.dtype)
     state.t += 1
     b1, b2, lr = state.beta1, state.beta2, state.lr
     bc1 = 1.0 - b1**state.t

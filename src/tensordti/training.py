@@ -21,6 +21,10 @@ from .tokenizer import SmilesTokenizer
 
 log = logging.getLogger("tensordti")
 
+# the dtype training computes in: parameters, gradients, Adam's moments and
+# the train and valid tables; scoring, checkpoints and test metrics are float64
+TRAIN_DTYPE = np.float32
+
 
 @dataclass
 class TrainConfig:
@@ -96,13 +100,16 @@ class TrainReport:
 class _Pairs:
     """One record list as model input, the one place a pair table's ids,
     pockets and truth are checked: its unique drugs (sorted) and unique
-    (target, pocket) keys, each gathered from its store once, the per-pair
-    column indices into them, and `truth`, the mode's label or affinity per
-    pair (nan where absent; with `truth`, an absent one is a DataError).
+    (target, pocket) keys, each gathered from its store once in `dtype`, the
+    per-pair column indices into them, and `truth`, the mode's label or
+    affinity per pair (nan where absent; with `truth`, an absent one is a
+    DataError).
     Scoring reads whole columns; training gathers each minibatch's columns
     through the indices."""
 
-    def __init__(self, data: DatasetBundle, records: list[InteractionRecord], config: ModelConfig, truth: bool = False):
+    def __init__(
+        self, data: DatasetBundle, records: list[InteractionRecord], config: ModelConfig, truth: bool = False, dtype=np.float64
+    ):
         if not records:
             raise DataError("empty record list")
         has_pocket = config.pocket_dim is not None
@@ -119,9 +126,9 @@ class _Pairs:
             [keys.setdefault((r.target_id, r.pocket_id if has_pocket else None), len(keys)) for r in records],
             dtype=np.intp,
         )
-        self.x_drug = data.drugs.matrix(self.drugs)
-        self.x_protein = data.proteins.matrix([t for t, _ in keys])
-        self.x_pocket = data.pockets.matrix([k for _, k in keys]) if has_pocket else None
+        self.x_drug = data.drugs.matrix(self.drugs).astype(dtype, copy=False)
+        self.x_protein = data.proteins.matrix([t for t, _ in keys]).astype(dtype, copy=False)
+        self.x_pocket = data.pockets.matrix([k for _, k in keys]).astype(dtype, copy=False) if has_pocket else None
         if pocket_ids and not has_pocket:
             data.pockets.matrix(pocket_ids)  # no branch reads them, but every id named must resolve
         field = "label" if config.mode == "classification" else "affinity"
@@ -171,7 +178,7 @@ def _forward_losses(state: ModelState, pairs: _Pairs, idx: np.ndarray, tape: Tap
             else:
                 pos = np.where(y == 1)[0]
                 if pos.size == 0:
-                    terms["con"] = tape.affine(tape.constant(0.0), 1.0)
+                    terms["con"] = tape.constant(np.zeros((1, 1), logit.value.dtype))
                 else:
                     perm = trip_rng.permutation(idx.size)
                     terms["con"] = losses.contrastive_triplet(
@@ -183,7 +190,7 @@ def _forward_losses(state: ModelState, pairs: _Pairs, idx: np.ndarray, tape: Tap
                     )
     else:
         target = pairs.truth[idx]
-        terms["mse"] = losses.mse_loss(tape, logit, tape.constant(target.reshape(1, -1)))
+        terms["mse"] = losses.mse_loss(tape, logit, target.reshape(1, -1))
         err = np.minimum(1.0, np.abs(target - logit.value.reshape(-1)) / c.error_scale)
         terms["conf"] = losses.mse_loss(tape, conf, err.reshape(1, -1))
 
@@ -221,13 +228,13 @@ def _validation_metric(state: ModelState, pairs: _Pairs) -> float:
 def _train_single(model_config: ModelConfig, tables: tuple[_Pairs, _Pairs, _Pairs], config: TrainConfig, seed: int):
     """One seed's run over the train, valid and test tables, which `train` builds once for all seeds."""
     train, valid, test = tables
-    state = model_mod.init_model(model_config, seed=splitmix64(seed, 0))
+    best = model_mod.init_model(model_config, seed=splitmix64(seed, 0))  # each improving epoch is copied into it
+    state = best.astype(TRAIN_DTYPE)
     adam = AdamState(lr=config.lr, weight_decay=config.weight_decay)
     params = state.parameters()
 
     best_metric = float("-inf")
     best_epoch = -1
-    best_values = state.snapshot()  # the one copy: each improving epoch is copied into it
     stats: list[EpochStats] = []
     n = train.drug_idx.size
     tape = Tape()  # one per run, so its gradient buffer and work cubes are reused by every step
@@ -266,17 +273,16 @@ def _train_single(model_config: ModelConfig, tables: tuple[_Pairs, _Pairs, _Pair
         if val_metric > best_metric:
             best_metric = val_metric
             best_epoch = epoch
-            np.copyto(best_values, state.flat)
+            np.copyto(best.flat, state.flat)
         elif epoch - best_epoch >= config.patience:
             break
 
     if best_epoch == -1:
         log.warning("seed %d: no finite validation metric in %d epochs; returning the initial weights", seed, len(stats))
-    state.restore(best_values)
-    logits, probs, _ = _scores(state, test)
+    logits, probs, _ = _scores(best, test)
     classification = model_config.mode == "classification"
     test_metrics = metric_bundle(classification, probs if classification else logits, test.truth)
-    return state, SeedRun(
+    return best, SeedRun(
         seed=seed,
         best_epoch=best_epoch,
         best_val_metric=best_metric,
@@ -292,7 +298,8 @@ def train(model_config: ModelConfig, data: DatasetBundle, config: TrainConfig) -
     for name, recs in splits.items():
         if not recs:
             raise DataError(f"empty {name} split")
-    tables = tuple(_Pairs(data, recs, model_config, truth=True) for recs in splits.values())
+    dtypes = {"train": TRAIN_DTYPE, "valid": TRAIN_DTYPE, "test": np.float64}
+    tables = tuple(_Pairs(data, splits[name], model_config, truth=True, dtype=dtype) for name, dtype in dtypes.items())
     if model_config.alpha_recon > 0:
         tables[0].tokenize(data, SmilesTokenizer(model_config.vocab, model_config.max_len))
 

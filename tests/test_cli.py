@@ -670,7 +670,8 @@ def test_config_hash_covers_every_flag_but_out_config_and_input_paths(tmp_path):
     """A flag that changes a command's outputs changes its config hash; the
     output directory, the config file's path and the input files' paths do
     not. `rank --target`, `--unf-threshold` and `enrich --format` used to
-    leave the hash as it was."""
+    leave the hash as it was, and the path in `enrich --ranked name=path`
+    used to change it: only the name, which heads a report column, counts."""
     preds, truth, ranked, actives = screening_inputs(tmp_path)
     two_targets = tmp_path / "two_targets.tsv"
     two_targets.write_text(PREDICTIONS_HEADER + "D0\tT0\t1.0\t0.7\t1\t\t0.2\t0.5\nD1\tT1\t-1.0\t0.3\t0\t\t0.4\t0.6\n")
@@ -693,6 +694,11 @@ def test_config_hash_covers_every_flag_but_out_config_and_input_paths(tmp_path):
     assert config_hash(*report) != config_hash(*report, "--unf-threshold", "1")
     enrich = ("enrich", "--ranked", f"m={ranked}", "--actives", actives)
     assert config_hash(*enrich, "--format", "json") != config_hash(*enrich, "--format", "tsv")
+    moved = tmp_path / "elsewhere" / ranked.name
+    moved.parent.mkdir()
+    moved.write_bytes(ranked.read_bytes())
+    assert config_hash("enrich", "--ranked", f"m={moved}", "--actives", actives) == config_hash(*enrich)
+    assert config_hash("enrich", "--ranked", f"n={ranked}", "--actives", actives) != config_hash(*enrich)
 
 
 # the table that ranked c1, c2, c4, c3 one way round and c4, c3, c2, c1 the other

@@ -405,7 +405,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 
 
 def test_parameter_values_are_views_of_the_model_buffer(tmp_path):
-    """init_model, load_checkpoint and restore leave every parameter a view
+    """init_model, load_checkpoint and astype leave every parameter a view
     of its slot of `state.flat`, the buffer Adam updates and checkpoints
     read."""
 
@@ -420,13 +420,10 @@ def test_parameter_values_are_views_of_the_model_buffer(tmp_path):
     loaded = load_checkpoint(tmp_path / "a.tdti")
     assert_views(loaded)
     assert np.array_equal(loaded.flat, state.flat)
-    saved = state.snapshot()
-    state.flat += 1.0
-    state.restore(saved)
-    assert_views(state)
-    assert np.array_equal(state.flat, saved) and not np.shares_memory(state.flat, saved)
-    with pytest.raises(ShapeError):
-        state.restore(saved[:-1])
+    narrow = state.astype(np.float32)
+    assert_views(narrow)
+    assert narrow.flat.dtype == np.float32 and not np.shares_memory(narrow.flat, state.flat)
+    assert np.array_equal(narrow.flat, state.flat)
 
 
 def _small_checkpoint() -> bytes:

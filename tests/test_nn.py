@@ -131,16 +131,18 @@ def test_needs_grad_follows_parameters():
 
 
 class SinkSpy(Tape):
-    """Records every node that a backward closure hands a contribution to."""
+    """Records every node that a backward closure hands a contribution to,
+    and the dtypes of the contributions."""
 
     def __init__(self):
         super().__init__()
-        self.sunk = []
+        self.sunk, self.dtypes = [], set()
 
     def _record(self, out, parents, bw):
         def spied(g, sink):
             def spy(node, contrib, *where):
                 self.sunk.append(node)
+                self.dtypes.add(contrib.dtype)
                 sink(node, contrib, *where)
 
             bw(g, spy)

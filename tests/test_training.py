@@ -808,3 +808,89 @@ def test_train_checkpoint_matches_a_fresh_tape_per_step(monkeypatch, tmp_path, t
         M.save_checkpoint(state, tmp_path / "m.ckpt")
         out.append(((tmp_path / "m.ckpt").read_bytes(), report.to_json()))
     assert out[0] == out[1]
+
+
+# -- float32 training: the float64 tape path as oracle, and every buffer in the step's dtype ---------
+
+
+def _float_step_case(case, dtype):
+    """A state with non-zero biases in `dtype`, its training table in the
+    same dtype, and two minibatches: 64 pairs that repeat drugs and
+    targets, and in classification 8 pairs with no positive."""
+    task, kw = ORACLE_CASES[case]
+    bundle = pocket_bundle(task)
+    state = M.init_model(model_cfg(**kw), seed=4)
+    rng = np.random.default_rng(3)
+    for p in state.parameters():
+        if p.name.endswith(".bias"):
+            p.value[...] = 0.1 * rng.standard_normal(p.value.shape).astype(np.float32)
+    state = state.astype(dtype)
+    pairs = T._Pairs(bundle, bundle.interactions, state.config, dtype=dtype)
+    pairs.tokenize(bundle, state.tokenizer)
+    batches = [np.random.default_rng(2).permutation(len(bundle.interactions))[:64]]
+    if task == "dti":
+        batches.append(np.flatnonzero(pairs.truth == 0)[:8])
+    return state, pairs, batches
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_float32_step_matches_the_float64_tape_path(case):
+    """One step in float32 against the same step in float64 on the same
+    float32-valued weights and inputs: each loss term within rtol 1e-5, and
+    the whole gradient within 1e-5 of its norm."""
+    for idx in _float_step_case(case, np.float64)[2]:
+        steps = []
+        for dtype in (np.float32, np.float64):
+            state, pairs, _ = _float_step_case(case, dtype)
+            tape = Tape()
+            terms = T._forward_losses(state, pairs, idx, tape, RollByOne)
+            total, values = losses.composite_loss(tape, terms, state.config)
+            grads = tape.backward(total)
+            steps.append((values, next(iter(grads.values())).base.astype(np.float64)))
+        (values32, g32), (values64, g64) = steps
+        assert values32.keys() == values64.keys()
+        for name, want in values64.items():
+            assert values32[name] == pytest.approx(want, rel=1e-5, abs=0), name
+        assert np.linalg.norm(g32 - g64) <= 1e-5 * np.linalg.norm(g64)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", ["classification-pocket", "triplet", "regression-pocket"])
+def test_a_step_keeps_every_buffer_in_its_parameters_dtype(case, dtype):
+    """A loss constant in another dtype would turn the first matmul mixed
+    and spread float64 through a float32 step: after steps on a kept tape,
+    every loss term, backward contribution, lent buffer, the gradient buffer
+    and Adam's moments and scratch are in the parameters' dtype."""
+    from test_nn import SinkSpy
+
+    state, pairs, batches = _float_step_case(case, dtype)
+    tape, adam = SinkSpy(), nn.AdamState(lr=1e-3, weight_decay=1e-2)
+    for idx in batches:
+        terms = T._forward_losses(state, pairs, idx, tape, RollByOne)
+        assert {t.value.dtype for t in terms.values()} == {np.dtype(dtype)}
+        total, _ = losses.composite_loss(tape, terms, state.config)
+        nn.adam_step(adam, state.parameters(), tape.backward(total))
+    buffers = [*tape._bufs, *tape._grads.values(), adam.m, adam.v, adam.scratch, state.flat]
+    assert len(tape._bufs) > 10 and {b.dtype for b in buffers} == tape.dtypes == {np.dtype(dtype)}
+
+
+def test_train_steps_in_float32_and_returns_float32_values_in_float64(monkeypatch):
+    """`train` runs every Adam step on float32 parameters, gradients and
+    moments; init_model's and train's parameters are float64 buffers whose
+    values round-trip through float32 exactly."""
+    seen = []
+
+    def spy(adam, params, grads):
+        nn.adam_step(adam, params, grads)
+        buffers = [params[0].flat, adam.m, adam.v, adam.scratch, *grads.values()]
+        seen.append({b.dtype for b in buffers})
+
+    monkeypatch.setattr(T, "adam_step", spy)
+    cfg = model_cfg()
+    init = M.init_model(cfg, seed=_util.splitmix64(0, 0))
+    state, _ = train(cfg, make_bundle(), train_cfg(max_epochs=2, patience=2))
+    assert seen and all(s == {np.dtype(np.float32)} for s in seen)
+    assert not np.array_equal(state.flat, init.flat)
+    for s in (init, state):
+        assert s.flat.dtype == np.float64
+        assert np.array_equal(s.flat.astype(np.float32).astype(np.float64), s.flat)
