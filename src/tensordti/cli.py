@@ -1,8 +1,9 @@
 """Batch command-line surface: gen-synth, split, train, predict, rank,
 enrich, report.
 
-Every command validates its flags before touching files, writes all outputs
-under --out together with a run manifest, and fails with a single-line
+Every command validates its flags before touching files and writes all
+outputs under --out; `main` opens the run before it and writes the run
+manifest after it, and any failure is a single-line
 ``ERROR <CLASS>: message`` on stderr. Each command imports only the modules
 it runs, so `rank` and `enrich` start without numpy or the model. Settings
 come from flags given > config file > values derived from the data >
@@ -147,19 +148,19 @@ class _Run:
     Its config hash covers the config file's text and every flag but --out,
     --config and those naming input files, whose digests `inputs` holds;
     of `--ranked name=path` only the names are hashed, as they head the
-    report's columns."""
+    report's columns. --out is made at the first artifact, so a command
+    that fails before writing leaves no directory."""
 
-    def __init__(self, args, config: _Config, seeds: list[int]):
+    def __init__(self, args, config: _Config):
         self.command = args.command
         self.outdir = Path(args.out)
-        self.outdir.mkdir(parents=True, exist_ok=True)
         unhashed = ("command", "out", "config", "data", "interactions", "embeddings", "model", "predictions",
                     "scores", "actives")
         flags = {k: v for k, v in vars(args).items() if k not in unhashed}
         if flags.get("ranked"):
             flags["ranked"] = [spec.split("=", 1)[0] for spec in flags["ranked"]]
         self.config = {"config": config.text, "flags": flags}
-        self.seeds = seeds
+        self.seeds: list[int] = []  # set by the commands that draw random numbers
         self.inputs: dict[str, str] = {}
         self.artifacts: list[str] = []
         self.t0 = time.monotonic()
@@ -172,9 +173,13 @@ class _Run:
         return path
 
     def artifact(self, name: str) -> Path:
+        self.outdir.mkdir(parents=True, exist_ok=True)
         path = self.outdir / name
         self.artifacts.append(str(path))
         return path
+
+    def write_json(self, name: str, payload: dict) -> None:
+        self.artifact(name).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
     def finish(self) -> None:
         cfg = json.dumps(self.config, sort_keys=True, default=str)
@@ -191,17 +196,17 @@ class _Run:
             "minor_faults": usage.ru_minflt,
             "environment": environment(),
         }
-        (self.outdir / "manifest.json").write_text(
-            json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        self.write_json("manifest.json", manifest)  # joins self.artifacts after the sorted copy above
 
 
-def _load_bundle(run: _Run, data_dir: str, interactions: str | None = None, embeddings_dir: str | None = None):
+def _load_bundle(run: _Run, args):
+    """The stores under --embeddings (default --data), DATA/smiles.tsv when
+    present and --interactions (default DATA/interactions.tsv)."""
     from .embeddings import load_embeddings, load_interactions, load_smiles
     from .training import DatasetBundle
 
-    d = Path(data_dir)
-    e = Path(embeddings_dir) if embeddings_dir else d
+    d = Path(args.data)
+    e = Path(args.embeddings) if args.embeddings else d
 
     def store(name: str, modality: str, required: bool = True):
         """`<name>.bin` when present, else `<name>.jsonl`; None for an absent optional store."""
@@ -216,7 +221,7 @@ def _load_bundle(run: _Run, data_dir: str, interactions: str | None = None, embe
     smiles = None
     if (d / "smiles.tsv").is_file():
         smiles = load_smiles(run.track_input(d / "smiles.tsv"))
-    inter_path = Path(interactions) if interactions else d / "interactions.tsv"
+    inter_path = Path(args.interactions) if args.interactions else d / "interactions.tsv"
     records = load_interactions(run.track_input(inter_path))
     return DatasetBundle(drugs=drugs, proteins=proteins, pockets=pockets, smiles=smiles, interactions=records)
 
@@ -224,40 +229,35 @@ def _load_bundle(run: _Run, data_dir: str, interactions: str | None = None, embe
 # -- commands ---------------------------------------------------------------
 
 
-def cmd_gen_synth(args, config: _Config) -> int:
+def cmd_gen_synth(args, config: _Config, run: _Run) -> None:
     from . import synthetic
 
     cfg = config.settings(synthetic.SyntheticConfig, {"seed": args.seed})
-    run = _Run(args, config, [cfg.seed])
+    run.seeds = [cfg.seed]
     data = synthetic.gen_synthetic(cfg)
-    for path in data.write(run.outdir):
-        run.artifacts.append(str(path))
-    run.finish()
+    run.artifacts += map(str, data.write(run.outdir))
     log.info("wrote synthetic fixture to %s", run.outdir)
-    return 0
 
 
-def cmd_split(args, config: _Config) -> int:
+def cmd_split(args, config: _Config, run: _Run) -> None:
     from . import pipeline
     from .embeddings import load_interactions, save_interactions
 
     spec = config.settings(pipeline.SplitSpec, {"strategy": args.strategy, "seed": args.seed})
-    run = _Run(args, config, [spec.seed])
+    run.seeds = [spec.seed]
     records = load_interactions(run.track_input(Path(args.data) / "interactions.tsv"))
     tagged = pipeline.split(records, spec)
     if spec.balance_train:
         tagged = pipeline.balance_train(tagged, seed=splitmix64(spec.seed, 7))
     save_interactions(tagged, run.artifact("interactions.tsv"))
-    run.finish()
-    return 0
 
 
-def cmd_train(args, config: _Config) -> int:
+def cmd_train(args, config: _Config, run: _Run) -> None:
     from . import model as model_mod, training
 
     mode = "regression" if args.mode == "dta" else "classification"
-    run = _Run(args, config, [args.seed or 0])
-    data = _load_bundle(run, args.data, args.interactions, args.embeddings)
+    run.seeds = [args.seed or 0]
+    data = _load_bundle(run, args)
 
     derived = {"drug_dim": data.drugs.width, "protein_dim": data.proteins.width}
     # a pocket branch when a row that train reads names a pocket
@@ -274,33 +274,27 @@ def cmd_train(args, config: _Config) -> int:
 
     state, report = training.train(model_config, data, train_config)
     model_mod.save_checkpoint(state, run.artifact("model.tdti"))
-    run.artifacts.append(str(run.outdir / "model.tdti.json"))
+    run.artifact("model.tdti.json")
     run.artifact("train_report.json").write_text(report.to_json(), encoding="utf-8")
-    run.finish()
     log.info("test metrics: %s", report.test_mean)
-    return 0
 
 
-def cmd_predict(args, config: _Config) -> int:
+def cmd_predict(args, config: _Config, run: _Run) -> None:
     from . import model as model_mod, training
     from .embeddings import SPLITS
 
     which = config.get("predict_split", str, "test")
     if which not in (*SPLITS, "all"):
         raise ConfigError(f"config key 'predict_split' expects one of {(*SPLITS, 'all')}, got {which!r}")
-    run = _Run(args, config, [])
     state = model_mod.load_checkpoint(run.track_input(args.model))
-    data = _load_bundle(run, args.data, args.interactions, args.embeddings)
+    data = _load_bundle(run, args)
     records = data.subset(which) if which != "all" else data.interactions
     if not records:
         raise DataError(f"no records in split {which!r} to predict")
     screening.save_predictions(training.evaluate(state, data, records), run.artifact("predictions.tsv"))
-    run.finish()
-    return 0
 
 
-def cmd_rank(args, config: _Config) -> int:
-    run = _Run(args, config, [])
+def cmd_rank(args, config: _Config, run: _Run) -> None:
     preds = screening.load_predictions(run.track_input(args.predictions))
     if args.target:
         preds = screening.take(preds, [i for i, t in enumerate(preds["target_id"]) if t == args.target])
@@ -316,16 +310,12 @@ def cmd_rank(args, config: _Config) -> int:
              "confidence": preds["confidence"], "unfamiliarity": preds["unfamiliarity"]}
     if args.unf_threshold is not None:
         table, census = screening.filter_unfamiliar(table, args.unf_threshold)
-        run.artifact("filter_census.json").write_text(
-            json.dumps(census, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        run.write_json("filter_census.json", census)
         if not table["compound_id"]:
             raise DataError("no compounds below the unfamiliarity threshold")
     ranked = screening.rank(table, args.ranking)
     positions = ((str(i), cid) for i, cid in enumerate(ranked, 1))
     write_tsv(run.artifact("ranked.tsv"), ("rank", "compound_id"), positions)
-    run.finish()
-    return 0
 
 
 def _parse_k_grid(text: str) -> tuple[float, ...]:
@@ -338,9 +328,9 @@ def _parse_k_grid(text: str) -> tuple[float, ...]:
     return grid
 
 
-def cmd_enrich(args, config: _Config) -> int:
+def cmd_enrich(args, config: _Config, run: _Run) -> None:
     k_grid = _parse_k_grid(args.k_grid)
-    run = _Run(args, config, [args.seed or 0])
+    run.seeds = [args.seed or 0]
     actives = screening.load_actives(run.track_input(args.actives))
 
     rankings: dict[str, list[str]] = {}
@@ -372,16 +362,13 @@ def cmd_enrich(args, config: _Config) -> int:
         run.artifact("enrichment.json").write_text(report.to_json(), encoding="utf-8")
     if args.format in ("tsv", "both"):
         run.artifact("enrichment.tsv").write_text(report.to_tsv(), encoding="utf-8")
-    run.finish()
-    return 0
 
 
-def cmd_report(args, config: _Config) -> int:
+def cmd_report(args, config: _Config, run: _Run) -> None:
     from .embeddings import load_interactions
     from .metrics import confusion_confidence, metric_bundle
 
     mode = args.mode or "dti"
-    run = _Run(args, config, [])
     preds = screening.load_predictions(run.track_input(args.predictions))
     column = "prob" if mode == "dti" else "affinity_pred"
     predicted = preds[column]
@@ -405,11 +392,7 @@ def cmd_report(args, config: _Config) -> int:
         table = {"compound_id": keys, "score": preds["logit"], "label": preds["pred_label"],
                  "unfamiliarity": preds["unfamiliarity"]}
         _, payload["filter_census"] = screening.filter_unfamiliar(table, args.unf_threshold)
-    run.artifact("metrics.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    run.finish()
-    return 0
+    run.write_json("metrics.json", payload)
 
 
 # -- wiring -----------------------------------------------------------------
@@ -497,17 +480,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = _Config(_parse_config_file(args.config) if args.config else {})
-        code = COMMANDS[args.command](args, config)
+        run = _Run(args, config)
+        COMMANDS[args.command](args, config, run)
+        run.finish()
         unread = [k for k in config.text if k not in config.read]
         if unread:
             log.warning("config keys that set nothing %s reads: %s", args.command, ", ".join(unread))
-        return code
-    except UsageError as exc:
-        print(f"ERROR {exc.code}: {exc}", file=sys.stderr)
-        return 2
+        return 0
     except TdtiError as exc:
         print(f"ERROR {exc.code}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
     except OSError as exc:
         print(f"ERROR IO: {exc}", file=sys.stderr)
         return 1

@@ -28,6 +28,10 @@ CHECKPOINT_VERSION = 1
 # float64 values per working buffer of a scoring chunk (8 MiB)
 CHUNK_ELEMENTS = 1 << 20
 
+# the dtype training computes in: parameters, gradients, Adam's moments and
+# the train and valid tables; scoring, checkpoints and test metrics are float64
+TRAIN_DTYPE = np.float32
+
 MODES = ("classification", "regression")
 CONTRASTIVE_VARIANTS = ("cosine_margin", "triplet_l2")
 
@@ -143,11 +147,11 @@ def _state_over(config: ModelConfig, flat: np.ndarray) -> ModelState:
 
 
 def init_model(config: ModelConfig, seed: int = 0) -> ModelState:
-    """Scaled-uniform weights drawn from `seed`, each rounded to float32, the
-    dtype training computes in; the state itself is float64, as scoring is."""
+    """Scaled-uniform weights drawn from `seed`, each rounded to TRAIN_DTYPE;
+    the state itself is float64, as scoring is."""
     rng = np.random.default_rng(seed)
     state = ModelState(config, **_layers(config, lambda *layer: init_dense(rng, *layer)))
-    state.flat[...] = state.flat.astype(np.float32)
+    state.flat[...] = state.flat.astype(TRAIN_DTYPE)
     return state
 
 

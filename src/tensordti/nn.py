@@ -97,10 +97,6 @@ class Node:
         self.value = value
         self.needs_grad = False
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     def item(self) -> float:
         if self.value.size != 1:
             raise UsageError(f"item() on non-scalar node of shape {self.value.shape}")

@@ -15,15 +15,11 @@ from ._util import check_floats, splitmix64
 from .embeddings import EmbeddingStore, InteractionRecord
 from .errors import ConfigError, DataError
 from .metrics import DECISION_THRESHOLD, aupr, metric_bundle, pcc
-from .model import ModelConfig, ModelState
+from .model import TRAIN_DTYPE, ModelConfig, ModelState
 from .nn import AdamState, Tape, adam_step, stable_sigmoid
 from .tokenizer import SmilesTokenizer
 
 log = logging.getLogger("tensordti")
-
-# the dtype training computes in: parameters, gradients, Adam's moments and
-# the train and valid tables; scoring, checkpoints and test metrics are float64
-TRAIN_DTYPE = np.float32
 
 
 @dataclass

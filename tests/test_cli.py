@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import hashlib
+import inspect
 import json
 import logging
 import os
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensordti.cli import _Config, _parse_config_file, build_parser, main
+from tensordti.cli import COMMANDS, _Config, _parse_config_file, build_parser, main
 from tensordti.embeddings import load_embeddings, load_interactions, save_embeddings_jsonl
 from tensordti.errors import ConfigError, TdtiError
 from tensordti.model import ModelConfig
@@ -75,14 +77,17 @@ def test_gen_synth_manifest_written(tmp_path):
     assert manifest["config_hash"]
 
 
+MANIFEST_KEYS = [
+    "artifacts", "command", "config_hash", "environment", "inputs", "minor_faults", "peak_rss_mb", "seeds",
+    "wall_time_s",
+]
+
+
 def test_manifest_schema_records_memory_and_faults(tmp_path):
     """The manifest's fields are pinned; peak RSS (MB) and minor page faults
     come from the process's own rusage, beside the wall time."""
     manifest = json.loads((gen(tmp_path) / "manifest.json").read_text())
-    assert sorted(manifest) == [
-        "artifacts", "command", "config_hash", "environment", "inputs", "minor_faults", "peak_rss_mb", "seeds",
-        "wall_time_s",
-    ]
+    assert sorted(manifest) == MANIFEST_KEYS
     assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0
     assert isinstance(manifest["minor_faults"], int) and manifest["minor_faults"] > 0
     assert isinstance(manifest["wall_time_s"], float)
@@ -1010,6 +1015,124 @@ def test_rank_manifest_records_no_numpy(tmp_path):
         "blas": {"name": None, "version": None},
         "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None},
     }
+
+
+# -- the command lifecycle ---------------------------------------------------------
+
+
+def test_main_alone_opens_and_finishes_the_run():
+    """A command reads, computes and writes; `main` builds the one `_Run`,
+    calls `finish` and returns the exit code."""
+    tree = ast.parse(Path(inspect.getsourcefile(main)).read_text())
+    functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+
+    def called(fn) -> set[str]:
+        return {getattr(node.func, "id", getattr(node.func, "attr", None))
+                for node in ast.walk(fn) if isinstance(node, ast.Call)}
+
+    def returns(fn) -> list:
+        """The values `fn` itself returns, not those of functions nested in it."""
+        out, stack = [], list(fn.body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ast.Return):
+                out.append(node.value)
+            if not isinstance(node, ast.FunctionDef):
+                stack.extend(ast.iter_child_nodes(node))
+        return out
+
+    commands = [fn for name, fn in functions.items() if name.startswith("cmd_")]
+    assert sorted(fn.name for fn in commands) == sorted(f.__name__ for f in COMMANDS.values())
+    for fn in commands:
+        assert not called(fn) & {"_Run", "finish"}, fn.name
+        assert returns(fn) == [], fn.name
+    assert {"_Run", "finish"} <= called(functions["main"])
+
+
+def test_every_command_writes_the_pinned_manifest(tmp_path):
+    """gen-synth -> split -> train -> predict -> rank -> enrich -> report:
+    each manifest has the same fields, its command, the seeds of the
+    commands that draw random numbers, one digest per file read and every
+    file written under --out but itself."""
+    data, splits = tmp_path / "gen-synth", tmp_path / "split" / "interactions.tsv"
+    model, preds = tmp_path / "train" / "model.tdti", tmp_path / "predict" / "predictions.tsv"
+    ranked, actives = tmp_path / "rank" / "ranked.tsv", tmp_path / "actives.tsv"
+    bundle = [data / "drugs.bin", data / "proteins.bin", data / "smiles.tsv", splits]
+    argv = {
+        "gen-synth": ["--seed", "7", "--config", write_config(tmp_path / "synth.cfg", **SMALL_SYNTH)],
+        "split": ["--data", data, "--seed", "4"],
+        "train": ["--data", data, "--interactions", splits, "--seed", "3",
+                  "--config", write_config(tmp_path / "train.cfg", **{**TINY_TRAIN, "max_epochs": 1})],
+        "predict": ["--data", data, "--interactions", splits, "--model", model],
+        "rank": ["--predictions", preds, "--unf-threshold", "1e300"],
+        "enrich": ["--ranked", f"m={ranked}", "--actives", actives, "--seed", "2"],
+        "report": ["--predictions", preds, "--interactions", splits],
+    }
+    runs = [
+        ("gen-synth", [7], []),
+        ("split", [4], [data / "interactions.tsv"]),
+        ("train", [3], bundle),
+        ("predict", [], [model, *bundle]),
+        ("rank", [], [preds]),
+        ("enrich", [2], [ranked, actives]),
+        ("report", [], [preds, splits]),
+    ]
+    for command, seeds, inputs in runs:
+        if command == "rank":  # one target of the predictions, and its top compound as the active
+            argv["rank"] += ["--target", load_predictions(preds)["target_id"][0]]
+        if command == "enrich":
+            actives.write_text("compound_id\n" + ranked.read_text().splitlines()[1].split("\t")[1] + "\n")
+        out = tmp_path / command
+        assert main([command, *map(str, argv[command]), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest) == MANIFEST_KEYS
+        assert manifest["command"] == command
+        assert manifest["seeds"] == seeds
+        assert manifest["inputs"] == {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs}
+        assert manifest["artifacts"] == sorted(str(f) for f in out.iterdir() if f.name != "manifest.json")
+
+
+@pytest.mark.parametrize("failure", ["bad setting", "unreadable input"])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_a_command_that_fails_before_writing_leaves_no_out_directory(tmp_path, capsys, tiny_models, command,
+                                                                     failure):
+    """--out is made at a command's first artifact, so a bad flag or config
+    value, or an input that cannot be read, stops the run with one error
+    line and no directory, even after other inputs were read."""
+    data, model = tiny_models["dti"]
+    preds, truth, ranked, actives = screening_inputs(tmp_path)
+    missing = tmp_path / "missing"
+    configs = iter(range(10))
+
+    def config(line: str) -> Path:
+        path = tmp_path / f"c{next(configs)}.cfg"
+        path.write_text(line + "\n")
+        return path
+
+    bad_setting = {
+        "gen-synth": ("CONFIG", ["--config", config("n_drugs = many")]),
+        "split": ("CONFIG", ["--data", data, "--config", config('strategy = "sideways"')]),
+        "train": ("CONFIG", ["--data", data, "--config", config("hidden_dim = wide")]),
+        "predict": ("CONFIG", ["--data", data, "--model", model, "--config", config('predict_split = "trian"')]),
+        "rank": ("DATA", ["--predictions", preds, "--target", "T9"]),
+        "enrich": ("USAGE", ["--ranked", f"m={ranked}", "--actives", actives, "--k-grid", "0,5"]),
+        "report": ("MISSING_COLUMN", ["--predictions", preds, "--interactions", truth, "--mode", "dta"]),
+    }
+    unreadable_input = {
+        "gen-synth": ("IO", ["--config", missing]),
+        "split": ("FORMAT", ["--data", missing]),
+        "train": ("FORMAT", ["--data", missing]),
+        "predict": ("FORMAT", ["--data", data, "--model", missing]),
+        "rank": ("FORMAT", ["--predictions", missing]),
+        "enrich": ("FORMAT", ["--ranked", f"m={missing}", "--actives", actives]),
+        "report": ("FORMAT", ["--predictions", preds, "--interactions", missing]),
+    }
+    code, args = (bad_setting if failure == "bad setting" else unreadable_input)[command]
+    out = tmp_path / "out"
+    assert main([command, *map(str, args), "--out", str(out)]) == (2 if code == "USAGE" else 1)
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR {code}: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_unknown_split_strategy_is_usage_error(tmp_path, capsys):
