@@ -1,11 +1,12 @@
-"""Small shared helpers: seed derivation, hashing, the TSV table format
-every table reader and writer goes through, and the split strategy names
-that the CLI parser and `pipeline` share."""
+"""Small shared helpers: seed derivation, hashing, JSON file text, the TSV
+table format every table reader and writer goes through, and the split
+strategy names that the CLI parser and `pipeline` share."""
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import math
 import operator
 import types
@@ -45,6 +46,11 @@ def sha256_file(path: str | Path) -> str:
 
 def sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def json_text(payload) -> str:
+    """A JSON file's text: keys sorted, two-space indent, a final newline."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def parse_number(raw: str, cast, where: str, field: str):

@@ -26,7 +26,7 @@ import typing
 from pathlib import Path
 
 from . import screening
-from ._util import SPLIT_STRATEGIES, sha256_bytes, sha256_file, splitmix64, write_tsv
+from ._util import SPLIT_STRATEGIES, json_text, sha256_bytes, sha256_file, splitmix64, write_tsv
 from .errors import ConfigError, DataError, FormatError, MissingColumnError, TdtiError, UsageError
 
 log = logging.getLogger("tensordti")
@@ -55,12 +55,14 @@ def _strip_comment(line: str) -> str:
 
 
 def _parse_config_file(path: str | Path) -> dict[str, str]:
-    """TOML-style key = value lines, as key -> value text."""
+    """TOML-style key = value lines, as key -> value text; a key given twice
+    is refused."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
     out: dict[str, str] = {}
+    first: dict[str, int] = {}  # key -> line
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = _strip_comment(raw).strip()
         if not line:
@@ -68,6 +70,8 @@ def _parse_config_file(path: str | Path) -> dict[str, str]:
         if "=" not in line:
             raise FormatError(f"{path}:{lineno}: expected key = value")
         key, value = (s.strip() for s in line.split("=", 1))
+        if first.setdefault(key, lineno) != lineno:
+            raise FormatError(f"{path}:{lineno}: repeated key {key!r} (first on line {first[key]})")
         out[key] = value
     return out
 
@@ -179,7 +183,7 @@ class _Run:
         return path
 
     def write_json(self, name: str, payload: dict) -> None:
-        self.artifact(name).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        self.artifact(name).write_text(json_text(payload), encoding="utf-8")
 
     def finish(self) -> None:
         cfg = json.dumps(self.config, sort_keys=True, default=str)
@@ -359,9 +363,9 @@ def cmd_enrich(args, config: _Config, run: _Run) -> None:
 
     report = screening.enrichment_report(rankings, actives, k_grid=k_grid)
     if args.format in ("json", "both"):
-        run.artifact("enrichment.json").write_text(report.to_json(), encoding="utf-8")
+        run.write_json("enrichment.json", report)
     if args.format in ("tsv", "both"):
-        run.artifact("enrichment.tsv").write_text(report.to_tsv(), encoding="utf-8")
+        run.artifact("enrichment.tsv").write_text(screening.enrichment_tsv(report), encoding="utf-8")
 
 
 def cmd_report(args, config: _Config, run: _Run) -> None:

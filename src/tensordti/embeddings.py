@@ -95,12 +95,15 @@ class EmbeddingStore:
 
 
 def load_embeddings(path: str | Path, modality: str) -> EmbeddingStore:
+    """The store at `path` in either format; one with no records is refused,
+    as it has no width to size a model by."""
     path = Path(path)
     with open(path, "rb") as f:
         head = f.read(len(EMBEDDING_MAGIC))
-    if head == EMBEDDING_MAGIC:
-        return _load_binary(path, modality)
-    return _load_jsonl(path, modality)
+    store = _load_binary(path, modality) if head == EMBEDDING_MAGIC else _load_jsonl(path, modality)
+    if store.width is None:
+        raise FormatError(f"{path}: no embeddings")
+    return store
 
 
 def _load_jsonl(path: Path, modality: str) -> EmbeddingStore:

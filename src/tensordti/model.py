@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import check_floats
+from ._util import check_floats, json_text
 from .errors import ConfigError, DataError, FormatError, ShapeError
 from .nn import DenseLayer, Node, Param, Tape, dense_forward, first_non_finite, init_dense, pack, token_nll
 from .tokenizer import DEFAULT_ALPHABET, N_SPECIALS, SmilesTokenizer
@@ -338,9 +338,7 @@ def save_checkpoint(state: ModelState, path: str | Path) -> None:
         chunks.append(struct.pack("<II", *p.value.shape))
         chunks.append(state.flat[p.lo : p.lo + p.value.size].astype("<f8").tobytes())
     path.write_bytes(b"".join(chunks))
-    Path(str(path) + ".json").write_text(
-        json.dumps(asdict(state.config), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    Path(str(path) + ".json").write_text(json_text(asdict(state.config)), encoding="utf-8")
 
 
 def load_checkpoint(path: str | Path) -> ModelState:

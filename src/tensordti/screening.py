@@ -9,10 +9,9 @@ to recover ...". Target counts use ceil with a small tolerance so that e.g.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal
 
@@ -226,64 +225,15 @@ def filter_unfamiliar(table: dict[str, list], threshold: float) -> tuple[dict[st
     return take(table, kept), census
 
 
-@dataclass
-class EnrichmentReport:
-    n_library: int
-    n_actives: int
-    k_grid: tuple[float, ...]
-    target_counts: dict[float, int]
-    ar_budget: dict[str, dict[float, float]]
-    recall: dict[str, dict[float, float]]
-    ef: dict[str, dict[float, float]]
-    topk_budget: dict[str, dict[float, float]] | None = None
-    random_sd: dict[str, dict[float, float]] = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        def keyed(d):
-            if d is None:
-                return None
-            return {m: {str(k): v for k, v in row.items()} for m, row in d.items()}
-
-        payload = {
-            "n_library": self.n_library,
-            "n_actives": self.n_actives,
-            "k_grid": list(self.k_grid),
-            "target_counts": {str(k): v for k, v in self.target_counts.items()},
-            "ar_budget": keyed(self.ar_budget),
-            "recall": keyed(self.recall),
-            "ef": keyed(self.ef),
-            "topk_budget": keyed(self.topk_budget),
-            "random_sd": keyed(self.random_sd),
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-    def to_tsv(self) -> str:
-        lines = [f"# library N={self.n_library} actives A={self.n_actives}"]
-
-        def section(title, table):
-            methods = list(table)
-            lines.append(f"## {title}")
-            lines.append("\t".join(["k_percent", "n_actives_at_k"] + methods))
-            for k in self.k_grid:
-                row = [f"{k:g}", str(self.target_counts[k])]
-                row += [f"{table[m][k]:.2f}" for m in methods]
-                lines.append("\t".join(row))
-
-        section("kpct_actives_budget", self.ar_budget)
-        if self.topk_budget is not None:
-            section("topk_potency_budget", self.topk_budget)
-        section("recall_at_fraction", self.recall)
-        section("ef_at_fraction", self.ef)
-        return "\n".join(lines) + "\n"
-
-
 def enrichment_report(
     rankings: dict[str, list[str]],
     actives: ActiveSet,
     k_grid: tuple[float, ...] = DEFAULT_K_GRID,
-) -> EnrichmentReport:
-    """Budget/recall/EF tables for every method over the k grid, plus the
-    exact random-ranking column with its SD in `random_sd`."""
+) -> dict:
+    """The `enrichment.json` payload: budget, recall and EF tables that map
+    each method, then str(k), to its value over the k grid. The budget tables
+    end with the exact random-ranking column, whose SD is in `random_sd`;
+    `topk_budget` is None when the actives carry no potencies."""
     if not rankings:
         raise UsageError("no rankings supplied")
     sizes = {m: len(r) for m, r in rankings.items()}
@@ -295,38 +245,43 @@ def enrichment_report(
         if missing:
             raise DataError(f"method {m!r}: actives missing from library: {sorted(missing)[:5]}")
     a = len(actives.ids)
+    cutoffs = {k: min(n, max(1, ceil_count(k * n / 100.0))) for k in k_grid}
 
-    target_counts = {k: max(1, ceil_count(k * a / 100.0)) for k in k_grid}
-    ar: dict[str, dict[float, float]] = {}
-    recall: dict[str, dict[float, float]] = {}
-    ef: dict[str, dict[float, float]] = {}
-    topk: dict[str, dict[float, float]] = {}
-    has_potency = actives.potency is not None
+    def table(metric) -> dict[str, dict[str, float]]:
+        return {m: {str(k): metric(ranked, k) for k in k_grid} for m, ranked in rankings.items()}
 
-    for mname, ranked in rankings.items():
-        ar[mname] = {k: kpct_actives_budget(ranked, actives, k) for k in k_grid}
-        cutoffs = {k: min(n, max(1, ceil_count(k * n / 100.0))) for k in k_grid}
-        recall[mname] = {k: recall_at_k(ranked, actives, cutoffs[k]) for k in k_grid}
-        ef[mname] = {k: ef_at_k(ranked, actives, cutoffs[k]) for k in k_grid}
-        if has_potency:
-            topk[mname] = {k: topk_potency_budget(ranked, actives, k) for k in k_grid}
+    target_counts = {str(k): max(1, ceil_count(k * a / 100.0)) for k in k_grid}
+    baselines = {"ar_budget": {k: random_budget(n, a, t) for k, t in target_counts.items()}}
+    report = {
+        "n_library": n,
+        "n_actives": a,
+        "k_grid": list(k_grid),
+        "target_counts": target_counts,
+        "ar_budget": table(lambda ranked, k: kpct_actives_budget(ranked, actives, k)),
+        "recall": table(lambda ranked, k: recall_at_k(ranked, actives, cutoffs[k])),
+        "ef": table(lambda ranked, k: ef_at_k(ranked, actives, cutoffs[k])),
+        "topk_budget": None,
+    }
+    if actives.potency is not None:
+        report["topk_budget"] = table(lambda ranked, k: topk_potency_budget(ranked, actives, k))
+        baselines["topk_budget"] = {k: random_budget(n, t, t) for k, t in target_counts.items()}
+    for name, pairs in baselines.items():
+        report[name]["random"] = {k: mean for k, (mean, _) in pairs.items()}
+    report["random_sd"] = {name: {k: sd for k, (_, sd) in pairs.items()} for name, pairs in baselines.items()}
+    return report
 
-    ar["random"], random_sd = {}, {"ar_budget": {}}
-    for k, t in target_counts.items():
-        ar["random"][k], random_sd["ar_budget"][k] = random_budget(n, a, t)
-    if has_potency:
-        topk["random"], random_sd["topk_budget"] = {}, {}
-        for k, m in target_counts.items():
-            topk["random"][k], random_sd["topk_budget"][k] = random_budget(n, m, m)
 
-    return EnrichmentReport(
-        n_library=n,
-        n_actives=a,
-        k_grid=tuple(k_grid),
-        target_counts=target_counts,
-        ar_budget=ar,
-        recall=recall,
-        ef=ef,
-        topk_budget=topk if has_potency else None,
-        random_sd=random_sd,
-    )
+def enrichment_tsv(report: dict) -> str:
+    """enrichment.tsv from an `enrichment_report`: a section per table, a row
+    per k and a column per method, in the report's order."""
+    lines = [f"# library N={report['n_library']} actives A={report['n_actives']}"]
+    sections = {"kpct_actives_budget": "ar_budget", "topk_potency_budget": "topk_budget",
+                "recall_at_fraction": "recall", "ef_at_fraction": "ef"}
+    for title, name in sections.items():
+        if (table := report[name]) is None:
+            continue
+        lines += [f"## {title}", "\t".join(["k_percent", "n_actives_at_k", *table])]
+        for k in report["k_grid"]:
+            cells = [f"{table[m][str(k)]:.2f}" for m in table]
+            lines.append("\t".join([f"{k:g}", str(report["target_counts"][str(k)]), *cells]))
+    return "\n".join(lines) + "\n"

@@ -36,10 +36,6 @@ class SmilesTokenizer:
         self._char_to_id = {c: N_SPECIALS + i for i, c in enumerate(alphabet)}
         self._id_to_char = {v: k for k, v in self._char_to_id.items()}
 
-    @property
-    def vocab_size(self) -> int:
-        return N_SPECIALS + len(self.alphabet)
-
     def tokenize(self, smiles: str) -> TokenSeq:
         if not smiles:
             raise DataError("cannot tokenize an empty string")

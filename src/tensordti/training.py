@@ -3,7 +3,6 @@ checkpointing hooks, and scoring to prediction columns."""
 
 from __future__ import annotations
 
-import json
 import logging
 import time
 from dataclasses import asdict, dataclass, field
@@ -11,7 +10,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import losses, model as model_mod
-from ._util import check_floats, splitmix64
+from ._util import check_floats, json_text, splitmix64
 from .embeddings import EmbeddingStore, InteractionRecord
 from .errors import ConfigError, DataError
 from .metrics import DECISION_THRESHOLD, aupr, metric_bundle, pcc
@@ -87,7 +86,7 @@ class TrainReport:
     def to_json(self) -> str:
         """Every field, plus the early-stopping metric the mode implies."""
         payload = {**asdict(self), "eval_metric": "aupr" if self.mode == "classification" else "pcc"}
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json_text(payload)
 
 
 # -- batch preparation ------------------------------------------------------

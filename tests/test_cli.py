@@ -7,6 +7,7 @@ import logging
 import os
 import platform
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensordti.cli import COMMANDS, _Config, _parse_config_file, build_parser, main
-from tensordti.embeddings import load_embeddings, load_interactions, save_embeddings_jsonl
+from tensordti.embeddings import EMBEDDING_MAGIC, load_embeddings, load_interactions, save_embeddings_jsonl
 from tensordti.errors import ConfigError, TdtiError
 from tensordti.model import ModelConfig
 from tensordti.pipeline import SplitSpec
@@ -531,6 +532,25 @@ def test_both_forms_of_one_store_is_a_data_error(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "name, content", [("drugs.jsonl", b""), ("drugs.bin", EMBEDDING_MAGIC + struct.pack("<I", 8))], ids=["jsonl", "bin"]
+)
+def test_train_refuses_an_empty_drug_store(tmp_path, capsys, name, content):
+    """A store with no records has no width to size the model by: an empty
+    JSON Lines file, or a binary file holding only its header."""
+    data, table, _ = split_table(tmp_path)
+    emb = tmp_path / "emb"
+    emb.mkdir()
+    (emb / name).write_bytes(content)
+    shutil.copy(data / "proteins.bin", emb / "proteins.bin")
+    capsys.readouterr()
+    out = tmp_path / "model"
+    assert main(["train", "--data", str(data), "--interactions", str(table), "--embeddings", str(emb),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"ERROR FORMAT: {emb / name}: no embeddings\n"
+    assert not out.exists()
+
+
 def test_entry_point_subprocess(tmp_path):
     import subprocess
     import sys
@@ -651,6 +671,198 @@ def test_enrich_outputs_identical_across_seeds(tmp_path):
         assert run_enrich(tmp_path, ranked, act, "--seed", seed, "--config", str(cfg), out=f"e{seed}") == 0
     for name in ("enrichment.json", "enrichment.tsv"):
         assert (tmp_path / "e1" / name).read_bytes() == (tmp_path / "e2" / name).read_bytes()
+
+
+# the texts `enrich` writes for ten compounds c0..c9 ranked in order ("good")
+# and reversed ("bad") against actives c0 and c5, with --k-grid 50,100: JSON
+# keys sorted, TSV columns in --ranked order with the random column last
+ENRICHMENT_POTENCY_JSON = """\
+{
+  "ar_budget": {
+    "bad": {
+      "100.0": 100.0,
+      "50.0": 50.0
+    },
+    "good": {
+      "100.0": 60.0,
+      "50.0": 10.0
+    },
+    "random": {
+      "100.0": 73.33333333333333,
+      "50.0": 36.666666666666664
+    }
+  },
+  "ef": {
+    "bad": {
+      "100.0": 1.0,
+      "50.0": 1.0
+    },
+    "good": {
+      "100.0": 1.0,
+      "50.0": 1.0
+    }
+  },
+  "k_grid": [
+    50.0,
+    100.0
+  ],
+  "n_actives": 2,
+  "n_library": 10,
+  "random_sd": {
+    "ar_budget": {
+      "100.0": 22.11083193570267,
+      "50.0": 22.11083193570267
+    },
+    "topk_budget": {
+      "100.0": 22.11083193570267,
+      "50.0": 28.722813232690147
+    }
+  },
+  "recall": {
+    "bad": {
+      "100.0": 1.0,
+      "50.0": 0.5
+    },
+    "good": {
+      "100.0": 1.0,
+      "50.0": 0.5
+    }
+  },
+  "target_counts": {
+    "100.0": 2,
+    "50.0": 1
+  },
+  "topk_budget": {
+    "bad": {
+      "100.0": 100.0,
+      "50.0": 100.0
+    },
+    "good": {
+      "100.0": 60.0,
+      "50.0": 10.0
+    },
+    "random": {
+      "100.0": 73.33333333333333,
+      "50.0": 55.0
+    }
+  }
+}
+"""
+
+ENRICHMENT_POTENCY_TSV = """\
+# library N=10 actives A=2
+## kpct_actives_budget
+k_percent\tn_actives_at_k\tgood\tbad\trandom
+50\t1\t10.00\t50.00\t36.67
+100\t2\t60.00\t100.00\t73.33
+## topk_potency_budget
+k_percent\tn_actives_at_k\tgood\tbad\trandom
+50\t1\t10.00\t100.00\t55.00
+100\t2\t60.00\t100.00\t73.33
+## recall_at_fraction
+k_percent\tn_actives_at_k\tgood\tbad
+50\t1\t0.50\t0.50
+100\t2\t1.00\t1.00
+## ef_at_fraction
+k_percent\tn_actives_at_k\tgood\tbad
+50\t1\t1.00\t1.00
+100\t2\t1.00\t1.00
+"""
+
+ENRICHMENT_PLAIN_JSON = """\
+{
+  "ar_budget": {
+    "bad": {
+      "100.0": 100.0,
+      "50.0": 50.0
+    },
+    "good": {
+      "100.0": 60.0,
+      "50.0": 10.0
+    },
+    "random": {
+      "100.0": 73.33333333333333,
+      "50.0": 36.666666666666664
+    }
+  },
+  "ef": {
+    "bad": {
+      "100.0": 1.0,
+      "50.0": 1.0
+    },
+    "good": {
+      "100.0": 1.0,
+      "50.0": 1.0
+    }
+  },
+  "k_grid": [
+    50.0,
+    100.0
+  ],
+  "n_actives": 2,
+  "n_library": 10,
+  "random_sd": {
+    "ar_budget": {
+      "100.0": 22.11083193570267,
+      "50.0": 22.11083193570267
+    }
+  },
+  "recall": {
+    "bad": {
+      "100.0": 1.0,
+      "50.0": 0.5
+    },
+    "good": {
+      "100.0": 1.0,
+      "50.0": 0.5
+    }
+  },
+  "target_counts": {
+    "100.0": 2,
+    "50.0": 1
+  },
+  "topk_budget": null
+}
+"""
+
+ENRICHMENT_PLAIN_TSV = """\
+# library N=10 actives A=2
+## kpct_actives_budget
+k_percent\tn_actives_at_k\tgood\tbad\trandom
+50\t1\t10.00\t50.00\t36.67
+100\t2\t60.00\t100.00\t73.33
+## recall_at_fraction
+k_percent\tn_actives_at_k\tgood\tbad
+50\t1\t0.50\t0.50
+100\t2\t1.00\t1.00
+## ef_at_fraction
+k_percent\tn_actives_at_k\tgood\tbad
+50\t1\t1.00\t1.00
+100\t2\t1.00\t1.00
+"""
+
+
+@pytest.mark.parametrize(
+    "actives, expected_json, expected_tsv",
+    [
+        ("compound_id\tpotency\nc0\t7.5\nc5\t6.0\n", ENRICHMENT_POTENCY_JSON, ENRICHMENT_POTENCY_TSV),
+        ("compound_id\nc0\nc5\n", ENRICHMENT_PLAIN_JSON, ENRICHMENT_PLAIN_TSV),
+    ],
+    ids=["potency", "plain"],
+)
+def test_enrich_writes_the_exact_report_text(tmp_path, actives, expected_json, expected_tsv):
+    ids = [f"c{i}" for i in range(10)]
+    ranked = []
+    for name, order in (("good", ids), ("bad", ids[::-1])):
+        path = tmp_path / f"{name}.tsv"
+        path.write_text("rank\tcompound_id\n" + "".join(f"{i}\t{c}\n" for i, c in enumerate(order, 1)))
+        ranked += ["--ranked", f"{name}={path}"]
+    act = tmp_path / "actives.tsv"
+    act.write_text(actives)
+    out = tmp_path / "enrich"
+    assert main(["enrich", *ranked, "--actives", str(act), "--k-grid", "50,100", "--out", str(out)]) == 0
+    assert (out / "enrichment.json").read_text(encoding="utf-8") == expected_json
+    assert (out / "enrichment.tsv").read_text(encoding="utf-8") == expected_tsv
 
 
 def test_enrich_format_selects_outputs(tmp_path, capsys):
@@ -822,6 +1034,16 @@ def test_config_file_not_utf8_is_one_format_error_line(tmp_path, capsys):
     assert rc == 1
     assert err.startswith(f"ERROR FORMAT: {cfg}: not UTF-8")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_config_file_repeated_key_is_one_format_error_line(tmp_path, capsys):
+    """A key given twice would silently take its last value."""
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("n_drugs = 30\n# a comment\nn_drugs = 40\n")
+    out = tmp_path / "data"
+    assert main(["gen-synth", "--out", str(out), "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"ERROR FORMAT: {cfg}:3: repeated key 'n_drugs' (first on line 1)\n"
+    assert not out.exists()
 
 
 def test_train_and_predict_without_smiles(tmp_path):

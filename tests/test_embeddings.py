@@ -177,6 +177,9 @@ EMBEDDING_FAULTS = {
         + struct.pack("<f", 2.0),
         ": duplicate embedding id 'a'",
     ),
+    # a store with no records has no width
+    "jsonl_no_records": (b"\n\n", ": no embeddings"),
+    "binary_header_only": (EMBEDDING_MAGIC + struct.pack("<I", 4), ": no embeddings"),
 }
 
 
@@ -274,9 +277,9 @@ EMBEDDING_BYTES = st.binary(max_size=96) | st.binary(max_size=64).map(EMBEDDING_
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(EMBEDDING_BYTES, st.sampled_from(["", "bitflip"]), st.integers(0, 10**6))
 def test_embedding_readers_on_arbitrary_bytes_load_or_raise_a_typed_error(data, damage, where):
-    """Either format, raw or damaged: the store loads with one positive
-    width and finite vectors, held as one read-only matrix, or the reader
-    raises a FormatError."""
+    """Either format, raw or damaged: the store loads with at least one
+    record, one positive width and finite vectors, held as one read-only
+    matrix, or the reader raises a FormatError."""
     if damage and data:
         data = bytearray(data)
         data[where % len(data)] ^= 1 << (where % 8)
@@ -290,9 +293,8 @@ def test_embedding_readers_on_arbitrary_bytes_load_or_raise_a_typed_error(data, 
             return
     ids = store.ids()
     vecs = [store.get(i) for i in ids]
-    assert store.width is None if not vecs else store.width > 0
+    assert vecs and store.width > 0
     assert all(v.shape == (store.width,) and np.all(np.isfinite(v)) and not v.flags.writeable for v in vecs)
-    if vecs:
-        m = store.matrix(ids)
-        assert m.flags.c_contiguous and m.dtype == np.float64
-        assert np.array_equal(m, np.stack(vecs, axis=1))
+    m = store.matrix(ids)
+    assert m.flags.c_contiguous and m.dtype == np.float64
+    assert np.array_equal(m, np.stack(vecs, axis=1))

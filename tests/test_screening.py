@@ -12,6 +12,7 @@ from tensordti.screening import (
     ceil_count,
     ef_at_k,
     enrichment_report,
+    enrichment_tsv,
     filter_unfamiliar,
     kpct_actives_budget,
     load_actives,
@@ -402,23 +403,21 @@ def test_enrichment_report_toy_verified_cell_by_cell():
     report = enrichment_report(rankings, act, k_grid=(50.0, 100.0))
     for method, ranked in rankings.items():
         for k in (50.0, 100.0):
-            assert report.ar_budget[method][k] == pytest.approx(budget_oracle(ranked, act_ids, k))
-            assert report.topk_budget[method][k] == pytest.approx(
+            assert report["ar_budget"][method][str(k)] == pytest.approx(budget_oracle(ranked, act_ids, k))
+            assert report["topk_budget"][method][str(k)] == pytest.approx(
                 topk_budget_oracle(ranked, act_ids, pot, k)
             )
             cutoff = max(1, ceil_count(k * 10 / 100))
-            assert report.recall[method][k] == pytest.approx(recall_oracle(ranked, act_ids, cutoff))
-            assert report.ef[method][k] == pytest.approx(report.recall[method][k] * 10 / cutoff)
-    for k, t in ((50.0, 1), (100.0, 2)):
-        assert (report.ar_budget["random"][k], report.random_sd["ar_budget"][k]) == random_budget(10, 2, t)
-        assert (report.topk_budget["random"][k], report.random_sd["topk_budget"][k]) == random_budget(10, t, t)
-    assert report.k_grid == (50.0, 100.0)
-    assert report.n_library == 10 and report.n_actives == 2
-    # serializations parse
-    import json
-
-    json.loads(report.to_json())
-    assert "kpct_actives_budget" in report.to_tsv()
+            assert report["recall"][method][str(k)] == pytest.approx(recall_oracle(ranked, act_ids, cutoff))
+            assert report["ef"][method][str(k)] == pytest.approx(report["recall"][method][str(k)] * 10 / cutoff)
+    for k, t in (("50.0", 1), ("100.0", 2)):
+        assert (report["ar_budget"]["random"][k], report["random_sd"]["ar_budget"][k]) == random_budget(10, 2, t)
+        assert (report["topk_budget"]["random"][k], report["random_sd"]["topk_budget"][k]) == random_budget(10, t, t)
+    assert report["k_grid"] == [50.0, 100.0]
+    assert report["n_library"] == 10 and report["n_actives"] == 2
+    # the random column comes last in the budget tables
+    assert list(report["ar_budget"]) == list(report["topk_budget"]) == ["good", "bad", "random"]
+    assert "kpct_actives_budget" in enrichment_tsv(report)
 
 
 def test_enrichment_random_method_within_ci_of_baseline():

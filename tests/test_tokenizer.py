@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tensordti.errors import DataError
-from tensordti.tokenizer import BOS, EOS, PAD, UNK, SmilesTokenizer
+from tensordti.tokenizer import BOS, EOS, N_SPECIALS, PAD, UNK, SmilesTokenizer
 
 
 def test_cco_layout():
@@ -60,7 +60,7 @@ def test_pad_only_as_suffix_and_ids_bounded():
     ids = seq.ids
     first_pad = int(np.argmax(ids == PAD)) if PAD in ids else len(ids)
     assert np.all(ids[first_pad:] == PAD)
-    assert np.all(ids < tok.vocab_size)
+    assert np.all(ids < N_SPECIALS + len(tok.alphabet))
 
 
 def test_pad_mask_counts_non_pad():

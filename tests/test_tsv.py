@@ -1,5 +1,6 @@
-"""The shared TSV table layer (`_util.read_tsv` / `write_tsv`) and the six
-table readers built on it."""
+"""The shared TSV table layer (`_util.read_tsv` / `write_tsv`), the six
+table readers built on it, and the one spelling of a JSON file's text
+(`_util.json_text`)."""
 
 import ast
 import re
@@ -91,6 +92,22 @@ def test_every_reader_in_src_names_its_key():
     # score tables and actives in `screening`
     assert len(keys) == 6
     assert [where for where, keyed in keys if not keyed] == []
+
+
+def test_json_files_are_written_through_one_helper():
+    """`json_text` is the only `json.dumps` in `src/` that indents: every
+    JSON file written (manifests, reports, the checkpoint sidecar) gets its
+    text there, so all keep one layout."""
+    indented = []
+    for path in sorted(Path(tensordti.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "dumps":
+                if any(k.arg == "indent" for k in node.keywords):
+                    inside = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                    indented.append(f"{path.name}:{inside[-1] if inside else '<module>'}")
+    assert indented == ["_util.py:json_text"]
 
 
 # (table, column, bad field, what the error says after "path:3: "): a line-3
