@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import struct
+import zlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -19,17 +20,17 @@ import numpy as np
 
 from ._util import check_floats, json_text
 from .errors import ConfigError, DataError, FormatError, ShapeError
-from .nn import DenseLayer, Node, Param, Tape, dense_forward, first_non_finite, init_dense, pack, token_nll
+from .nn import DenseLayer, Node, Param, Tape, dense_forward, first_non_finite, pack, token_nll
 from .tokenizer import DEFAULT_ALPHABET, N_SPECIALS, SmilesTokenizer
 
 CHECKPOINT_MAGIC = b"TDTICKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # version 1 files still load when every value is a float32
 
 # float64 values per working buffer of a scoring chunk (8 MiB)
 CHUNK_ELEMENTS = 1 << 20
 
-# the dtype training computes in: parameters, gradients, Adam's moments and
-# the train and valid tables; scoring, checkpoints and test metrics are float64
+# the dtype of parameters from init_model to the file, and of all training;
+# scoring is float64, each op promoting the weights against float64 embeddings
 TRAIN_DTYPE = np.float32
 
 MODES = ("classification", "regression")
@@ -108,10 +109,6 @@ class ModelState:
             params.append(layer.bias)
         return params
 
-    def astype(self, dtype) -> ModelState:
-        """A new state over a copy of this one's values in `dtype`."""
-        return _state_over(self.config, self.flat.astype(dtype))
-
 
 def _layers(c: ModelConfig, dense) -> dict:
     """ModelState's layer fields, in parameter order, each layer made by dense(in_dim, out_dim, activation, name)."""
@@ -130,9 +127,11 @@ def _layers(c: ModelConfig, dense) -> dict:
     )
 
 
-def _state_over(config: ModelConfig, flat: np.ndarray) -> ModelState:
-    """The state whose parameters are views of `flat`, in the order and layout `pack` gives them."""
-    lo = 0
+def _zeroed_state(config: ModelConfig, dtype) -> ModelState:
+    """A state over one new zeroed buffer of `dtype`, its parameters laid out in it as `pack` lays them."""
+    sizes: list[int] = []  # each layer's weight and bias values
+    _layers(config, lambda in_dim, out_dim, *_: sizes.append(out_dim * (in_dim + 1)))
+    flat, lo = np.zeros(sum(sizes), dtype), 0
 
     def dense(in_dim, out_dim, activation, name):
         nonlocal lo
@@ -147,11 +146,13 @@ def _state_over(config: ModelConfig, flat: np.ndarray) -> ModelState:
 
 
 def init_model(config: ModelConfig, seed: int = 0) -> ModelState:
-    """Scaled-uniform weights drawn from `seed`, each rounded to TRAIN_DTYPE;
-    the state itself is float64, as scoring is."""
+    """Weights drawn from `seed` in +-sqrt(6/(fan_in+fan_out)), layer by
+    layer, each rounded into one TRAIN_DTYPE buffer; zero biases."""
     rng = np.random.default_rng(seed)
-    state = ModelState(config, **_layers(config, lambda *layer: init_dense(rng, *layer)))
-    state.flat[...] = state.flat.astype(TRAIN_DTYPE)
+    state = _zeroed_state(config, TRAIN_DTYPE)
+    for weight in state.parameters()[::2]:
+        bound = np.sqrt(6.0 / sum(weight.value.shape))
+        weight.value[...] = rng.uniform(-bound, bound, size=weight.value.shape)
     return state
 
 
@@ -324,54 +325,63 @@ def _config_json(config: ModelConfig) -> bytes:
 
 
 def save_checkpoint(state: ModelState, path: str | Path) -> None:
-    """Versioned binary: magic, version, config block, then parameter
-    tensors in declaration order as little-endian f64. A JSON sidecar of the
-    config is written next to it for human inspection."""
+    """Versioned binary: magic, version, config block, each tensor's (rows, cols)
+    as u32-LE in declaration order, then the buffer as one `<f4` block and its
+    CRC-32. A JSON sidecar of the config is written for human inspection."""
     path = Path(path)
     cfg = _config_json(state.config)
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION), struct.pack("<I", len(cfg)), cfg]
     params = state.parameters()
     bad = first_non_finite(params, state.flat)
     if bad is not None:
         raise DataError(f"parameter {bad.name!r} has non-finite values; {path} not written")
-    for p in params:
-        chunks.append(struct.pack("<II", *p.value.shape))
-        chunks.append(state.flat[p.lo : p.lo + p.value.size].astype("<f8").tobytes())
-    path.write_bytes(b"".join(chunks))
+    values = state.flat.astype("<f4", copy=False)
+    with open(path, "wb") as f:
+        f.write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(cfg)) + cfg)
+        f.write(b"".join(struct.pack("<II", *p.value.shape) for p in params))
+        f.write(values)
+        f.write(struct.pack("<I", zlib.crc32(values)))
     Path(str(path) + ".json").write_text(json_text(asdict(state.config)), encoding="utf-8")
 
 
 def load_checkpoint(path: str | Path) -> ModelState:
-    """Values go straight into one buffer laid out from the config, then one scan for non-finite ones."""
-    data = Path(path).read_bytes()
-    if data[:8] != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: bad checkpoint magic {data[:8]!r}")
-    if len(data) < 16:
-        raise FormatError(f"{path}: truncated checkpoint header")
-    version, cfg_len = struct.unpack_from("<II", data, 8)
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    off = 16 + cfg_len
-    try:
-        config = ModelConfig(**json.loads(data[16:off].decode("utf-8")))
-        SmilesTokenizer(config.vocab, config.max_len)  # one the state cannot build is refused before any tensor
-    except (ValueError, TypeError, RecursionError, ConfigError, DataError) as exc:  # RecursionError: JSON nested too deep
-        raise FormatError(f"{path}: unreadable config block: {exc}") from exc
-    sizes: list[int] = []  # each layer's weight and bias values
-    _layers(config, lambda in_dim, out_dim, *_: sizes.append(out_dim * (in_dim + 1)))
-    end = off + 16 * len(sizes) + 8 * sum(sizes)  # a (rows, cols) header before each tensor
-    if len(data) != end:
-        what = "truncated" if len(data) < end else "trailing bytes"
-        raise FormatError(f"{path}: {what}: {len(data)} bytes where its config implies {end}")
-    flat = np.empty(sum(sizes))
-    state = _state_over(config, flat)
-    for p in state.parameters():
-        declared, n = struct.unpack_from("<II", data, off), p.value.size
-        if declared != p.value.shape:
-            raise FormatError(f"{path}: parameter {p.name!r} declared {declared}, config implies {p.value.shape}")
-        flat[p.lo : p.lo + n] = np.frombuffer(data, dtype="<f8", count=n, offset=off + 8)
-        off += 8 + 8 * n
-    bad = first_non_finite(state.parameters(), flat)
+    """Values go straight from the file into one float32 buffer laid out from the config, then one CRC
+    check and one non-finite scan; a version 1 file (`<f8` values after each shape) loads if all are float32."""
+    size = Path(path).stat().st_size
+    with open(path, "rb") as f:
+        head = f.read(16)
+        if head[:8] != CHECKPOINT_MAGIC:
+            raise FormatError(f"{path}: bad checkpoint magic {head[:8]!r}")
+        if len(head) < 16:
+            raise FormatError(f"{path}: truncated checkpoint header")
+        version, cfg_len = struct.unpack_from("<II", head, 8)
+        if version not in (1, CHECKPOINT_VERSION):
+            raise FormatError(f"{path}: unsupported checkpoint version {version}")
+        try:
+            config = ModelConfig(**json.loads(f.read(min(cfg_len, size)).decode("utf-8")))
+            SmilesTokenizer(config.vocab, config.max_len)  # one the state cannot build is refused before any tensor
+        except (ValueError, TypeError, RecursionError, ConfigError, DataError) as exc:  # RecursionError: JSON nested too deep
+            raise FormatError(f"{path}: unreadable config block: {exc}") from exc
+        state = _zeroed_state(config, "<f4")
+        params, flat = state.parameters(), state.flat
+        end = 16 + cfg_len + 8 * len(params) + (8 * flat.size if version == 1 else 4 * flat.size + 4)
+        if size != end:
+            what = "truncated" if size < end else "trailing bytes"
+            raise FormatError(f"{path}: {what}: {size} bytes where its config implies {end}")
+        data, off = f.read(8 * len(params)) if version == 2 else f.read(), 0  # version 1: shapes and values
+        for p in params:
+            declared, n = struct.unpack_from("<II", data, off), p.value.size
+            if declared != p.value.shape:
+                raise FormatError(f"{path}: parameter {p.name!r} declared {declared}, config implies {p.value.shape}")
+            if version == 1:
+                wide = np.frombuffer(data, dtype="<f8", count=n, offset=off + 8)
+                with np.errstate(over="ignore"):  # past the float32 range: inf, which fails the check
+                    flat[p.lo : p.lo + n] = wide
+                if not np.array_equal(flat[p.lo : p.lo + n], wide, equal_nan=True):
+                    raise FormatError(f"{path}: parameter {p.name!r} holds a value that is not a float32")
+            off += 8 if version == 2 else 8 + 8 * n
+        if version == 2 and (f.readinto(flat) != flat.nbytes or int.from_bytes(f.read(4), "little") != zlib.crc32(flat)):
+            raise FormatError(f"{path}: the value block fails its CRC-32")
+    bad = first_non_finite(params, flat)
     if bad is not None:
         raise FormatError(f"{path}: parameter {bad.name!r} has non-finite values")
     return state

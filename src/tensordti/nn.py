@@ -155,16 +155,6 @@ class DenseLayer:
             )
 
 
-def init_dense(rng: np.random.Generator, in_dim: int, out_dim: int, activation: str, name: str) -> DenseLayer:
-    """Scaled-uniform init in +-sqrt(6/(fan_in+fan_out)); zero bias."""
-    bound = np.sqrt(6.0 / (in_dim + out_dim))
-    return DenseLayer(
-        weight=Param(rng.uniform(-bound, bound, size=(out_dim, in_dim)), f"{name}.weight"),
-        bias=Param(np.zeros((out_dim, 1)), f"{name}.bias"),
-        activation=activation,
-    )
-
-
 class Tape:
     """Ordered record of forward ops; backward replays it in reverse.
 
@@ -213,9 +203,9 @@ class Tape:
 
         def bw(g, sink):
             if a.needs_grad:
-                sink(a, g @ vb.T)
+                sink(a, (g, vb.T))
             if b.needs_grad:
-                sink(b, va.T @ g)
+                sink(b, (va.T, g))
 
         return self._record(out, (a, b), bw)
 
@@ -462,21 +452,28 @@ class Tape:
 
     def backward(self, loss: Node) -> dict[Param, Matrix]:
         """Gradient of `loss` w.r.t. every parameter touched, as views of
-        one zeroed buffer per parameter buffer, laid out like it, that the
-        tape keeps: they hold until its next backward. Clears the tape,
-        releasing each op's record once it has been replayed."""
+        one buffer per parameter buffer, laid out like it, that the tape
+        keeps: they hold until its next backward; what no op wrote is zero.
+        Clears the tape, releasing each op's record once it has been replayed."""
         if not self._entries:
             raise UsageError("backward called with no recorded forward ops")
         grads: dict[int, Matrix] = {id(loss): np.ones_like(loss.value)}
-        for key, flat in {id(p.flat): p.flat for p in self._params.values()}.items():
+        buffers = {id(p.flat): p.flat for p in self._params.values()}
+        for key, flat in buffers.items():
             kept = self._grads.get(key)
             if kept is None or kept.shape != flat.shape or kept.dtype != flat.dtype:
                 self._grads[key] = np.empty_like(flat)
-            self._grads[key].fill(0.0)
         slots = {k: self._grads[id(p.flat)][p.lo : p.lo + p.value.size].reshape(p.value.shape) for k, p in self._params.items()}
+        written: set[int] = set()
 
-        def sink(node: Node, contrib: Matrix, where=...):  # `where`: a Param's part (Tape.part)
-            key = id(node)
+        def sink(node: Node, contrib, where=...):  # contrib: an array, or a pair (a, b) for a @ b; where: a Param's part
+            key, product = id(node), isinstance(contrib, tuple)
+            if key in slots and key not in written:  # its first contribution: into the slot, or after zeroing it
+                written.add(key)
+                if where is ...:
+                    return np.matmul(*contrib, out=slots[key]) if product else np.copyto(slots[key], contrib)
+                slots[key].fill(0.0)
+            contrib = np.matmul(*contrib) if product else contrib
             if key in slots:
                 slots[key][where] += contrib
             else:
@@ -487,6 +484,13 @@ class Tape:
             g = grads.pop(id(node), None)
             if g is not None:
                 bw(g, sink)
+        ends = dict.fromkeys(buffers, 0)  # per buffer, where the written slots so far end
+        for p in sorted((self._params[k] for k in written), key=lambda p: p.lo):
+            if ends[id(p.flat)] < p.lo:
+                self._grads[id(p.flat)][ends[id(p.flat)] : p.lo] = 0.0
+            ends[id(p.flat)] = p.lo + p.value.size
+        for key, end in ends.items():
+            self._grads[key][end:] = 0.0
         out = {p: slots[k] for k, p in self._params.items()}
         self.clear()
         return out

@@ -220,11 +220,11 @@ def _validation_metric(state: ModelState, pairs: _Pairs) -> float:
         return float("-inf")
 
 
-def _train_single(model_config: ModelConfig, tables: tuple[_Pairs, _Pairs, _Pairs], config: TrainConfig, seed: int):
-    """One seed's run over the train, valid and test tables, which `train` builds once for all seeds."""
-    train, valid, test = tables
-    best = model_mod.init_model(model_config, seed=splitmix64(seed, 0))  # each improving epoch is copied into it
-    state = best.astype(TRAIN_DTYPE)
+def _train_single(model_config: ModelConfig, train: _Pairs, valid: _Pairs, config: TrainConfig, seed: int):
+    """One seed's run over the train and valid tables, which `train` builds once
+    for all seeds: its state, holding the best epoch's values, and its record."""
+    state = model_mod.init_model(model_config, seed=splitmix64(seed, 0))
+    best = state.flat.copy()  # each improving epoch is copied into it
     adam = AdamState(lr=config.lr, weight_decay=config.weight_decay)
     params = state.parameters()
 
@@ -268,22 +268,14 @@ def _train_single(model_config: ModelConfig, tables: tuple[_Pairs, _Pairs, _Pair
         if val_metric > best_metric:
             best_metric = val_metric
             best_epoch = epoch
-            np.copyto(best.flat, state.flat)
+            np.copyto(best, state.flat)
         elif epoch - best_epoch >= config.patience:
             break
 
     if best_epoch == -1:
         log.warning("seed %d: no finite validation metric in %d epochs; returning the initial weights", seed, len(stats))
-    logits, probs, _ = _scores(best, test)
-    classification = model_config.mode == "classification"
-    test_metrics = metric_bundle(classification, probs if classification else logits, test.truth)
-    return best, SeedRun(
-        seed=seed,
-        best_epoch=best_epoch,
-        best_val_metric=best_metric,
-        epochs=stats,
-        test_metrics=test_metrics,
-    )
+    np.copyto(state.flat, best)
+    return state, SeedRun(seed=seed, best_epoch=best_epoch, best_val_metric=best_metric, epochs=stats, test_metrics={})
 
 
 def train(model_config: ModelConfig, data: DatasetBundle, config: TrainConfig) -> tuple[ModelState, TrainReport]:
@@ -300,8 +292,12 @@ def train(model_config: ModelConfig, data: DatasetBundle, config: TrainConfig) -
 
     report = TrainReport(mode=model_config.mode)
     first_state: ModelState | None = None
+    classification = model_config.mode == "classification"
     for seed in config.seeds:
-        state, run = _train_single(model_config, tables, config, seed)
+        state, run = _train_single(model_config, *tables[:2], config, seed)
+        # scored once the run's tape, Adam moments and best copy are freed
+        logits, probs, _ = _scores(state, tables[2])
+        run.test_metrics = metric_bundle(classification, probs if classification else logits, tables[2].truth)
         if first_state is None:
             first_state = state
         report.runs.append(run)

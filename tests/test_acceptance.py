@@ -87,7 +87,9 @@ def test_criterion_1_gradient_correctness():
     cfg = ModelConfig(drug_dim=6, protein_dim=5, hidden_dim=7, output_dim=4,
                       latent_dim=5, max_len=8, vocab="CNOS")
     assert (cfg.alpha_cls, cfg.alpha_con, cfg.alpha_conf, cfg.alpha_recon) == (0.4, 0.2, 0.2, 0.2)
-    state = M.init_model(cfg, seed=3)
+    from test_model import as_dtype
+
+    state = as_dtype(M.init_model(cfg, seed=3), np.float64)  # finite differences need float64
     tok = state.tokenizer
     t0 = time.monotonic()
     for batch_seed in range(5):

@@ -189,7 +189,7 @@ def test_full_pipeline_smoke(tmp_path):
     assert main(["train", "--mode", "dti", "--data", str(data),
                  "--interactions", str(splits / "interactions.tsv"),
                  "--config", str(train_cfg), "--seed", "3", "--out", str(model_dir)]) == 0
-    assert (model_dir / "model.tdti").is_file()
+    assert (model_dir / "model.tdti").read_bytes()[8:12] == struct.pack("<I", 2)  # checkpoint version 2
     report = json.loads((model_dir / "train_report.json").read_text())
     assert "aupr" in report["test_mean"]
 

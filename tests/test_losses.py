@@ -308,10 +308,11 @@ def test_composite_missing_weighted_term_rejected():
 def test_every_loss_gradient_matches_finite_differences():
     """Each loss, driven through a small encoder so there are parameters to
     differentiate, agrees with central finite differences at 1e-4."""
-    from tensordti.nn import dense_forward, grad_check, init_dense
+    from tensordti.nn import dense_forward, grad_check
+    from test_nn import random_layer
 
     rng = np.random.default_rng(10)
-    enc = init_dense(rng, 4, 3, "tanh", "enc")  # no dead columns for the cosine case
+    enc = random_layer(rng, 4, 3, "tanh", "enc")  # no dead columns for the cosine case
     x = rng.standard_normal((4, 5))
     y = rng.integers(0, 2, 5)
     other = rng.standard_normal((3, 5))

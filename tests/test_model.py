@@ -1,8 +1,11 @@
 import itertools
+import json
 import math
 import re
+import struct
 import tempfile
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +24,14 @@ def tiny_config(**kw):
                 latent_dim=4, max_len=10, vocab="CNOS")
     base.update(kw)
     return ModelConfig(**base)
+
+
+def as_dtype(state, dtype):
+    """A state over a copy of `state`'s values in `dtype`: float64 for
+    finite differences and for the float64 paths tests use as oracles."""
+    out = M._zeroed_state(state.config, dtype)
+    out.flat[...] = state.flat
+    return out
 
 
 def zero_params(state):
@@ -305,7 +316,7 @@ def test_cut_reconstruction_loss_passes_grad_check():
     from tensordti.losses import reconstruction_loss
     from tensordti.nn import grad_check
 
-    state = init_model(tiny_config(pocket_dim=None), seed=2)
+    state = as_dtype(init_model(tiny_config(pocket_dim=None), seed=2), np.float64)  # finite differences need float64
     c = state.config
     x = np.random.default_rng(3).standard_normal((6, 3))
     ids, mask = state.tokenizer.tokenize_many(["CN", "N", "OS"])
@@ -405,9 +416,9 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 
 
 def test_parameter_values_are_views_of_the_model_buffer(tmp_path):
-    """init_model, load_checkpoint and astype leave every parameter a view
-    of its slot of `state.flat`, the buffer Adam updates and checkpoints
-    read."""
+    """init_model and load_checkpoint leave every parameter a view of its
+    slot of `state.flat`, one float32 buffer, which Adam updates and
+    checkpoints read."""
 
     def assert_views(state):
         params = state.parameters()
@@ -420,26 +431,58 @@ def test_parameter_values_are_views_of_the_model_buffer(tmp_path):
     loaded = load_checkpoint(tmp_path / "a.tdti")
     assert_views(loaded)
     assert np.array_equal(loaded.flat, state.flat)
-    narrow = state.astype(np.float32)
-    assert_views(narrow)
-    assert narrow.flat.dtype == np.float32 and not np.shares_memory(narrow.flat, state.flat)
-    assert np.array_equal(narrow.flat, state.flat)
+    assert state.flat.dtype == loaded.flat.dtype == np.float32
+
+
+SMALL_STATE = init_model(tiny_config(hidden_dim=3, output_dim=2, latent_dim=2, max_len=4), seed=1)
 
 
 def _small_checkpoint() -> bytes:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "s.tdti"
-        save_checkpoint(init_model(tiny_config(hidden_dim=3, output_dim=2, latent_dim=2, max_len=4), seed=1), path)
+        save_checkpoint(SMALL_STATE, path)
         return path.read_bytes()
 
 
+def version_1_bytes(state) -> bytes:
+    """`state` in the version 1 layout: magic, version, config block, then
+    each tensor's (rows, cols) followed by its values as `<f8`."""
+    cfg = M._config_json(state.config)
+    chunks = [M.CHECKPOINT_MAGIC, struct.pack("<II", 1, len(cfg)), cfg]
+    for p in state.parameters():
+        chunks += [struct.pack("<II", *p.value.shape), p.value.astype("<f8").tobytes()]
+    return b"".join(chunks)
+
+
+def value_block(raw: bytes) -> int:
+    """Where a version 2 file's value block starts: after the config block
+    and the (rows, cols) of every tensor."""
+    (cfg_len,) = struct.unpack_from("<I", raw, 12)
+    config = ModelConfig(**json.loads(raw[16 : 16 + cfg_len]))
+    return 16 + cfg_len + 8 * len(M._zeroed_state(config, np.float32).parameters())
+
+
+def with_value(raw: bytes, index: int, value: float) -> bytes:
+    """A version 2 file with value `index` of the buffer set to `value` and
+    its CRC-32 made to match, so only the value is wrong."""
+    raw, block = bytearray(raw), value_block(raw)
+    struct.pack_into("<f", raw, block + 4 * index, value)
+    struct.pack_into("<I", raw, len(raw) - 4, zlib.crc32(raw[block:-4]))
+    return bytes(raw)
+
+
+def damage(raw: bytes):
+    """A truncation of `raw`, or `raw` with up to three bytes flipped."""
+    return st.one_of(
+        st.integers(0, len(raw) - 1).map(lambda n: raw[:n]),
+        st.lists(st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)), min_size=1, max_size=3).map(
+            lambda flips: bytes(b ^ next((x for i, x in flips if i == j), 0) for j, b in enumerate(raw))
+        ),
+    )
+
+
 SMALL_CHECKPOINT = _small_checkpoint()
-CHECKPOINT_DAMAGE = st.one_of(
-    st.integers(0, len(SMALL_CHECKPOINT) - 1).map(lambda n: SMALL_CHECKPOINT[:n]),
-    st.lists(st.tuples(st.integers(0, len(SMALL_CHECKPOINT) - 1), st.integers(1, 255)), min_size=1, max_size=3).map(
-        lambda flips: bytes(b ^ next((x for i, x in flips if i == j), 0) for j, b in enumerate(SMALL_CHECKPOINT))
-    ),
-)
+CHECKPOINT_DAMAGE = damage(SMALL_CHECKPOINT)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -455,6 +498,13 @@ def test_damaged_checkpoint_loads_or_is_a_typed_error(data):
         except TdtiError:
             return
     assert all(np.shares_memory(p.value, state.flat) for p in state.parameters())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(damage(version_1_bytes(SMALL_STATE)))
+def test_damaged_version_1_checkpoint_loads_or_is_a_typed_error(data):
+    """The same damage to a version 1 file: it loads or raises a TdtiError."""
+    test_damaged_checkpoint_loads_or_is_a_typed_error.hypothesis.inner_test(data)
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -528,20 +578,10 @@ def test_checkpoint_config_nested_too_deeply_is_format_error(tmp_path):
 def test_checkpoint_non_finite_parameter_refused(tmp_path):
     """A nan parameter is never written, and one in a file fails the load
     with the parameter's name instead of turning into nan scores."""
-    import struct
-
     state = init_model(tiny_config(), seed=0)
     p = tmp_path / "n.tdti"
     save_checkpoint(state, p)
-    raw = bytearray(p.read_bytes())
-    (cfg_len,) = struct.unpack_from("<I", raw, 12)
-    off = 16 + cfg_len
-    for param in state.parameters():
-        if param.name == "classifier.1.bias":
-            struct.pack_into("<d", raw, off + 8, float("nan"))
-            break
-        off += 8 + 8 * param.value.size
-    p.write_bytes(bytes(raw))
+    p.write_bytes(with_value(p.read_bytes(), state.classifier[1].bias.lo, float("nan")))
     with pytest.raises(FormatError, match="classifier.1.bias"):
         load_checkpoint(p)
 
@@ -555,43 +595,88 @@ def test_checkpoint_non_finite_parameter_refused(tmp_path):
 def test_every_parameter_flipped_to_nan_is_a_format_error_naming_it(tmp_path):
     """The one finite scan of the loaded buffer names the parameter that
     holds the bad value, up to the last value of each."""
-    import struct
-
     state = init_model(tiny_config(), seed=0)
     p = tmp_path / "n.tdti"
     save_checkpoint(state, p)
     raw = p.read_bytes()
-    (cfg_len,) = struct.unpack_from("<I", raw, 12)
-    off = 16 + cfg_len
     for param in state.parameters():
-        bad = bytearray(raw)
-        struct.pack_into("<d", bad, off + 8 * param.value.size, float("nan"))  # its last value
-        p.write_bytes(bytes(bad))
+        p.write_bytes(with_value(raw, param.lo + param.value.size - 1, float("nan")))  # its last value
         with pytest.raises(FormatError, match=re.escape(f"parameter {param.name!r} has non-finite values")):
             load_checkpoint(p)
-        off += 8 + 8 * param.value.size
 
 
 def test_loaded_buffer_holds_the_files_values_bit_for_bit(tmp_path):
     """load_checkpoint fills `flat` straight from the file: the saved state's
-    buffer bit for bit (a negative zero and subnormals too), which is the
-    file's f64 words in parameter order."""
-    import struct
-
+    float32 buffer bit for bit (a negative zero and subnormals too), which is
+    the file's `<f4` block after the (rows, cols) of every tensor, followed
+    by the block's CRC-32."""
+    f32 = np.finfo(np.float32)
     state = init_model(tiny_config(), seed=4)
-    state.flat[:4] = [-0.0, 5e-324, -1.7976931348623157e308, 2.2250738585072014e-308 / 3]
+    state.flat[:4] = [-0.0, f32.smallest_subnormal, -f32.max, f32.smallest_normal / 3]
     p = tmp_path / "b.tdti"
     save_checkpoint(state, p)
     loaded = load_checkpoint(p)
-    assert loaded.flat.dtype == np.float64 and loaded.flat.tobytes() == state.flat.tobytes()
+    assert loaded.flat.dtype == np.float32 and loaded.flat.tobytes() == state.flat.tobytes()
     raw = p.read_bytes()
-    (cfg_len,) = struct.unpack_from("<I", raw, 12)
-    off, words = 16 + cfg_len, []
-    for param in loaded.parameters():
-        assert struct.unpack_from("<II", raw, off) == param.value.shape
-        words.append(raw[off + 8 : off + 8 + 8 * param.value.size])
-        off += 8 + 8 * param.value.size
-    assert off == len(raw) and b"".join(words) == loaded.flat.astype("<f8").tobytes()
+    assert struct.unpack_from("<II", raw, 8)[0] == M.CHECKPOINT_VERSION == 2
+    block = value_block(raw)
+    shapes = [struct.unpack_from("<II", raw, off) for off in range(block - 8 * len(loaded.parameters()), block, 8)]
+    assert shapes == [param.value.shape for param in loaded.parameters()]
+    assert raw[block:-4] == loaded.flat.astype("<f4").tobytes()
+    assert struct.unpack("<I", raw[-4:])[0] == zlib.crc32(raw[block:-4])
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last", "crc"])
+def test_flipped_byte_in_the_value_block_is_a_format_error_naming_the_file(tmp_path, where):
+    """A flipped bit in the values, or in their CRC-32, fails the CRC check,
+    even where the value it makes is finite and the right size."""
+    p = tmp_path / "f.tdti"
+    save_checkpoint(init_model(tiny_config(), seed=0), p)
+    raw = bytearray(p.read_bytes())
+    block = value_block(raw)
+    at = {"first": block, "middle": (block + len(raw) - 4) // 2, "last": len(raw) - 5, "crc": len(raw) - 1}[where]
+    raw[at] ^= 0x01
+    p.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=re.escape(f"{p}: the value block fails its CRC-32")):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize("cut", ["shape table", "value block", "crc"])
+def test_truncated_shape_table_or_value_block_is_a_format_error(tmp_path, cut):
+    p = tmp_path / "t.tdti"
+    save_checkpoint(init_model(tiny_config(), seed=0), p)
+    raw = p.read_bytes()
+    block = value_block(raw)
+    keep = {"shape table": block - 12, "value block": block + 6, "crc": len(raw) - 2}[cut]
+    p.write_bytes(raw[:keep])
+    with pytest.raises(FormatError, match=re.escape(f"{p}: truncated: {keep} bytes where its config implies {len(raw)}")):
+        load_checkpoint(p)
+
+
+def test_version_1_file_of_float32_values_loads_to_identical_values(tmp_path):
+    """A version 1 checkpoint, whose `<f8` values are all float32 values as
+    training writes them, loads into the same float32 buffer a version 2 file
+    gives, and saves as that version 2 file."""
+    state = init_model(tiny_config(), seed=5)
+    state.flat[:2] = [-0.0, np.finfo(np.float32).smallest_subnormal]
+    old, new = tmp_path / "old.tdti", tmp_path / "new.tdti"
+    old.write_bytes(version_1_bytes(state))
+    loaded = load_checkpoint(old)
+    assert loaded.flat.dtype == np.float32 and loaded.flat.tobytes() == state.flat.tobytes()
+    assert loaded.config == state.config
+    save_checkpoint(state, new)
+    save_checkpoint(loaded, old)
+    assert old.read_bytes() == new.read_bytes()
+
+
+@pytest.mark.parametrize("value", [0.1, 1e300, 5e-324], ids=["inexact", "past-float32-range", "below-float32-subnormals"])
+def test_version_1_value_that_is_not_a_float32_is_a_format_error_naming_it(tmp_path, value):
+    state = as_dtype(init_model(tiny_config(), seed=5), np.float64)
+    state.conf_head[0].weight.value[2, 1] = value
+    p = tmp_path / "v1.tdti"
+    p.write_bytes(version_1_bytes(state))
+    with pytest.raises(FormatError, match=re.escape(f"{p}: parameter 'conf_head.0.weight' holds a value that is not a float32")):
+        load_checkpoint(p)
 
 
 def test_concurrent_inference_on_frozen_state():

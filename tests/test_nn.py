@@ -15,7 +15,6 @@ from tensordti.nn import (
     adam_step,
     dense_forward,
     grad_check,
-    init_dense,
     pack,
     stable_sigmoid,
 )
@@ -25,6 +24,13 @@ def layer(w, b, act="identity"):
     w = np.atleast_2d(np.asarray(w, dtype=float))
     b = np.asarray(b, dtype=float).reshape(-1, 1)
     return DenseLayer(Param(w, "w"), Param(b, "b"), act)
+
+
+def random_layer(rng, in_dim, out_dim, act, name):
+    """A standalone float64 layer: weights drawn as init_model draws them, zero bias."""
+    bound = np.sqrt(6.0 / (in_dim + out_dim))
+    weight = Param(rng.uniform(-bound, bound, size=(out_dim, in_dim)), f"{name}.weight")
+    return DenseLayer(weight, Param(np.zeros((out_dim, 1)), f"{name}.bias"), act)
 
 
 def test_dense_forward_identity():
@@ -53,7 +59,7 @@ def test_dense_forward_shape_error_names_both_shapes():
 
 def test_dense_forward_deterministic():
     rng = np.random.default_rng(0)
-    lyr = init_dense(rng, 5, 3, "relu", "l")
+    lyr = random_layer(rng, 5, 3, "relu", "l")
     x = rng.standard_normal((5, 7))
     a = dense_forward(lyr, Tape().constant(x), Tape()).value
     b = dense_forward(lyr, Tape().constant(x), Tape()).value
@@ -79,8 +85,8 @@ def test_backward_sigmoid_derivative_at_zero():
 
 def test_backward_two_layer_relu_matches_finite_differences():
     rng = np.random.default_rng(42)
-    l1 = init_dense(rng, 4, 6, "relu", "l1")
-    l2 = init_dense(rng, 6, 1, "identity", "l2")
+    l1 = random_layer(rng, 4, 6, "relu", "l1")
+    l2 = random_layer(rng, 6, 1, "identity", "l2")
     x = rng.standard_normal((4, 3))
 
     def forward():
@@ -132,7 +138,8 @@ def test_needs_grad_follows_parameters():
 
 class SinkSpy(Tape):
     """Records every node that a backward closure hands a contribution to,
-    and the dtypes of the contributions."""
+    and the dtypes of the contributions (of the product, for a matmul's pair
+    of factors)."""
 
     def __init__(self):
         super().__init__()
@@ -142,7 +149,7 @@ class SinkSpy(Tape):
         def spied(g, sink):
             def spy(node, contrib, *where):
                 self.sunk.append(node)
-                self.dtypes.add(contrib.dtype)
+                self.dtypes.add(np.result_type(*contrib) if isinstance(contrib, tuple) else contrib.dtype)
                 sink(node, contrib, *where)
 
             bw(g, spy)
@@ -205,7 +212,7 @@ def test_part_backward_fills_only_its_part():
 
 def test_tape_that_does_not_record_gives_the_same_values():
     rng = np.random.default_rng(1)
-    lyr = init_dense(rng, 4, 3, "relu", "l")
+    lyr = random_layer(rng, 4, 3, "relu", "l")
     x = rng.standard_normal((4, 5))
     quiet = Tape(record=False)
     out = dense_forward(lyr, quiet.constant(x), quiet)
@@ -375,7 +382,7 @@ def test_backward_calls_return_independent_gradients():
     like the parameters' one: a later call leaves an earlier call's
     gradients as they were."""
     rng = np.random.default_rng(2)
-    layers = [init_dense(rng, 3, 4, "relu", "l1"), init_dense(rng, 4, 2, "identity", "l2")]
+    layers = [random_layer(rng, 3, 4, "relu", "l1"), random_layer(rng, 4, 2, "identity", "l2")]
     params = [q for lyr in layers for q in (lyr.weight, lyr.bias)]
     flat = pack(params)
 
@@ -422,7 +429,7 @@ def test_grad_check_linear_model_is_exact():
 
 def test_grad_check_detects_corrupted_gradient():
     rng = np.random.default_rng(3)
-    l1 = init_dense(rng, 3, 4, "relu", "l1")
+    l1 = random_layer(rng, 3, 4, "relu", "l1")
     x = rng.standard_normal((3, 2))
 
     class Corrupted(Tape):

@@ -817,6 +817,8 @@ def _float_step_case(case, dtype):
     """A state with non-zero biases in `dtype`, its training table in the
     same dtype, and two minibatches: 64 pairs that repeat drugs and
     targets, and in classification 8 pairs with no positive."""
+    from test_model import as_dtype
+
     task, kw = ORACLE_CASES[case]
     bundle = pocket_bundle(task)
     state = M.init_model(model_cfg(**kw), seed=4)
@@ -824,7 +826,7 @@ def _float_step_case(case, dtype):
     for p in state.parameters():
         if p.name.endswith(".bias"):
             p.value[...] = 0.1 * rng.standard_normal(p.value.shape).astype(np.float32)
-    state = state.astype(dtype)
+    state = as_dtype(state, dtype)
     pairs = T._Pairs(bundle, bundle.interactions, state.config, dtype=dtype)
     pairs.tokenize(bundle, state.tokenizer)
     batches = [np.random.default_rng(2).permutation(len(bundle.interactions))[:64]]
@@ -874,10 +876,10 @@ def test_a_step_keeps_every_buffer_in_its_parameters_dtype(case, dtype):
     assert len(tape._bufs) > 10 and {b.dtype for b in buffers} == tape.dtypes == {np.dtype(dtype)}
 
 
-def test_train_steps_in_float32_and_returns_float32_values_in_float64(monkeypatch):
+def test_train_keeps_one_float32_buffer_from_init_to_checkpoint(monkeypatch, tmp_path):
     """`train` runs every Adam step on float32 parameters, gradients and
-    moments; init_model's and train's parameters are float64 buffers whose
-    values round-trip through float32 exactly."""
+    moments, and returns a float32 state (init_model's buffer, trained),
+    whose checkpoint is a version 2 file: the buffer's bytes as one block."""
     seen = []
 
     def spy(adam, params, grads):
@@ -891,6 +893,24 @@ def test_train_steps_in_float32_and_returns_float32_values_in_float64(monkeypatc
     state, _ = train(cfg, make_bundle(), train_cfg(max_epochs=2, patience=2))
     assert seen and all(s == {np.dtype(np.float32)} for s in seen)
     assert not np.array_equal(state.flat, init.flat)
-    for s in (init, state):
-        assert s.flat.dtype == np.float64
-        assert np.array_equal(s.flat.astype(np.float32).astype(np.float64), s.flat)
+    assert init.flat.dtype == state.flat.dtype == np.float32
+    M.save_checkpoint(state, tmp_path / "m.tdti")
+    raw = (tmp_path / "m.tdti").read_bytes()
+    assert raw[8:12] == (2).to_bytes(4, "little")
+    assert raw[-4 - state.flat.nbytes : -4] == state.flat.tobytes()
+
+
+@pytest.mark.parametrize("case", ["classification", "regression-pocket"])
+def test_float32_state_predicts_as_its_float64_widening_bit_for_bit(case):
+    """Scoring stays float64 with no widening copy: each op promotes the
+    float32 weights against the float64 embeddings, so every prediction
+    column of a float32 state, unfamiliarity included, equals that of a
+    float64 state over the same values, bit for bit."""
+    from test_model import as_dtype
+
+    state, _, _ = _float_step_case(case, np.float32)
+    bundle = pocket_bundle(ORACLE_CASES[case][0])
+    narrow = evaluate(state, bundle, bundle.interactions)
+    wide = evaluate(as_dtype(state, np.float64), bundle, bundle.interactions)
+    assert state.flat.dtype == np.float32 and narrow["unfamiliarity"][0] is not None
+    assert {k: list(map(repr, v)) for k, v in narrow.items()} == {k: list(map(repr, v)) for k, v in wide.items()}
