@@ -249,22 +249,21 @@ def head_partials(state: ModelState, e_d: Node, e_p: Node, tape: Tape) -> tuple[
     partials = []
     for layer, d, p in ((state.classifier[0], e_d, e_p), (state.conf_head[0], tape.detach(e_d), tape.detach(e_p))):
         partials.append(tape.matmul(tape.part(layer.weight, np.s_[:, :out]), d))
-        partials.append(tape.add(tape.matmul(tape.part(layer.weight, np.s_[:, out : 2 * out]), p), layer.bias))
+        partials.append(tape.dense(tape.part(layer.weight, np.s_[:, out : 2 * out]), layer.bias, p))
     return tuple(partials)
 
 
 def pair_heads(state: ModelState, partials, drug_idx: np.ndarray, target_idx: np.ndarray, tape: Tape) -> tuple[Node, Node]:
     """Logits and confidences, (1, n) each, of the pairs (drug_idx[i],
-    target_idx[i]), column indices into `head_partials`: a gather, an add and
-    a relu, then hidden -> 1; the confidence head also adds w_logit * the
-    detached logit. Equal to interaction_logit / confidence up to rounding."""
+    target_idx[i]), column indices into `head_partials`: each head's hidden
+    layer is one `Tape.pair_hidden` (the confidence head's also adds w_logit
+    * the detached logit), then hidden -> 1. Equal to interaction_logit /
+    confidence up to rounding."""
     cls_d, cls_p, conf_d, conf_p = partials
-    h = tape.add(tape.take_cols(cls_d, drug_idx), tape.take_cols(cls_p, target_idx))
-    logit = dense_forward(state.classifier[1], tape.relu(h), tape)
+    logit = dense_forward(state.classifier[1], tape.pair_hidden(cls_d, drug_idx, cls_p, target_idx), tape)
     w_logit = tape.part(state.conf_head[0].weight, np.s_[:, 2 * state.config.output_dim :])
-    h = tape.add(tape.take_cols(conf_d, drug_idx), tape.take_cols(conf_p, target_idx))
-    h = tape.add(h, tape.matmul(w_logit, tape.detach(logit)))
-    return logit, dense_forward(state.conf_head[1], tape.relu(h), tape)
+    h = tape.pair_hidden(conf_d, drug_idx, conf_p, target_idx, tape.matmul(w_logit, tape.detach(logit)))
+    return logit, dense_forward(state.conf_head[1], h, tape)
 
 
 def score_pairs(state: ModelState, drug_matrix, protein_matrix, pocket_matrix, drug_idx, target_idx):

@@ -4,8 +4,9 @@
 blocks; each op computes in its inputs' dtype), a replayable operation tape
 for reverse-mode gradients, bias-corrected Adam with decoupled weight decay,
 and a central finite-difference gradient checker. The op set is fixed:
-matmul, add, elementwise activations, reductions, column-wise cosine, logit
-cross-entropy and token softmax cross-entropy. There is no general autodiff;
+matmul, a dense layer and a pair-head hidden layer each as one op, add,
+elementwise ops, reductions, column-wise cosine, logit cross-entropy and
+token softmax cross-entropy. There is no general autodiff;
 the architecture this kernel serves is closed.
 """
 
@@ -23,8 +24,8 @@ Matrix = np.ndarray
 
 ACTIVATIONS = ("identity", "relu", "sigmoid", "tanh")
 
-ADAM_BLOCK = 1 << 15  # values per block of the in-place Adam update (256 KiB in float64)
-ONEHOT_LIMIT = 1 << 16  # largest positions x columns one-hot of take_cols' backward (512 KiB in float64)
+ADAM_BLOCK = 1 << 15  # values per block of Adam's in-place update and pair_hidden's gathers (128 KiB in float32)
+ONEHOT_LIMIT = 1 << 16  # largest positions x columns one-hot of a column gather's backward (256 KiB in float32)
 
 
 def as_matrix(x, name: str = "tensor") -> Matrix:
@@ -209,18 +210,75 @@ class Tape:
 
         return self._record(out, (a, b), bw)
 
+    def dense(self, w: Node, b: Node, x: Node, activation: str = "identity") -> Node:
+        """activation(w @ x + b) in the matmul's buffer, bias and relu or tanh applied in place; backward
+        forms the products of a matmul, a bias add and an activation, in their order."""
+        vw, vb, vx = w.value, b.value, x.value
+        if vw.shape[1] != vx.shape[0] or vb.shape != (vw.shape[0], 1):
+            raise ShapeError(f"dense: input {vx.shape} and bias {vb.shape} incompatible with weight shape {vw.shape}")
+        out = np.matmul(vw, vx, out=self._lend((vw.shape[0], vx.shape[1]), np.result_type(vw, vx), (w, b, x)))
+        out += vb
+        if activation == "relu":
+            np.maximum(out, 0.0, out=out)
+        elif activation == "tanh":
+            np.tanh(out, out=out)
+        elif activation == "sigmoid":  # clamped to [1e-12, 1 - 1e-12], so saturated heads keep the open (0, 1) contract
+            out = np.clip(stable_sigmoid(out), 1e-12, 1.0 - 1e-12)
+        elif activation != "identity":
+            raise ConfigError(f"unknown activation {activation!r}")
+
+        def bw(g, sink):
+            if activation in ("relu", "tanh"):
+                g = g * (out > 0) if activation == "relu" else g * (1.0 - out * out)
+            elif activation == "sigmoid":
+                g = g * out * (1.0 - out)
+            if b.needs_grad:
+                sink(b, g.sum(axis=1, keepdims=True))
+            if w.needs_grad:
+                sink(w, (g, vx.T))
+            if x.needs_grad:
+                sink(x, (vw.T, g))
+
+        return self._record(Node(out), (w, b, x), bw)
+
+    def pair_hidden(self, a: Node, ia: np.ndarray, b: Node, ib: np.ndarray, c: Node | None = None) -> Node:
+        """relu(a[:, ia] + b[:, ib] (+ c)) in one buffer, gathered ADAM_BLOCK values at a time, in the memory order
+        of the unfused sum (column-major as gathers are, row-major with c), so the next matmul's kernel and bits hold."""
+        ia, ib = np.asarray(ia, dtype=np.intp), np.asarray(ib, dtype=np.intp)
+        parents = (a, b) if c is None else (a, b, c)
+        rows, n = a.value.shape[0], ia.size
+        if ia.ndim != 1 or ib.shape != ia.shape or b.value.shape[0] != rows or (c is not None and c.value.shape != (rows, n)):
+            raise ShapeError(f"pair_hidden: {n} pairs do not fit {[p.value.shape for p in parents]}")
+        dtype = np.result_type(*[p.value for p in parents])
+        out = self._lend((n, rows), dtype, parents).T if c is None else self._lend((rows, n), dtype, parents)
+        step = max(1, ADAM_BLOCK // max(1, rows))
+        for lo in range(0, n, step):
+            np.add(a.value[:, ia[lo : lo + step]], b.value[:, ib[lo : lo + step]], out=out[:, lo : lo + step])
+        if c is not None:
+            out += c.value
+        np.maximum(out, 0.0, out=out)
+
+        def bw(g, sink):
+            g = g * (out > 0)
+            if c is not None and c.needs_grad:
+                sink(c, g)
+            if b.needs_grad:
+                sink(b, _col_sums(g, ib, b.value.shape[1]))
+            if a.needs_grad:
+                sink(a, _col_sums(g, ia, a.value.shape[1]))
+
+        return self._record(Node(out), parents, bw)
+
     def add(self, a: Node, b: Node) -> Node:
-        va, vb = a.value, b.value
-        bias = va.shape != vb.shape  # b broadcast over columns
-        if bias and vb.shape != (va.shape[0], 1):
-            raise ShapeError(f"add: incompatible shapes {va.shape} and {vb.shape}")
-        out = Node(va + vb)
+        if a.value.shape != b.value.shape:
+            raise ShapeError(f"add: shapes differ, {a.value.shape} vs {b.value.shape}")
+        out = Node(a.value + b.value)
 
         def bw(g, sink):
             if a.needs_grad:
                 sink(a, g)
             if b.needs_grad:
-                sink(b, g.sum(axis=1, keepdims=True) if bias else g)
+                sink(b, g)
 
         return self._record(out, (a, b), bw)
 
@@ -264,25 +322,6 @@ class Tape:
 
         def bw(g, sink):
             sink(x, g * (x.value > 0))
-
-        return self._record(out, (x,), bw)
-
-    def sigmoid(self, x: Node) -> Node:
-        # clamped to [1e-12, 1 - 1e-12], so saturated heads keep the open (0, 1) contract
-        s = np.clip(stable_sigmoid(x.value), 1e-12, 1.0 - 1e-12)
-        out = Node(s)
-
-        def bw(g, sink):
-            sink(x, g * s * (1.0 - s))
-
-        return self._record(out, (x,), bw)
-
-    def tanh(self, x: Node) -> Node:
-        t = np.tanh(x.value)
-        out = Node(t)
-
-        def bw(g, sink):
-            sink(x, g * (1.0 - t * t))
 
         return self._record(out, (x,), bw)
 
@@ -352,23 +391,12 @@ class Tape:
         return self._record(out, (x,), bw)
 
     def take_cols(self, x: Node, idx: np.ndarray) -> Node:
-        """x[:, idx]. Backward sums each column's gradient over the positions
-        that took it: as g @ onehot(idx) while the one-hot holds at most
-        ONEHOT_LIMIT values (the faster form at training batch sizes), else
-        as a sorted segment sum, linear in the positions."""
+        """x[:, idx]; backward is `_col_sums`."""
         idx = np.asarray(idx, dtype=np.intp)
         out = Node(x.value[:, idx])
 
         def bw(g, sink):
-            if idx.size * x.value.shape[1] <= ONEHOT_LIMIT:
-                onehot = np.zeros((idx.size, x.value.shape[1]), g.dtype)
-                onehot[np.arange(idx.size), idx] = 1.0
-                return sink(x, g @ onehot)
-            order = np.argsort(idx, kind="stable")
-            starts = np.flatnonzero(np.diff(idx[order], prepend=-1))
-            grad = np.zeros(x.value.shape, g.dtype)
-            grad[:, idx[order[starts]]] = np.add.reduceat(np.take(g, order, axis=1), starts, axis=1)
-            sink(x, grad)
+            sink(x, _col_sums(g, idx, x.value.shape[1]))
 
         return self._record(out, (x,), bw)
 
@@ -424,7 +452,7 @@ class Tape:
         ids = np.asarray(token_ids, dtype=np.intp).reshape(n_positions, batch)
         cube = logits.value.reshape(n_positions, vocab_size, batch)
         mask = np.asarray(pad_mask, dtype=cube.dtype).reshape(n_positions, batch)
-        work = self._lend((2, *cube.shape), cube.dtype, (logits,))  # None when not recorded: token_nll allocates
+        work = self._lend((2, *cube.shape), cube.dtype, (logits,))
         nll, log_z = token_nll(cube, ids, mask, work)
         out = Node(nll.reshape(1, batch))
 
@@ -437,11 +465,11 @@ class Tape:
 
         return self._record(out, (logits,), bw)
 
-    def _lend(self, shape: tuple[int, ...], dtype, parents: tuple[Node, ...]) -> np.ndarray | None:
-        """A buffer of `shape` and `dtype` for the output or work of an op to be recorded, else None: each op
-        since the last clear gets its own buffer, which the same op of the next step reuses."""
+    def _lend(self, shape: tuple[int, ...], dtype, parents: tuple[Node, ...]) -> np.ndarray:
+        """A buffer of `shape` and `dtype` for the output or work of an op, new unless the op is recorded: each
+        recorded op since the last clear gets its own buffer, which the same op of the next step reuses."""
         if not self.record or not any(p.needs_grad for p in parents):
-            return None
+            return np.empty(shape, dtype)
         size, i = math.prod(shape), self._lent
         if i == len(self._bufs) or self._bufs[i].size < size or self._bufs[i].dtype != dtype:
             self._bufs[i : i + 1] = [np.empty(size, dtype)]  # replaces the buffer, or appends one
@@ -501,25 +529,27 @@ class Tape:
         self._lent = 0
 
 
+def _col_sums(g: Matrix, idx: np.ndarray, n_cols: int) -> Matrix:
+    """The gradient of an (rows, n_cols) x from g, that of x[:, idx]: column sums over the positions that took each,
+    as g @ onehot(idx) while that has at most ONEHOT_LIMIT values (faster at training batch sizes), else segment sums."""
+    if idx.size * n_cols <= ONEHOT_LIMIT:
+        onehot = np.zeros((idx.size, n_cols), g.dtype)
+        onehot[np.arange(idx.size), idx] = 1.0
+        return g @ onehot
+    order = np.argsort(idx, kind="stable")
+    starts = np.flatnonzero(np.diff(idx[order], prepend=-1))
+    grad = np.zeros((g.shape[0], n_cols), g.dtype)
+    grad[:, idx[order[starts]]] = np.add.reduceat(np.take(g, order, axis=1), starts, axis=1)
+    return grad
+
+
 def dense_forward(layer: DenseLayer, x: Node, tape: Tape, rows: int | None = None) -> Node:
-    """activation(W @ x + b), with x as (in, batch) columns. With `rows`
-    below the layer's width, only the first `rows` outputs are computed."""
+    """activation(W @ x + b), with x as (in, batch) columns, as one `Tape.dense`.
+    With `rows` below the layer's width, only the first `rows` outputs are computed."""
     w, b = layer.weight, layer.bias
-    if x.value.shape[0] != w.value.shape[1]:
-        raise ShapeError(
-            f"dense_forward: input shape {x.value.shape} incompatible with "
-            f"weight shape {w.value.shape}"
-        )
     if rows is not None and rows < w.value.shape[0]:
         w, b = tape.part(w, np.s_[:rows]), tape.part(b, np.s_[:rows])
-    h = tape.add(tape.matmul(w, x), b)
-    if layer.activation == "identity":
-        return h
-    if layer.activation == "relu":
-        return tape.relu(h)
-    if layer.activation == "sigmoid":
-        return tape.sigmoid(h)
-    return tape.tanh(h)
+    return tape.dense(w, b, x, layer.activation)
 
 
 # -- Adam ---------------------------------------------------------------
@@ -536,6 +566,7 @@ class AdamState:
     m: np.ndarray | None = None  # moments, laid out like the parameter buffer
     v: np.ndarray | None = None
     scratch: np.ndarray | None = None  # (2, ADAM_BLOCK) working values, of the parameter buffer's dtype
+    fresh: list[bool] | None = None  # per block of ADAM_BLOCK values: its moments are still exact zeros
 
 
 def adam_step(state: AdamState, params: list[Param], grads: dict[Param, Matrix]) -> None:
@@ -546,27 +577,37 @@ def adam_step(state: AdamState, params: list[Param], grads: dict[Param, Matrix])
 
     `params` must tile one buffer as `pack` lays them out, and `grads` be
     `Tape.backward`'s views of one buffer laid out like it; anything else
-    is a UsageError. Blocks of ADAM_BLOCK values go through the
-    per-parameter expressions op by op, so the result is bit-identical."""
+    is a UsageError, as is a non-finite gradient (one sum finds it, a scan
+    names it), before anything moves. Blocks of ADAM_BLOCK values go through
+    the per-parameter expressions op by op, so the result is bit-identical; a
+    block with zero moments and a zero gradient keeps them and takes the closed
+    form p -= 0.0 + p * (lr * weight_decay) (nothing at weight_decay 0), moments
+    unread, bit-identical for TrainConfig's finite lr >= 0, eps > 0 and betas in [0, 1)."""
     flat = params[0].flat
     if flat.size != sum(p.value.size for p in params) or any(p.flat is not flat for p in params):
         raise UsageError("adam_step needs parameters that tile one buffer, as pack lays them out")
     g = next(iter(grads.values()), np.empty(0)).base
     if g is None or g.shape != flat.shape or any(v.base is not g for v in grads.values()):
         raise UsageError("adam_step needs gradients that are views of one buffer laid out like the parameters'")
-    bad = first_non_finite(params, g)
+    bad = None if np.isfinite(g.sum()) else first_non_finite(params, g)  # finite values can sum to inf
     if bad is not None:
         raise UsageError(f"non-finite gradient for parameter {bad.name!r}; step aborted")
-    if state.m is None:
-        state.m, state.v = np.zeros_like(flat), np.zeros_like(flat)
+    if state.m is None:  # np.zeros: pages a block never writes stay unmapped
+        state.m, state.v = np.zeros(flat.shape, flat.dtype), np.zeros(flat.shape, flat.dtype)
         state.scratch = np.empty((2, ADAM_BLOCK), flat.dtype)
+        state.fresh = [True] * -(-flat.size // ADAM_BLOCK)
     state.t += 1
     b1, b2, lr = state.beta1, state.beta2, state.lr
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
-    for lo in range(0, flat.size, ADAM_BLOCK):
+    for k, lo in enumerate(range(0, flat.size, ADAM_BLOCK)):
         p, gb, m, v = (a[lo : lo + ADAM_BLOCK] for a in (flat, g, state.m, state.v))
         s, u = state.scratch[:, : p.size]
+        if state.fresh[k] and not gb.any():
+            if state.weight_decay > 0.0:
+                np.subtract(p, np.add(np.multiply(p, lr * state.weight_decay, out=s), 0.0, out=s), out=p)
+            continue
+        state.fresh[k] = False
         # m = b1 * m + (1 - b1) * g
         np.add(np.multiply(m, b1, out=m), np.multiply(gb, 1.0 - b1, out=s), out=m)
         # v = b2 * v + (1 - b2) * g * g
