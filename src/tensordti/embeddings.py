@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -209,8 +208,9 @@ def save_embeddings_binary(store: EmbeddingStore, path: str | Path) -> None:
 # -- interaction records --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InteractionRecord:
+class InteractionRecord(NamedTuple):
+    """One row of a pair table; `split` is last, so a re-tag is `InteractionRecord(*r[:5], tag)`."""
+
     drug_id: str
     target_id: str
     pocket_id: str | None = None

@@ -8,7 +8,8 @@ are deterministic functions of (records, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,19 +52,20 @@ def split(records: list[InteractionRecord], spec: SplitSpec) -> list[Interaction
 
     # the unit of the partition: a pair (its position) or a drug or target id
     if spec.strategy == "random":
-        keys = list(range(len(records)))
+        keys = units = range(len(records))
     else:
         keys = [r.drug_id if spec.strategy == "unseen_drug" else r.target_id for r in records]
-    units = sorted(set(keys))
+        units = sorted(set(keys))
     order = np.random.default_rng(spec.seed).permutation(len(units))
     n_train = int(math.floor(spec.fractions[0] * len(units)))
     n_valid = int(math.floor(spec.fractions[1] * len(units)))
-    tag = {}
-    for pos, idx in enumerate(order):
-        tag[units[idx]] = "train" if pos < n_train else ("valid" if pos < n_train + n_valid else "test")
-    out = [replace(r, split=tag[k]) for r, k in zip(records, keys)]
+    partition = ["train"] * n_train + ["valid"] * n_valid + ["test"] * (len(units) - n_train - n_valid)
+    tag = dict(zip([units[i] for i in order.tolist()], partition))
+    tags = list(map(tag.__getitem__, keys))
+    out = [InteractionRecord(*r[:5], t) for r, t in zip(records, tags)]
 
-    sizes = {s: sum(1 for r in out if r.split == s) for s in ("train", "valid", "test")}
+    counts = Counter(tags)
+    sizes = {s: counts[s] for s in ("train", "valid", "test")}
     empty = [s for s, n in sizes.items() if n == 0]
     if empty:
         raise DataError(f"empty partition(s) {empty} with sizes {sizes}")

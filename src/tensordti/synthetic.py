@@ -12,7 +12,7 @@ embeddings is learnable.
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +30,8 @@ from .errors import ConfigError, DataError
 
 # subset of the tokenizer's default alphabet
 _SMILES_CHARS = "CNOPSFclnos="
+
+log = logging.getLogger("tensordti")
 
 
 @dataclass
@@ -93,21 +95,17 @@ def _f32(x: np.ndarray) -> np.ndarray:
 
 def gen_synthetic(config: SyntheticConfig) -> SyntheticData:
     """Pure function of the config: same config, same bytes."""
-    last_rate = None
     for attempt in range(10):
         rng = np.random.default_rng(splitmix64(config.seed, attempt))
-        data = _generate(config, rng)
-        labels = np.array([r.label for r in data.interactions if r.label is not None])
-        if config.task == "dta" or (0 < labels.sum() < labels.size):
+        data, rate = _generate(config, rng)
+        if rate is None or 0 < rate < 1:
             return data
-        last_rate = labels.mean() if labels.size else None
-        warnings.warn(
-            f"synthetic labels degenerate (positive rate {last_rate}); retry {attempt + 1}/10"
-        )
-    raise DataError(f"could not plant a two-class dataset in 10 tries (rate {last_rate})")
+        log.warning("synthetic labels degenerate (positive rate %s); retry %d/10", rate, attempt + 1)
+    raise DataError(f"could not plant a two-class dataset in 10 tries (rate {rate})")
 
 
-def _generate(config: SyntheticConfig, rng: np.random.Generator) -> SyntheticData:
+def _generate(config: SyntheticConfig, rng: np.random.Generator) -> tuple[SyntheticData, float | None]:
+    """The fixture one generator draws, and its positive rate (None for dta)."""
     c = config
     k = c.n_latent_factors
     drug_ids = [f"D{i:04d}" for i in range(c.n_drugs)]
@@ -126,12 +124,11 @@ def _generate(config: SyntheticConfig, rng: np.random.Generator) -> SyntheticDat
     e_drug = embed(c.drug_dim, f_drug)
     e_target = embed(c.protein_dim, f_target)
     pockets = None
-    pocket_by_target: dict[str, str] = {}
+    pocket_ids = [None] * c.n_targets
     if c.pocket_dim is not None:
         e_pocket = embed(c.pocket_dim, f_target)
         pocket_ids = [f"K{j:04d}" for j in range(c.n_targets)]
         pockets = EmbeddingStore("pocket", pocket_ids, e_pocket)
-        pocket_by_target = dict(zip(target_ids, pocket_ids))
 
     gram = f_drug.T @ f_target  # (n_drugs, n_targets)
     # planted linear regression targets: one fixed read-out per side
@@ -139,27 +136,22 @@ def _generate(config: SyntheticConfig, rng: np.random.Generator) -> SyntheticDat
     w_t = rng.standard_normal(k)
     lin = (w_d @ f_drug)[:, None] + (w_t @ f_target)[None, :]
 
-    dti = c.task == "dti"
-    interactions = [
-        InteractionRecord(
-            drug_id=d,
-            target_id=t,
-            pocket_id=pocket_by_target.get(t),
-            label=int(gram[i, j] > 0) if dti else None,
-            affinity=None if dti else float(np.round(lin[i, j], 6)),
-        )
-        for i, d in enumerate(drug_ids)
-        for j, t in enumerate(target_ids)
-    ]
+    # one record per pair, drug-major: row i * n_targets + j is (drug i, target j)
+    dti, n, labels = c.task == "dti", gram.size, gram > 0
+    interactions = list(map(
+        InteractionRecord,
+        [d for d in drug_ids for _ in target_ids],
+        target_ids * c.n_drugs,
+        pocket_ids * c.n_drugs,
+        labels.astype(int).ravel().tolist() if dti else [None] * n,
+        [None] * n if dti else np.round(lin, 6).ravel().tolist(),
+    ))
 
     proj = rng.standard_normal((c.smiles_len, k))
     shift = rng.standard_normal((c.smiles_len, 1))
     u = 1.0 / (1.0 + np.exp(-(proj @ f_drug + shift)))  # (smiles_len, n_drugs)
     char_idx = np.minimum((u * len(_SMILES_CHARS)).astype(int), len(_SMILES_CHARS) - 1)
-    smiles = {
-        d: "".join(_SMILES_CHARS[char_idx[p, i]] for p in range(c.smiles_len))
-        for i, d in enumerate(drug_ids)
-    }
+    smiles = {d: "".join(map(_SMILES_CHARS.__getitem__, row)) for d, row in zip(drug_ids, char_idx.T.tolist())}
 
     return SyntheticData(
         config=c,
@@ -172,4 +164,4 @@ def _generate(config: SyntheticConfig, rng: np.random.Generator) -> SyntheticDat
         target_factors=f_target,
         drug_ids=drug_ids,
         target_ids=target_ids,
-    )
+    ), float(labels.mean()) if dti else None

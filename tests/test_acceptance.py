@@ -278,7 +278,7 @@ def test_criterion_5_planted_learning():
         shuffled, k = [], 0
         for r in bundle.interactions:
             if r.split in ("train", "valid"):
-                shuffled.append(dataclasses.replace(r, label=int(labs[k])))
+                shuffled.append(r._replace(label=int(labs[k])))
                 k += 1
             else:
                 shuffled.append(r)

@@ -124,7 +124,7 @@ def test_every_member_the_benchmark_uses_on_returned_objects_exists():
     for qualname, members in BENCH_MEMBERS.items():
         module, name = qualname.split(".")
         cls = getattr(importlib.import_module(f"tensordti.{module}"), name)
-        fields = getattr(cls, "__dataclass_fields__", {})
+        fields = getattr(cls, "__dataclass_fields__", None) or getattr(cls, "_fields", ())
         missing += [f"{qualname}.{m}" for m in members if not (callable(getattr(cls, m, None)) or m in fields)]
     assert missing == []
 

@@ -1,4 +1,4 @@
-import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from tensordti.embeddings import InteractionRecord
 from tensordti.errors import ConfigError, DataError
 from tensordti.pipeline import SplitSpec, balance_train, split
+from tensordti.synthetic import SyntheticConfig, gen_synthetic
 
 
 def rec(d, t, label=None, affinity=None, split="unassigned", pocket=None):
@@ -168,6 +169,46 @@ def test_balance_deterministic():
 
 
 def test_records_immutable_semantics():
+    """A record is an immutable tuple: assignment raises (a frozen dataclass's
+    FrozenInstanceError was an AttributeError too), a re-tag is a new record,
+    and equal records hash equal."""
     r = rec("D0", "T0", label=1)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         r.label = 0
+    assert r._replace(split="train") == rec("D0", "T0", label=1, split="train")
+    assert r == rec("D0", "T0", label=1) and r.split == "unassigned"
+    assert hash(r) == hash(rec("D0", "T0", label=1))
+    assert r == ("D0", "T0", None, 1, None, "unassigned")
+    drug_id, target_id, *_ = r
+    assert (drug_id, target_id) == ("D0", "T0")
+
+
+def per_record_oracle(records, spec):
+    """The tags `split` gave before it tagged in bulk: the same draw over the
+    same sorted units, then one `_replace` a record."""
+    if spec.strategy == "random":
+        keys = list(range(len(records)))
+    else:
+        keys = [r.drug_id if spec.strategy == "unseen_drug" else r.target_id for r in records]
+    units = sorted(set(keys))
+    order = np.random.default_rng(spec.seed).permutation(len(units))
+    n_train = int(math.floor(spec.fractions[0] * len(units)))
+    n_valid = int(math.floor(spec.fractions[1] * len(units)))
+    tag = {}
+    for pos, idx in enumerate(order):
+        tag[units[idx]] = "train" if pos < n_train else ("valid" if pos < n_train + n_valid else "test")
+    return [r._replace(split=tag[k]) for r, k in zip(records, keys)]
+
+
+@pytest.mark.parametrize("strategy", ["random", "unseen_drug", "unseen_target"])
+@pytest.mark.parametrize("task, pocket_dim", [("dti", None), ("dti", 4), ("dta", 4)])
+def test_bulk_tags_equal_the_per_record_oracle(strategy, task, pocket_dim):
+    data = gen_synthetic(SyntheticConfig(n_drugs=30, n_targets=11, drug_dim=4, protein_dim=4,
+                                         pocket_dim=pocket_dim, task=task, seed=6))
+    for seed in (0, 5):
+        spec = SplitSpec(strategy=strategy, fractions=(0.6, 0.15, 0.25), seed=seed)
+        got, want = split(data.interactions, spec), per_record_oracle(data.interactions, spec)
+        assert got == want
+        assert [tuple(map(type, r)) for r in got] == [tuple(map(type, r)) for r in want]
+        if task == "dti":
+            assert balance_train(got, seed=seed) == balance_train(want, seed=seed)

@@ -1,9 +1,13 @@
+import logging
+
 import numpy as np
 import pytest
 
+from tensordti._util import splitmix64
+from tensordti.embeddings import InteractionRecord
 from tensordti.errors import ConfigError
 from tensordti.metrics import aupr
-from tensordti.synthetic import SyntheticConfig, SyntheticData, gen_synthetic
+from tensordti.synthetic import _SMILES_CHARS, SyntheticConfig, SyntheticData, gen_synthetic
 
 
 def small(**kw):
@@ -114,3 +118,81 @@ def test_write_is_pure_function_of_config(tmp_path):
     assert {p.name for p in files} == {
         "drugs.bin", "proteins.bin", "pockets.bin", "interactions.tsv", "smiles.tsv"
     }
+
+
+def per_pair_oracle(config):
+    """The table and SMILES `gen_synthetic` made before it built them from
+    whole arrays: the generator's draws replayed in order, then one record
+    and one character at a time, retrying while a dti table is one-class."""
+    c = config
+    k = c.n_latent_factors
+    for attempt in range(10):
+        rng = np.random.default_rng(splitmix64(c.seed, attempt))
+        f_drug = rng.standard_normal((k, c.n_drugs))
+        f_target = rng.standard_normal((k, c.n_targets))
+        for dim, n in ((c.drug_dim, c.n_drugs), (c.protein_dim, c.n_targets), (c.pocket_dim, c.n_targets)):
+            if dim is not None:  # each embedding's mix and noise
+                rng.standard_normal((dim, k))
+                if c.noise > 0:
+                    rng.standard_normal((dim, n))
+        gram = f_drug.T @ f_target
+        lin = (rng.standard_normal(k) @ f_drug)[:, None] + (rng.standard_normal(k) @ f_target)[None, :]
+        drug_ids = [f"D{i:04d}" for i in range(c.n_drugs)]
+        target_ids = [f"T{j:04d}" for j in range(c.n_targets)]
+        pocket_by_target = {t: f"K{j:04d}" for j, t in enumerate(target_ids)} if c.pocket_dim is not None else {}
+        dti = c.task == "dti"
+        records = [
+            InteractionRecord(
+                drug_id=d,
+                target_id=t,
+                pocket_id=pocket_by_target.get(t),
+                label=int(gram[i, j] > 0) if dti else None,
+                affinity=None if dti else float(np.round(lin[i, j], 6)),
+            )
+            for i, d in enumerate(drug_ids)
+            for j, t in enumerate(target_ids)
+        ]
+        proj = rng.standard_normal((c.smiles_len, k))
+        shift = rng.standard_normal((c.smiles_len, 1))
+        u = 1.0 / (1.0 + np.exp(-(proj @ f_drug + shift)))
+        char_idx = np.minimum((u * len(_SMILES_CHARS)).astype(int), len(_SMILES_CHARS) - 1)
+        smiles = {
+            d: "".join(_SMILES_CHARS[char_idx[p, i]] for p in range(c.smiles_len))
+            for i, d in enumerate(drug_ids)
+        }
+        labels = [r.label for r in records]
+        if not dti or 0 < sum(labels) < len(labels):
+            return attempt, records, smiles
+    raise AssertionError("the oracle found no two-class table")
+
+
+@pytest.mark.parametrize("kw, attempt", [
+    ({}, 0),
+    ({"task": "dta"}, 0),
+    ({"pocket_dim": 5}, 0),
+    ({"task": "dta", "pocket_dim": 5, "noise": 0.0}, 0),
+    # two drugs, two targets, one factor: seed 3's first two draws are one-class
+    ({"n_drugs": 2, "n_targets": 2, "n_latent_factors": 1, "seed": 3}, 3),
+])
+def test_bulk_table_equals_the_per_pair_oracle(kw, attempt):
+    """Equal records of equal field types (a bool label or a numpy float
+    would compare equal but write other bytes), and equal SMILES."""
+    config = small(**kw)
+    got = gen_synthetic(config)
+    want_attempt, want, smiles = per_pair_oracle(config)
+    assert want_attempt == attempt
+    assert got.interactions == want
+    assert [tuple(map(type, r)) for r in got.interactions] == [tuple(map(type, r)) for r in want]
+    assert got.smiles == smiles
+
+
+@pytest.mark.parametrize("seed, rates", [(1, ["1.0"]), (8, ["0.0"]), (3, ["1.0", "1.0", "0.0"])])
+def test_one_class_draw_logs_one_warning_per_retry(caplog, seed, rates):
+    config = small(n_drugs=2, n_targets=2, n_latent_factors=1, seed=seed)
+    with caplog.at_level(logging.WARNING, logger="tensordti"):
+        data = gen_synthetic(config)
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("tensordti", logging.WARNING, f"synthetic labels degenerate (positive rate {rate}); retry {n}/10")
+        for n, rate in enumerate(rates, 1)
+    ]
+    assert sorted({r.label for r in data.interactions}) == [0, 1]

@@ -101,7 +101,7 @@ def test_warns_when_validation_metric_never_finite(caplog):
     returns the initial weights."""
     bundle = make_bundle()
     bundle.interactions = [
-        dataclasses.replace(r, label=0) if r.split == "valid" else r for r in bundle.interactions
+        r._replace(label=0) if r.split == "valid" else r for r in bundle.interactions
     ]
     cfg = model_cfg()
     with caplog.at_level(logging.WARNING, logger="tensordti"):
@@ -220,7 +220,7 @@ def test_pairs_names_unknown_ids_and_counts_the_distinct_ones():
 def test_pairs_truth_is_the_modes_field_and_a_missing_one_names_its_pair(task, mode, field):
     bundle = make_bundle(task)
     records = bundle.subset("test")
-    blank = dataclasses.replace(records[1], **{field: None})
+    blank = records[1]._replace(**{field: None})
     records = [records[0], blank, *records[2:]]
     pairs = T._Pairs(bundle, records, model_cfg(mode=mode))
     want = np.array([np.nan if getattr(r, field) is None else getattr(r, field) for r in records])
@@ -238,10 +238,10 @@ def test_pairs_checks_pocket_ids_whether_or_not_the_model_reads_them():
     for cfg in (model_cfg(), model_cfg(pocket_dim=6)):
         with pytest.raises(DataError, match=re.escape(message)):
             T._Pairs(no_store, records, cfg)
-    ghost = [*records, dataclasses.replace(records[0], target_id="T0001", pocket_id="K9999")]
+    ghost = [*records, records[0]._replace(target_id="T0001", pocket_id="K9999")]
     with pytest.raises(DataError, match=re.escape("unknown pocket ids ['K9999'] (1 total)")):
         T._Pairs(bundle, ghost, model_cfg())
-    bare = [*records, dataclasses.replace(records[0], target_id="T0001", pocket_id=None)]
+    bare = [*records, records[0]._replace(target_id="T0001", pocket_id=None)]
     with pytest.raises(DataError, match="model expects pockets but some records have no pocket_id"):
         T._Pairs(bundle, bare, model_cfg(pocket_dim=6))
     assert T._Pairs(bundle, bare, model_cfg()).x_pocket is None
@@ -255,7 +255,7 @@ def test_evaluate_scores_records_without_truth(task, mode, label):
     bundle = make_bundle(task=task)
     state = M.init_model(model_cfg(mode=mode), seed=0)
     records = bundle.subset("test")
-    stripped = [dataclasses.replace(r, label=label, affinity=None, split="unassigned") for r in records]
+    stripped = [r._replace(label=label, affinity=None, split="unassigned") for r in records]
     assert evaluate(state, bundle, stripped) == evaluate(state, bundle, records)
 
 
